@@ -67,7 +67,7 @@ var experimentList = []experimentInfo{
 		func(cfg experiments.EvalConfig, _ int) any { return lock(cfg) }},
 	{"l4i", "λ4i corpus: simulator vs compiled-onto-icilk wall time per program", "-workers -iters -l4i-dir",
 		func(cfg experiments.EvalConfig, iters int) any { return l4i(cfg, iters) }},
-	{"io", "per-request future tax: pooled spawn/touch allocs, forwarding touch, batched completion wakes", "-workers",
+	{"io", "per-request future tax: pooled spawn/touch allocs, forwarding touch, completion absorption", "-workers",
 		func(cfg experiments.EvalConfig, _ int) any { return ioExp(cfg) }},
 	{"overload", "overload robustness: per-class goodput/p99 at 0.5x and 3x capacity with shedding and deadlines", "-workers -duration -seed",
 		func(cfg experiments.EvalConfig, _ int) any { return overload(cfg) }},
@@ -401,7 +401,7 @@ func l4i(cfg experiments.EvalConfig, iters int) any {
 }
 
 func ioExp(cfg experiments.EvalConfig) any {
-	fmt.Println("=== Per-request future tax: pooling, forwarding touch, batched completions ===")
+	fmt.Println("=== Per-request future tax: pooling, forwarding touch, completion absorption ===")
 	res := experiments.IOBench(cfg)
 	f := res.FastPath
 	fmt.Printf("%-28s %10s %14s\n", "fast path (single worker)", "ns/op", "allocs/op")
@@ -421,11 +421,8 @@ func ioExp(cfg experiments.EvalConfig) any {
 		"re-park %.0f ns/chain (%d parks/round), %d forwards, speedup %.2fx\n",
 		fw.Hops, fw.ForwardChainNs, fw.ParksForward,
 		fw.ReparkChainNs, fw.ParksRepark, fw.ForwardedTouches, fw.Speedup())
-	fmt.Printf("completion absorption (%s):\n", "one parked toucher per promise")
-	fmt.Printf("%10s %16s %10s\n", "mode", "completions/s", "wakes")
-	for _, pt := range res.Completion {
-		fmt.Printf("%10s %16.0f %10d\n", pt.Mode, pt.OpsPerSec, pt.Wakes)
-	}
+	fmt.Printf("completion absorption (one parked toucher per promise): %.0f completions/s, %d wakes\n",
+		res.Completion.OpsPerSec, res.Completion.Wakes)
 	fmt.Println()
 	return res
 }

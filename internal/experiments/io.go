@@ -10,16 +10,16 @@ import (
 // This file prices the per-request future tax the serving layer pays on
 // every admitted request: one task + one future per spawn, one future
 // per order token, one promise per IO completion. The `io` experiment
-// measures the three mechanisms PR 8 added to cut it — worker-striped
-// task/future pooling, forwarding Touch, and batched IO-completion
-// wakes — each against its own ablation:
+// measures the two mechanisms that cut it — worker-striped task/future
+// pooling and forwarding Touch — each against its own ablation, plus
+// the rate at which the runtime absorbs promise completions:
 //
 //   - spawn+touch and promise complete→touch in ns/op and allocs/op,
 //     pooling on vs off (steady state with pooling on is 0 allocs/op);
 //   - a K-hop handle chain resolved by one forwarding touch (park once,
 //     migrate K-1 times) vs the re-park loop (park K times);
-//   - completions/sec absorbed with an eager wake per completion vs one
-//     wake per batch vs KickSoon's time-window coalescing.
+//   - completions/sec absorbed, each completion requeueing its parked
+//     toucher and waking a worker if one is asleep.
 
 // IOFastPath holds the single-task steady-state costs. The allocs/op
 // leaves are exact (runtime.MemStats.Mallocs deltas on a single-worker
@@ -72,29 +72,22 @@ func (f IOForward) Speedup() float64 {
 	return f.ReparkChainNs / f.ForwardChainNs
 }
 
-// IOCompletionPoint is one wake policy of the completion sweep: a flood
-// of promise completions, each with its own parked toucher. Absorption
-// is completer-bound (every completion takes the future mutex and
-// requeues a waiter), so ops/sec stays in one band across policies; the
-// claim under test is the park-condition broadcast count, which drops
-// from one per completion (eager) to one per batch (batched) to a
-// handful of timer flushes (windowed).
-type IOCompletionPoint struct {
-	// Mode is "eager" (Complete: one wake per completion), "batched"
-	// (CompleteQuiet ×batch + one Kick), or "windowed" (CompleteQuiet +
-	// KickSoon: wakes coalesced over the CompletionWindow).
-	Mode string `json:"mode"`
+// IOCompletion is the completion flood: ioCompletions promises, each
+// with its own parked toucher, completed back to back from one external
+// goroutine.
+type IOCompletion struct {
 	// OpsPerSec is completions absorbed per second (all touchers done).
 	OpsPerSec float64 `json:"ops_per_sec"`
-	// Wakes is the park-condition broadcasts the policy actually issued.
+	// Wakes is the park-condition broadcasts issued: at most one per
+	// completion, fewer when the workers were already awake.
 	Wakes int64 `json:"wakes"`
 }
 
 // IOResult is the `io` experiment's full payload.
 type IOResult struct {
-	FastPath   IOFastPath          `json:"fast_path"`
-	Forward    IOForward           `json:"forward"`
-	Completion []IOCompletionPoint `json:"completion"`
+	FastPath   IOFastPath   `json:"fast_path"`
+	Forward    IOForward    `json:"forward"`
+	Completion IOCompletion `json:"completion"`
 	// PoolHits/PoolMisses snapshot from the pooled fast-path runtime —
 	// steady state means hits dwarf misses.
 	PoolHits   int64 `json:"pool_hits"`
@@ -106,8 +99,7 @@ const (
 	ioWarmup      = 2_000   // fills the pool stripes before measuring
 	ioForwardHops = 8       // chain length K
 	ioForwardRnds = 200     // chains per forwarding mode
-	ioCompletions = 10_000  // promises per completion-sweep point
-	ioBatch       = 64      // batch size for the "batched" policy
+	ioCompletions = 10_000  // promises in the completion flood
 )
 
 // IOBench runs the io experiment.
@@ -116,9 +108,7 @@ func IOBench(cfg EvalConfig) IOResult {
 	var res IOResult
 	res.FastPath, res.PoolHits, res.PoolMisses = measureIOFastPaths()
 	res.Forward = measureForwarding()
-	for _, mode := range []string{"eager", "batched", "windowed"} {
-		res.Completion = append(res.Completion, measureCompletionSweep(cfg.Workers, mode))
-	}
+	res.Completion = measureCompletions(cfg.Workers)
 	return res
 }
 
@@ -288,20 +278,11 @@ func forwardingRounds(forward bool) (nsPerChain float64, parksPerRound int64, fo
 	return nsPerChain, parksPerRound, forwards
 }
 
-// measureCompletionSweep parks ioCompletions touchers, one per promise,
-// then floods the completions from this goroutine under one wake policy
-// and measures how fast the runtime absorbs them.
-func measureCompletionSweep(workers int, mode string) IOCompletionPoint {
-	window := -1 * time.Nanosecond // eager/batched: no coalescing timer
-	if mode == "windowed" {
-		window = 50 * time.Microsecond
-	}
-	rt := icilk.New(icilk.Config{
-		Workers:          workers,
-		Levels:           1,
-		Prioritize:       false,
-		CompletionWindow: window,
-	})
+// measureCompletions parks ioCompletions touchers, one per promise,
+// then floods the completions from this goroutine and measures how fast
+// the runtime absorbs them.
+func measureCompletions(workers int) IOCompletion {
+	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1, Prioritize: false})
 	defer rt.Shutdown()
 
 	prs := make([]icilk.Promise[int], ioCompletions)
@@ -323,28 +304,17 @@ func measureCompletionSweep(workers int, mode string) IOCompletionPoint {
 	preWakes := rt.Stats().Wakes
 	start := time.Now()
 	for i := range prs {
-		switch mode {
-		case "eager":
-			prs[i].Complete(i)
-		case "batched":
-			prs[i].CompleteQuiet(i)
-			if (i+1)%ioBatch == 0 || i == len(prs)-1 {
-				rt.Kick()
-			}
-		default: // windowed
-			prs[i].CompleteQuiet(i)
-			rt.KickSoon()
-		}
+		prs[i].Complete(i)
 	}
 	for _, f := range futs {
 		if _, err := icilk.Await(f, 60*time.Second); err != nil {
-			return IOCompletionPoint{Mode: mode}
+			return IOCompletion{}
 		}
 	}
 	elapsed := time.Since(start).Seconds()
-	pt := IOCompletionPoint{Mode: mode, Wakes: rt.Stats().Wakes - preWakes}
+	out := IOCompletion{Wakes: rt.Stats().Wakes - preWakes}
 	if elapsed > 0 {
-		pt.OpsPerSec = float64(ioCompletions) / elapsed
+		out.OpsPerSec = float64(ioCompletions) / elapsed
 	}
-	return pt
+	return out
 }

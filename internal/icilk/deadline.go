@@ -32,8 +32,8 @@ func IsDeadline(err error) bool {
 // promise's outstanding count. Unlike Complete/Fail, losing the race is
 // not an error — the loser simply reports false and must not touch the
 // cell again (it may already belong to another incarnation).
-func (p Promise[T]) tryResolve(v any, err error, quiet bool) bool {
-	if !p.f.tryFinish(v, err, quiet, &p.gen) {
+func (p Promise[T]) tryResolve(v any, err error) bool {
+	if !p.f.tryFinish(v, err, &p.gen) {
 		return false
 	}
 	p.rt.taskDone()
@@ -45,40 +45,29 @@ func (p Promise[T]) tryResolve(v any, err error, quiet bool) bool {
 // producer's half of a completion race (against a FailAfter timer or a
 // competing producer): exactly one racer returns true, and only that
 // racer's value is delivered.
-func (p Promise[T]) TryComplete(v T) bool { return p.tryResolve(v, nil, false) }
-
-// TryCompleteQuiet is TryComplete under the batched-completion contract:
-// a true return requeues waiters without the trailing worker wake, so
-// the caller owes a Runtime.Kick (or KickSoon) for the batch.
-func (p Promise[T]) TryCompleteQuiet(v T) bool { return p.tryResolve(v, nil, true) }
+func (p Promise[T]) TryComplete(v T) bool { return p.tryResolve(v, nil) }
 
 // TryFail resolves the promise with err if this incarnation is still
 // unresolved, reporting whether this call resolved it.
-func (p Promise[T]) TryFail(err error) bool { return p.tryResolve(nil, err, false) }
+func (p Promise[T]) TryFail(err error) bool { return p.tryResolve(nil, err) }
 
 // FailAfter arms a deadline on the promise: if d elapses before the
 // promise is resolved, the future fails with a *DeadlineError and every
-// parked toucher is resumed (re-panicking the error) through the quiet
-// completion + KickSoon path, the same coalesced wake that timer IO
-// uses. The returned cancel stops the timer; calling it after a
-// TryComplete win is the cheap way to avoid a pending timer holding the
-// promise alive, but is never required for correctness — a late firing
-// loses the tryFinish race and does nothing, even if the future has
-// been released and recycled since (the generation stamp check).
+// parked toucher is resumed (re-panicking the error), exactly as a
+// producer's TryFail would. The returned cancel stops the timer; calling
+// it after a TryComplete win is the cheap way to avoid a pending timer
+// holding the promise alive, but is never required for correctness — a
+// late firing loses the tryFinish race and does nothing, even if the
+// future has been released and recycled since (the generation stamp
+// check).
 //
 // FailAfter must be armed by the promise's creator before the future is
 // shared; it does not cancel the producer's work. A producer that keeps
 // computing after the deadline simply finds TryComplete returning false
 // and discards its value.
 func (p Promise[T]) FailAfter(d time.Duration) (cancel func()) {
-	rt := p.rt
 	derr := &DeadlineError{After: d, Prio: p.f.prio}
-	t := time.AfterFunc(d, func() {
-		if p.f.tryFinish(nil, derr, true, &p.gen) {
-			rt.taskDone()
-			rt.KickSoon()
-		}
-	})
+	t := time.AfterFunc(d, func() { p.TryFail(derr) })
 	return func() { t.Stop() }
 }
 

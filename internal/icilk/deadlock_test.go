@@ -9,8 +9,9 @@ import (
 
 // TestDeadlockDetected sets up the classic AB/BA circular wait with the
 // detector on: t1 holds A and then wants B; t2 holds B and then wants A.
-// A gate promise sequences the acquires so both locks are held before
-// either task requests its second lock. Whichever task closes the cycle
+// Two gate promises sequence the acquires so both locks are held before
+// either task requests its second lock (with one gate, t2 could run
+// through B and A before a slow t1 had taken A at all — no cycle). Whichever task closes the cycle
 // second must panic with a DeadlockError naming both locks; the other
 // task stays parked forever (the deadlock is reported, not resolved), so
 // the test only Awaits the futures briefly and accepts either one (or
@@ -21,10 +22,11 @@ func TestDeadlockDetected(t *testing.T) {
 
 	A := NewMutex(rt, 1, "A")
 	B := NewMutex(rt, 1, "B")
-	gate := NewPromise[int](rt, 1)
+	gate, heldA := NewPromise[int](rt, 1), NewPromise[int](rt, 1)
 
 	f1 := Go(rt, nil, 0, "t1", func(c *Ctx) int {
 		A.Lock(c)
+		heldA.Complete(0)
 		gate.Future().Touch(c) // hold A until t2 holds B
 		B.Lock(c)              // cycle closes here or in t2
 		B.Unlock(c)
@@ -33,6 +35,7 @@ func TestDeadlockDetected(t *testing.T) {
 	})
 	f2 := Go(rt, nil, 0, "t2", func(c *Ctx) int {
 		B.Lock(c)
+		heldA.Future().Touch(c) // hold B until t1 holds A
 		gate.Complete(0)
 		A.Lock(c)
 		A.Unlock(c)
@@ -79,10 +82,11 @@ func TestDeadlockRWMutexWriteCycle(t *testing.T) {
 
 	A := NewRWMutex(rt, 1, 1, "rwA")
 	B := NewRWMutex(rt, 1, 1, "rwB")
-	gate := NewPromise[int](rt, 1)
+	gate, heldA := NewPromise[int](rt, 1), NewPromise[int](rt, 1)
 
 	f1 := Go(rt, nil, 0, "w1", func(c *Ctx) int {
 		A.Lock(c)
+		heldA.Complete(0)
 		gate.Future().Touch(c)
 		B.Lock(c)
 		B.Unlock(c)
@@ -91,6 +95,7 @@ func TestDeadlockRWMutexWriteCycle(t *testing.T) {
 	})
 	f2 := Go(rt, nil, 0, "w2", func(c *Ctx) int {
 		B.Lock(c)
+		heldA.Future().Touch(c)
 		gate.Complete(0)
 		A.Lock(c)
 		A.Unlock(c)

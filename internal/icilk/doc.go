@@ -42,11 +42,12 @@
 // a timer-backed future (simulated devices, internal/simio). NewPromise
 // hands out an unresolved future plus the right to complete it from any
 // goroutine — the hook that real device drivers use: internal/serve's
-// acceptor and poller goroutines complete request and write promises on
-// socket events, so tasks touching them park and free their workers for
-// exactly as long as the network takes. Both paths reuse the task
-// completion machinery (requeue waiters, wake parked workers), so
-// latency hiding is identical for simulated and real IO.
+// reader and fallback-writer goroutines complete request and write
+// promises on socket events, so tasks touching them park and free their
+// workers for exactly as long as the network takes. Both paths reuse
+// the task completion machinery — requeue the waiters and, if a worker
+// is parked, wake it in the same call; there is no deferred or batched
+// wake — so latency hiding is identical for simulated and real IO.
 //
 // See ARCHITECTURE.md at the repository root for the end-to-end
 // scheduler design, including the task lifecycle diagram, the park/wake

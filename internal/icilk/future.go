@@ -61,23 +61,20 @@ type futureCarrier interface {
 }
 
 // complete stores the value and wakes every waiter.
-func (f *future) complete(v any) { f.finish(v, nil, false) }
+func (f *future) complete(v any) { f.finish(v, nil) }
 
 // fail completes the future with an error; touchers re-panic it.
-func (f *future) fail(err error) { f.finish(nil, err, false) }
+func (f *future) fail(err error) { f.finish(nil, err) }
 
-// finish resolves the future. Waiters are requeued in one batch with a
-// single trailing wake — completing a future with N waiters costs one
-// broadcast, not N. With quiet set, even that wake is deferred to a
-// caller-side Kick (the Promise.CompleteQuiet contract).
+// finish resolves the future and requeues every parked waiter.
 //
 // Forwarding happens here for parked waiters: a waiter that parked via
 // TouchThrough (fwdBudget > 0) whose value turns out to be a carrier of
 // a still-pending inner future is migrated onto that inner future's
 // waiter list instead of being woken — the waiter stays parked, pays no
 // wake/re-park round trip, and resumes only when the chain bottoms out.
-func (f *future) finish(v any, err error, quiet bool) {
-	if !f.tryFinish(v, err, quiet, nil) {
+func (f *future) finish(v any, err error) {
+	if !f.tryFinish(v, err, nil) {
 		panic("icilk: future completed twice")
 	}
 }
@@ -91,7 +88,7 @@ func (f *future) finish(v any, err error, quiet bool) {
 // another incarnation) always observes either done=true or a bumped
 // stamp here, never a half-reset cell — which is what makes a deadline
 // timer safe to race against a normal completion AND against recycling.
-func (f *future) tryFinish(v any, err error, quiet bool, gen *uint64) bool {
+func (f *future) tryFinish(v any, err error, gen *uint64) bool {
 	f.mu.Lock()
 	if f.done.Load() {
 		f.mu.Unlock()
@@ -109,13 +106,16 @@ func (f *future) tryFinish(v any, err error, quiet bool, gen *uint64) bool {
 	ch := f.doneCh
 	f.doneCh = nil
 	// Drop the producer so a long-lived Future handle does not retain
-	// the task, its closure, and any promoted fiber context.
+	// the task, its closure, and any promoted fiber context. Clearing it
+	// under f.mu is also what lets touchOne claim the producer safely:
+	// while owner is visible under the lock, the task has not finished
+	// and cannot have been recycled.
 	f.owner = nil
 	f.mu.Unlock()
 	if ch != nil {
 		close(ch)
 	}
-	requeued := 0
+	var rt *Runtime
 	for _, t := range waiters {
 		wv, werr := v, err
 		if err == nil && t.fwdBudget > 0 {
@@ -133,11 +133,12 @@ func (f *future) tryFinish(v any, err error, quiet bool, gen *uint64) bool {
 		}
 		t.fwdVal, t.fwdErr = wv, werr
 		t.blockedOn = nil
-		t.rt.requeueQuiet(t)
-		requeued++
+		rt = t.rt // read before the push: t is resumable the moment it lands
+		rt.enqueue(t)
 	}
-	if requeued > 0 && !quiet {
-		waiters[0].rt.wake()
+	// One wake for the whole fan-in: N waiters cost one broadcast, not N.
+	if rt != nil {
+		rt.wake()
 	}
 	return true
 }
@@ -210,14 +211,13 @@ func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
 //
 //  1. Fast path: the future is already done — one atomic load, then
 //     read the value. No mutex, no wake machinery.
-//  2. Helping: the producing task is still unstarted at the bottom of
-//     the current worker's own deque (the common spawn-then-touch
-//     shape). Pop it and run it right here; no park, no channels, no
-//     goroutines. Popping through the deque is the claim, so no other
-//     worker can also run it. Only the producer itself is eligible —
-//     running it inline is equivalent to a sequential schedule of the
-//     join edge, so it can introduce no deadlock the program didn't
-//     already have.
+//  2. Helping: the producing task is runnable but not yet dispatched
+//     (the common spawn-then-touch shape leaves it at the bottom of
+//     the current worker's own deque). Win its dispatch claim under
+//     f.mu and run it right here; no park, no channels, no goroutines.
+//     Only the producer itself is eligible — running it inline is
+//     equivalent to a sequential schedule of the join edge, so it can
+//     introduce no deadlock the program didn't already have.
 //  3. Park: register as a waiter and suspend the goroutine, releasing
 //     the worker slot (the latency-hiding behavior of Section 4.1);
 //     completion requeues the task and a worker resumes it. *budget is
@@ -249,44 +249,35 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 			}
 			return v
 		}
-		owner := f.owner // read under f.mu: finish clears it
-		f.mu.Unlock()
-		if owner == nil || g.w == nil {
+		// The claim must be taken while f.mu is held: tryFinish clears
+		// f.owner under this lock before execTask can recycle the task,
+		// so an owner seen here is the live producer of f, and once the
+		// claim is won nobody else can run it to completion (and into
+		// the pool, and out again as an unrelated task) behind our back.
+		// The dispatch claim is the ownership token, not queue position:
+		// whichever queue entry still names the claimed task — a deque
+		// slot, an injection-queue slot after a cross-level spawn or an
+		// unblock — loses tryClaim at its popper and is dropped, exactly
+		// like a stale inheritance duplicate. A failed claim means the
+		// producer is running or blocked elsewhere, so parking is the
+		// right move.
+		owner := f.owner
+		if owner == nil || g.w == nil || !owner.tryClaim() {
+			f.mu.Unlock()
 			break
 		}
-		d := rt.levels[rt.effLevel(owner.effPrio())].deques[g.w.id]
-		popped := d.popBottom()
-		if popped != nil && popped != owner {
-			// Not the producer; put it back (we own the bottom).
+		lvl := rt.effLevel(owner.effPrio())
+		f.mu.Unlock()
+		// The common spawn-then-touch shape left the producer's entry at
+		// the bottom of our own deque; take it out so a spawn/touch loop
+		// does not pile up stale entries. Anything else goes back (we
+		// own the bottom).
+		d := rt.levels[lvl].deques[g.w.id]
+		if popped := d.popBottom(); popped != nil && popped != owner {
 			d.pushBottom(popped)
-			popped = nil
-		}
-		if popped != nil {
-			if !popped.tryClaim() {
-				// A stale duplicate: an inheritance kick dispatched the
-				// producer elsewhere. Drop this entry and re-check the
-				// future.
-				continue
-			}
-		} else {
-			// The producer is not at our own bottom — a cross-level
-			// spawn routes through the level's injection queue, and an
-			// unblocked producer re-enters there too, where the old
-			// deque-bottom-only helping never saw it and the toucher
-			// parked for nothing. The dispatch claim is the real
-			// ownership token, not queue position: claim the producer
-			// directly, and whichever queue entry still names it loses
-			// tryClaim at its popper and is dropped, exactly like a
-			// stale inheritance duplicate. A failed claim means the
-			// producer is running or blocked elsewhere, so parking is
-			// the right move.
-			if !owner.tryClaim() {
-				break
-			}
-			popped = owner
 		}
 		rt.stats.helps.Add(1)
-		rt.runTask(g, popped)
+		rt.runTask(g, owner)
 		// Inline execution finished the producer, so the next loop
 		// iteration returns its value; a promoted producer may have
 		// parked again instead, in which case we retry and eventually

@@ -1,16 +1,16 @@
 package icilk
 
-import (
-	"time"
-)
+import "time"
 
 // Promise is an externally completed future — the hook that device
 // drivers use to inject real-world completions into the runtime. The
 // timer-based IO helper and internal/serve's socket layer are both built
-// on it: an acceptor or poller goroutine observes an external event (a
-// parsed request, a finished write, an expired timer) and calls Complete,
-// which reuses the task completion path — waiters are requeued at their
-// own levels and parked workers are woken. Nothing polls the promise.
+// on it: a reader, writer or timer goroutine observes an external event
+// (a parsed request, a finished write, an expired timer) and calls
+// Complete, which reuses the task completion path — waiters are requeued
+// at their own levels and, if a worker is parked, it is woken before
+// Complete returns; under load the wake is one atomic add. Nothing polls
+// the promise.
 //
 // A Promise counts as outstanding from creation until Complete or Fail,
 // so Runtime.WaitIdle waits for in-flight IO exactly as it waits for
@@ -74,20 +74,6 @@ func (p Promise[T]) Complete(v T) {
 	p.f.complete(v)
 }
 
-// CompleteQuiet resolves the promise like Complete but defers the
-// worker wake: waiters are requeued (and any worker between its queue
-// scan and its park decision will rescan), but no park-condition
-// broadcast is issued, so a completer draining a batch of ready IO
-// events pays one broadcast per batch instead of one per promise.
-// Every CompleteQuiet batch MUST be followed by a Runtime.Kick (or a
-// KickSoon, which coalesces the batch boundary over a time window) —
-// an already-parked worker learns about quiet completions only from it.
-func (p Promise[T]) CompleteQuiet(v T) {
-	p.checkGen()
-	defer p.rt.taskDone()
-	p.f.finish(v, nil, true)
-}
-
 // Fail resolves the promise with an error; touchers re-panic it, so an
 // IO failure propagates along join edges like a task panic. It panics if
 // the promise was already resolved.
@@ -136,18 +122,11 @@ func Completed[T any](p Priority, v T) Future[T] {
 // IO returns a future that completes with mk() after d elapses, without
 // occupying a worker — the io_future of Section 4.1. The simulated I/O
 // substrate (internal/simio) builds on this; real-socket IO in
-// internal/serve uses NewPromise directly. Timer completions are quiet
-// + KickSoon: expirations landing within one CompletionWindow coalesce
-// into a single worker wake (the batched-completion contract), instead
-// of one broadcast per timer. The trade: with all workers parked, a
-// completion is noticed up to one window (default 50µs) late. Callers
-// that assert sub-window IO latency should set Config.CompletionWindow
-// negative, which makes KickSoon an immediate Kick.
+// internal/serve uses NewPromise directly. The timer callback completes
+// the promise like any other completer: a parked toucher is requeued
+// and, if every worker is asleep, one is woken at once.
 func IO[T any](rt *Runtime, p Priority, d time.Duration, mk func() T) Future[T] {
 	pr := NewPromise[T](rt, p)
-	time.AfterFunc(d, func() {
-		pr.CompleteQuiet(mk())
-		rt.KickSoon()
-	})
+	time.AfterFunc(d, func() { pr.Complete(mk()) })
 	return pr.Future()
 }

@@ -83,11 +83,6 @@ type Config struct {
 	// contract (TouchRelease callers own the last reference) is the
 	// production invariant, and tests are where it should fail.
 	DebugPooling bool
-	// CompletionWindow is the coalescing window for Runtime.KickSoon:
-	// IO completions arriving within one window share a single wake
-	// broadcast (default 50µs; negative disables coalescing, making
-	// KickSoon an immediate Kick).
-	CompletionWindow time.Duration
 
 	// pooling is the derived positive form of DisablePooling.
 	pooling bool
@@ -113,9 +108,6 @@ func (c Config) withDefaults() Config {
 	c.CollectMetrics = !c.DisableMetrics
 	c.Inherit = !c.DisableInheritance
 	c.pooling = !c.DisablePooling
-	if c.CompletionWindow == 0 {
-		c.CompletionWindow = 50 * time.Microsecond
-	}
 	return c
 }
 
@@ -200,12 +192,6 @@ type Runtime struct {
 	// pools are the worker-striped task/future free lists (pool.go),
 	// indexed by worker id.
 	pools []poolStripe
-
-	// KickSoon state: kickPending marks a scheduled flush; the
-	// persistent timer is (re)armed under kickMu.
-	kickPending atomic.Bool
-	kickMu      sync.Mutex
-	kickTimer   *time.Timer
 }
 
 // New starts a runtime with the given configuration.
@@ -256,11 +242,6 @@ func (rt *Runtime) Shutdown() {
 		return
 	}
 	close(rt.masterStop)
-	rt.kickMu.Lock()
-	if rt.kickTimer != nil {
-		rt.kickTimer.Stop()
-	}
-	rt.kickMu.Unlock()
 	rt.parkMu.Lock()
 	rt.parkCond.Broadcast()
 	rt.parkMu.Unlock()
@@ -503,77 +484,25 @@ func GoSelf[T any](rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx, F
 
 // requeue puts an unblocked task back into circulation at its effective
 // level and wakes a worker to run it. Called from completion context,
-// which can be any goroutine (a worker, a fiber, or an IO timer). A
-// holder that was boosted while parked re-enters at the waiter's level.
+// which can be any goroutine (a worker, a fiber, an IO timer, or a
+// socket reader). There is one wake path: wake skips the broadcast when
+// no worker is parked, so under load a completion costs an atomic add,
+// and an idle machine is woken at once.
 func (rt *Runtime) requeue(t *task) {
-	rt.requeueQuiet(t)
+	rt.enqueue(t)
 	rt.wake()
 }
 
-// requeueQuiet recirculates t like requeue but defers the park-cond
-// broadcast: the wakeSeq bump still cancels any park decision made
-// before the push (the publish/park race stays closed), but a worker
-// that was ALREADY parked is not prodded. A requeueQuiet batch MUST be
-// followed by one wake/Kick, or already-parked workers sleep through
-// the new work — this is the one-broadcast-per-batch half of batched
-// IO completion.
-func (rt *Runtime) requeueQuiet(t *task) {
+// enqueue is requeue's push half: the task lands in its level's
+// injection queue (a holder that was boosted while parked re-enters at
+// the waiter's level) and the master is poked if no worker scans that
+// level. The caller owes a wake() once everything is pushed —
+// tryFinish pushes all of a future's waiters and wakes once.
+func (rt *Runtime) enqueue(t *task) {
 	t.claimed.Store(false)
 	lvl := rt.effLevel(t.effPrio())
 	rt.levels[lvl].inject.push(t)
-	rt.wakeSeq.Add(1)
 	rt.kickMaster(lvl)
-}
-
-// Kick broadcasts to parked workers that work published quietly (e.g.
-// a Promise.CompleteQuiet batch) is ready. Completers call it once per
-// drained batch instead of paying one broadcast per completion.
-func (rt *Runtime) Kick() { rt.wake() }
-
-// KickSoon schedules a Kick within Config.CompletionWindow, coalescing
-// with every other KickSoon that lands in the same window — the wake
-// half of batched IO completion for completers that see events one at
-// a time (timer callbacks, per-connection reader goroutines) and so
-// have no natural batch boundary to Kick at. Quiet completions are
-// visible to scanning workers immediately (requeueQuiet bumps wakeSeq);
-// only the broadcast to already-parked workers is deferred, so the
-// window trades at most CompletionWindow of wake latency on an idle
-// machine for one broadcast per window under load.
-//
-// The flush clears kickPending BEFORE broadcasting: any completer that
-// saw kickPending already set has ordered its requeue before the swap,
-// hence before the coming broadcast — no quiet completion can strand
-// behind a flush it raced with.
-func (rt *Runtime) KickSoon() {
-	if rt.cfg.CompletionWindow <= 0 {
-		rt.wake()
-		return
-	}
-	if rt.kickPending.Swap(true) {
-		return // a flush is already scheduled and will cover this batch
-	}
-	rt.kickMu.Lock()
-	// Re-check under kickMu: Shutdown sets stopped and then stops the
-	// timer under this same lock, so either we observe stopped here and
-	// never arm, or Shutdown's stop runs after our arm and cancels it.
-	// Without this a late KickSoon could re-arm the timer Shutdown just
-	// stopped, firing a wake on a stopped runtime.
-	if rt.stopped.Load() {
-		rt.kickPending.Store(false)
-		rt.kickMu.Unlock()
-		return
-	}
-	if rt.kickTimer == nil {
-		rt.kickTimer = time.AfterFunc(rt.cfg.CompletionWindow, rt.flushKick)
-	} else {
-		rt.kickTimer.Reset(rt.cfg.CompletionWindow)
-	}
-	rt.kickMu.Unlock()
-}
-
-func (rt *Runtime) flushKick() {
-	rt.kickPending.Store(false)
-	rt.wake()
 }
 
 // run is a worker runner's scheduling loop. The goroutine executes tasks

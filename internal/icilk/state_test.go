@@ -195,14 +195,21 @@ func TestMutexTryLock(t *testing.T) {
 
 // inheritanceScenario builds the deterministic inversion: one worker,
 // two levels. A low task takes the lock and parks on a gate promise
-// while holding it; a low spinner then monopolizes the only worker's
+// while holding it; two low spinners then monopolize the only worker's
 // deque; a high task blocks on the lock. Completing the gate requeues
 // the holder — without inheritance it lands at level 0 behind the
-// spinner (which yields straight back onto the worker's own deque, so
-// the injection queue starves) and the high task never runs; with
-// inheritance the holder was boosted to the waiter's level, so its
+// spinners (the running one yields straight back onto the worker's own
+// deque, so the injection queue starves) and the high task never runs;
+// with inheritance the holder was boosted to the waiter's level, so its
 // requeue lands at level 1, the master hands the worker up, and the
 // chain unwinds.
+//
+// Two spinners, not one: while one runs the other is queued, so level 0
+// always has pending work. With a single spinner nothing is queued
+// while it runs, a master tick then parks the spare worker at the top
+// level, and a yield that observes that assignment goes to the
+// injection queue — behind the holder, if the gate has just completed,
+// and the inversion unwinds on its own.
 func inheritanceScenario(t *testing.T, rt *Runtime) (high Future[int], gate Promise[int], stopSpin *atomic.Bool) {
 	t.Helper()
 	m := NewMutex(rt, 1, "inherit")
@@ -221,14 +228,16 @@ func inheritanceScenario(t *testing.T, rt *Runtime) (high Future[int], gate Prom
 	case <-time.After(5 * time.Second):
 		t.Fatal("holder never acquired the lock")
 	}
-	Go(rt, nil, 0, "spinner", func(c *Ctx) int {
-		for !stopSpin.Load() {
-			busyFor(100 * time.Microsecond)
-			c.Yield()
-		}
-		return 0
-	})
-	time.Sleep(10 * time.Millisecond) // let the spinner own the worker
+	for range 2 {
+		Go(rt, nil, 0, "spinner", func(c *Ctx) int {
+			for !stopSpin.Load() {
+				busyFor(100 * time.Microsecond)
+				c.Yield()
+			}
+			return 0
+		})
+	}
+	time.Sleep(10 * time.Millisecond) // let the spinners own the worker
 	high = Go(rt, nil, 1, "high", func(c *Ctx) int {
 		m.Lock(c)
 		m.Unlock(c)

@@ -156,6 +156,17 @@ func TestChaosSoak(t *testing.T) {
 	if st.Total() == 0 {
 		t.Fatalf("fault injector never fired over %d responses — soak proves nothing", responses.Load())
 	}
+	// A wrapped connection is not a raw socket, so every response takes
+	// the fallback writer — the one place the completion hooks live. If
+	// the direct write ever swallowed chaos traffic, they would go quiet.
+	// (Forced failures are drawn at 1% per write: only a soak with a
+	// thousand of them is owed one.)
+	if st.CompleteDelays == 0 || (st.CompleteFails == 0 && responses.Load() >= 1000) {
+		t.Fatalf("completion hooks never fired (%v): responses are bypassing the fallback writer", st)
+	}
+	if d := s.writesDirect.Load(); d != 0 {
+		t.Errorf("%d responses on fault-wrapped connections took the direct write", d)
+	}
 	if responses.Load() == 0 {
 		t.Fatal("no responses survived the soak — injection rates drowned the signal")
 	}

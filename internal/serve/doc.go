@@ -14,15 +14,19 @@
 //     connection's pending request promise (icilk.NewPromise) — real
 //     socket readiness driving the same completion path that simulated
 //     IO and task completion use;
-//   - a per-response writer goroutine performs the socket write and
-//     completes the write promise, so a handler task parks (freeing its
-//     worker) while its response drains, and a client that stops
-//     reading stalls only its own connection's writer.
+//   - a writer goroutine exists only for a response the socket would
+//     not take in one non-blocking write (larger than the send buffer,
+//     a client that stopped reading, a fault-wrapped connection): it
+//     writes the remainder and completes the write promise, so the
+//     handler task parks (freeing its worker) while its response
+//     drains, and a stalled client stalls only its own connection.
 //
-// Everything else is icilk tasks. Each connection gets an event-loop
-// task at the top priority level that touches the next-request future,
-// admits the request to a priority class, and spawns the handler at that
-// class's level. Admission maps jserver jobs with jserver.PriorityOf —
+// Everything else is icilk tasks, the common response write included:
+// a handler offers its bytes to the socket itself and, when the kernel
+// takes them all, returns without parking. Each connection gets an
+// event-loop task at the top priority level that touches the
+// next-request future, admits the request to a priority class, and
+// spawns the handler at that class's level. Admission maps jserver jobs with jserver.PriorityOf —
 // the smallest-work-first order of Section 5.1 — and places proxy cache
 // lookups and email operations at the levels their priority
 // specifications prescribe.

@@ -363,6 +363,7 @@ func (s *Server) statsBody(c *icilk.Ctx) string {
 	fmt.Fprintf(&b, "connections open: %d (refused %d)\n", s.connCount.Load(), s.refused.Load())
 	fmt.Fprintf(&b, "requests: %d (%d in flight)\n", s.requests.Load(), s.inflight.Load())
 	fmt.Fprintf(&b, "write errors: %d\n", s.writeErrs.Load())
+	fmt.Fprintf(&b, "writes direct=%d fallback=%d\n", s.writesDirect.Load(), s.writesFallback.Load())
 	fmt.Fprintf(&b, "proxy cache: %d hits, %d misses\n",
 		s.proxy.Hits.Load(c), s.proxy.Misses.Load(c))
 	fmt.Fprintf(&b, "response cache: %d entries, %d hits\n",

@@ -8,6 +8,7 @@ import (
 	"net/textproto"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/apps/email"
@@ -223,10 +224,12 @@ func (c Config) withDefaults() Config {
 
 // Server serves the three case-study apps over real TCP on an icilk
 // runtime. The goroutine split follows the paper's runtime/IO boundary:
-// the acceptor, per-connection readers, and per-response writers are
-// plain goroutines standing where I-Cilk's IO daemon stands — they
-// observe socket events and resolve IO promises — while all request
-// handling runs as prioritized icilk tasks.
+// the acceptor and the per-connection readers are plain goroutines
+// standing where I-Cilk's IO daemon stands — they observe socket events
+// and resolve IO promises — while all request handling, including the
+// response write whenever the socket takes it without blocking, runs as
+// prioritized icilk tasks. Only a write the kernel will not take at
+// once is handed to a goroutine (see respond).
 type Server struct {
 	cfg Config
 	rt  *icilk.Runtime
@@ -237,8 +240,6 @@ type Server struct {
 	email *email.Server
 	start time.Time
 
-	writeWG sync.WaitGroup
-
 	connMu sync.Mutex
 	conns  map[*sconn]struct{}
 	connWG sync.WaitGroup
@@ -247,6 +248,13 @@ type Server struct {
 	requests  atomic.Int64
 	writeErrs atomic.Int64
 	shutdown  atomic.Bool
+
+	// writesDirect counts responses the handler task wrote to the socket
+	// itself; writesFallback those it had to hand (whole or in part) to
+	// a writer goroutine. Served by /stats, so the fast path's hit rate
+	// on real traffic is read, not assumed.
+	writesDirect   atomic.Int64
+	writesFallback atomic.Int64
 
 	// Overload-protection state: connCount tracks open accepted
 	// connections against cfg.MaxConns (refused counts the rejects);
@@ -281,20 +289,6 @@ type Server struct {
 	sess       *sessionStore
 	rcache     *responseCache
 	rcacheHits *icilk.StripedCounter
-
-	// writeDone is the completed-write feed: writer goroutines report
-	// finished socket writes here, and the completer goroutine drains it
-	// in batches, resolving each write promise quietly and issuing one
-	// scheduler kick per batch instead of one broadcast per response.
-	writeDone chan written
-	compWG    sync.WaitGroup
-}
-
-// written is one finished socket write: the promise its handler parks
-// on, and the byte count to complete it with (-1 on error).
-type written struct {
-	pr icilk.Promise[int]
-	n  int
 }
 
 // session is one tracked client session.
@@ -315,23 +309,14 @@ const maxResponseCache = 4096
 // session) cannot grow the maps without bound.
 const maxSessions = 4096
 
-// writeOp is one response write, executed on its own writer goroutine;
-// the promise completes when the bytes are on the socket (or the write
-// failed), resuming the handler task that touched it. The response-order
-// chain guarantees at most one op per connection is in flight, so each
-// connection has at most one writer goroutine at a time, and a client
-// that stops reading stalls only its own writer — never another
-// connection's response.
-type writeOp struct {
-	cn   *sconn
-	data []byte
-	pr   icilk.Promise[int]
-}
-
 // sconn is one accepted connection: the reader goroutine parses requests
 // into queue and resolves pending, the event-loop task drains them.
 type sconn struct {
 	c net.Conn
+	// raw is c's file descriptor handle for the handler-side direct
+	// write; nil when c is not a raw socket (the faultinject wrapper
+	// under -chaos), which sends every response down the fallback path.
+	raw syscall.RawConn
 
 	// closeOnce makes teardown idempotent: reader-error teardown, a
 	// failed write, and Shutdown's force-close can all race to drop the
@@ -347,10 +332,26 @@ type sconn struct {
 	// lastWrite is the response-order chain: the future that completes
 	// when the most recently dispatched request's response has been
 	// written. Only the event-loop task reads and replaces it, so it
-	// needs no lock. The chain also means at most one write per
-	// connection is ever in flight, so writes need no per-conn lock.
+	// needs no lock. The chain also means at most one response write per
+	// connection is ever in flight — direct or fallback — so writes need
+	// no per-conn lock.
 	lastWrite icilk.Future[int]
+
+	// wstate arbitrates the socket's write side between that chain and
+	// the reader's parting answer to a malformed request: respond holds
+	// it busy from its first byte to its last (across a fallback write),
+	// and the reader writes only if it can move it from idle to closing,
+	// after which respond writes nothing more. So the reader never queues
+	// behind a stalled fallback write, and its 400 never lands inside a
+	// response.
+	wstate atomic.Int32
 }
+
+const (
+	wIdle int32 = iota
+	wBusy
+	wClosing
+)
 
 // Start listens on cfg.Addr and begins serving.
 func Start(cfg Config) (*Server, error) {
@@ -366,6 +367,10 @@ func Start(cfg Config) (*Server, error) {
 		Prioritize:      !cfg.Baseline,
 		DetectDeadlocks: cfg.DetectDeadlocks,
 		RecordLockOrder: cfg.RecordLockOrder,
+		// Nothing in serve reads Records(): the per-task record log is
+		// the evaluation harness's, and left on it costs every task three
+		// time stamps and an append under one global mutex.
+		DisableMetrics: true,
 	})
 	nshards := shardCount(cfg.Workers)
 	// Every class the router can admit gets an inflight counter up
@@ -394,10 +399,7 @@ func Start(cfg Config) (*Server, error) {
 		sess:          newSessionStore(rt, nshards),
 		rcache:        newResponseCache(rt, nshards),
 		rcacheHits:    icilk.NewStripedCounter(rt, derivedCeiling("serve.rcache")),
-		writeDone:     make(chan written, 256),
 	}
-	s.compWG.Add(1)
-	go s.completer()
 	s.connWG.Add(1)
 	go s.acceptor()
 	return s, nil
@@ -437,6 +439,9 @@ func (s *Server) acceptor() {
 		s.accepted.Add(1)
 		c = s.cfg.Faults.WrapConn(c) // no-op when chaos is off (nil Faults)
 		cn := &sconn{c: c, lastWrite: icilk.Completed(PrioInteractive, 0)}
+		if sc, ok := c.(syscall.Conn); ok {
+			cn.raw, _ = sc.SyscallConn() // nil on error: fallback path only
+		}
 		s.connMu.Lock()
 		if s.shutdown.Load() {
 			s.connMu.Unlock()
@@ -482,17 +487,15 @@ func (s *Server) reader(cn *sconn) {
 			cn.pending = icilk.Promise[*request]{}
 			cn.mu.Unlock()
 			if pr.Valid() {
-				// Connection teardown wakes its event loop immediately: a
-				// coalescing window would only delay the close.
 				pr.Complete(nil) // nil request = connection over
 			}
-			// A malformed request gets its answer before the drop; the
-			// stream past it is unframed, so the connection cannot live
-			// on either way. IO errors (EOF, deadline, reset) get none.
+			// A malformed request gets its answer before the drop, unless
+			// a response is mid-write; the stream past it is unframed, so
+			// the connection cannot live on either way. IO errors (EOF,
+			// deadline, reset) get none.
 			var re *reqError
-			if errors.As(err, &re) {
-				cn.c.SetWriteDeadline(time.Now().Add(time.Second))
-				cn.c.Write(httpResponse(re.status, "error", classPrio("error"), "", re.msg+"\n"))
+			if errors.As(err, &re) && cn.wstate.CompareAndSwap(wIdle, wClosing) {
+				cn.writeBestEffort(httpResponse(re.status, "error", classPrio("error"), "", re.msg+"\n"))
 			}
 			s.dropConn(cn)
 			return
@@ -500,12 +503,10 @@ func (s *Server) reader(cn *sconn) {
 		if pr := cn.pending; pr.Valid() {
 			cn.pending = icilk.Promise[*request]{}
 			cn.mu.Unlock()
-			// Quiet + KickSoon: request arrivals landing on many
-			// connections within one completion window share a single
-			// worker wake instead of one broadcast per reader goroutine.
-			// Scanning (non-parked) workers see the requeue immediately.
-			pr.CompleteQuiet(req)
-			s.rt.KickSoon()
+			// The completion requeues the parked event loop and, if every
+			// worker is asleep, wakes one at once; under load the wake is
+			// one atomic add.
+			pr.Complete(req)
 			continue
 		}
 		if len(cn.queue) >= maxPipelined {
@@ -645,42 +646,78 @@ func (s *Server) eventLoop(cn *sconn) {
 	})
 }
 
-// respond ships one response on a dedicated writer goroutine; the
-// handler task parks on the write promise until the bytes are out.
-// Nothing here blocks the icilk worker: the goroutine spawn is cheap
-// and the touch parks the task, freeing the worker immediately. prio is
-// the calling task's priority (the write promise's level); hdrPrio is
-// the priority advertised in X-Priority — they differ only for shed
-// responses, whose top-level responder reports the refused class's true
-// level.
+// respond ships one response. The handler task first offers the bytes
+// to the socket itself: one non-blocking write(2) through the
+// connection's RawConn, which on a keep-alive connection with room in
+// its send buffer — every small response — takes all of them, and the
+// task carries on without a park, a goroutine or a wake. Only what the
+// kernel would not take at once (a response larger than the send
+// buffer, a client that is not reading) or a connection that is not a
+// raw socket (the -chaos wrapper) goes to a writer goroutine, and the
+// task parks on that write's promise, freeing its worker; a worker is
+// never blocked in the netpoller either way. prio is the calling task's
+// priority (the write promise's level); hdrPrio is the priority
+// advertised in X-Priority — they differ only for shed responses, whose
+// top-level responder reports the refused class's true level.
 func (s *Server) respond(c *icilk.Ctx, cn *sconn, prio, hdrPrio icilk.Priority, class string, status int, extra, body string) {
+	data := httpResponse(status, class, hdrPrio, extra, body)
+	if !cn.wstate.CompareAndSwap(wIdle, wBusy) {
+		// The reader is answering a malformed request and dropping the
+		// connection; this response has nowhere to go.
+		s.writeErrs.Add(1)
+		return
+	}
+	n, err := cn.writeNow(data)
+	switch {
+	case err != nil:
+		s.dropConn(cn)
+		s.writeErrs.Add(1)
+		return
+	case n == len(data):
+		cn.wstate.Store(wIdle)
+		s.writesDirect.Add(1)
+		return
+	}
+	s.writesFallback.Add(1)
 	// Pool-sourced and released here: the write promise lives exactly
-	// one response — this task is its only toucher, and the completer's
-	// CompleteQuiet has returned control of the cell before TouchRelease
-	// can observe the completion.
-	pr := icilk.NewPromiseIn[int](c, prio)
-	s.writeWG.Add(1)
-	go s.write(writeOp{cn: cn, data: httpResponse(status, class, hdrPrio, extra, body), pr: pr})
-	if pr.Future().TouchRelease(c) < 0 {
+	// one response — this task is its only toucher, and the writer's
+	// Complete has returned control of the cell before TouchRelease can
+	// observe the completion.
+	pr := icilk.NewPromiseIn[bool](c, prio)
+	go s.writeRest(cn, data[n:], pr)
+	if !pr.Future().TouchRelease(c) {
 		s.writeErrs.Add(1)
 	}
 }
 
-// writeStall bounds one response write: a client that reads nothing for
+// writeBestEffort answers a connection that is about to be dropped (a
+// malformed request). The caller holds wstate at closing, so no response
+// write is in flight or will start: a raw socket gets whatever one
+// non-blocking write takes, a wrapped connection a bounded blocking
+// write.
+func (cn *sconn) writeBestEffort(data []byte) {
+	if cn.raw != nil {
+		cn.writeNow(data)
+		return
+	}
+	cn.c.SetWriteDeadline(time.Now().Add(time.Second))
+	cn.c.Write(data)
+}
+
+// writeStall bounds one fallback write: a client that reads nothing for
 // this long is treated as dead and its connection dropped, rather than
 // holding its writer goroutine (and the handler parked on the write
 // promise) forever.
 const writeStall = 30 * time.Second
 
-// write performs one blocking socket write, then reports the result
-// (byte count, or -1 on error) to the completer, which resolves the
-// promise and resumes the parked handler. It runs on its own goroutine
-// — blocking here parks the goroutine in the netpoller, never an icilk
-// worker. A failed or stalled write means the byte stream is dead or
-// desynced, so the connection is dropped — unblocking its reader, which
-// in turn winds down the event loop and any buffered requests.
-func (s *Server) write(op writeOp) {
-	defer s.writeWG.Done()
+// writeRest is the fallback writer: it blocks (in the netpoller, on its
+// own goroutine) until the rest of a response is on the socket, then
+// completes the promise its handler is parked on with whether it got
+// there. A failed or stalled write means the byte stream is dead or
+// desynced, so the connection is dropped, which unblocks its reader and
+// winds down the event loop and any buffered requests.
+func (s *Server) writeRest(cn *sconn, rest []byte, pr icilk.Promise[bool]) {
+	ok := true
 	// Chaos hooks perturb the completion side of the write promise: a
 	// delay holds the handler parked past the bytes landing, and an
 	// injected failure reports the write dead (dropping the connection)
@@ -690,55 +727,21 @@ func (s *Server) write(op writeOp) {
 		if d := fl.CompleteDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		if fl.CompleteFail() {
-			s.dropConn(op.cn)
-			s.writeDone <- written{pr: op.pr, n: -1}
-			return
-		}
+		ok = !fl.CompleteFail()
 	}
-	op.cn.c.SetWriteDeadline(time.Now().Add(writeStall))
-	_, err := op.cn.c.Write(op.data)
-	n := len(op.data)
-	if err != nil {
-		s.dropConn(op.cn)
-		n = -1
+	if ok {
+		cn.c.SetWriteDeadline(time.Now().Add(writeStall))
+		_, err := cn.c.Write(rest)
+		// Clear the deadline: left armed it would expire during a quiet
+		// spell and fail the connection's next direct write.
+		cn.c.SetWriteDeadline(time.Time{})
+		ok = err == nil
 	}
-	s.writeDone <- written{pr: op.pr, n: n}
-}
-
-// completer is the batched event-completion side of the socket layer:
-// it drains every write result available at each wakeup, resolves the
-// promises quietly, and issues a single scheduler kick for the whole
-// batch — under a response burst, N handler resumes cost one
-// park-condition broadcast instead of N. It exits when Shutdown closes
-// writeDone (after the last writer has reported).
-func (s *Server) completer() {
-	defer s.compWG.Done()
-	var batch []written
-	for first := range s.writeDone {
-		batch = append(batch[:0], first)
-		open := true
-	drain:
-		for {
-			select {
-			case wd, ok := <-s.writeDone:
-				if !ok {
-					open = false
-					break drain
-				}
-				batch = append(batch, wd)
-			default:
-				break drain
-			}
-		}
-		for _, wd := range batch {
-			wd.pr.CompleteQuiet(wd.n)
-		}
-		s.rt.Kick()
-		if !open {
-			return
-		}
+	if !ok {
+		s.dropConn(cn)
 	}
+	cn.wstate.Store(wIdle)
+	pr.Complete(ok)
 }
 
 // countAdmit records one admission into class (served by /stats). It
@@ -792,10 +795,11 @@ func (s *Server) storeResponse(c *icilk.Ctx, key, body string) {
 // and give already-admitted requests up to DrainTimeout to get their
 // responses onto their sockets. Phase two (force): close every
 // remaining connection (idempotent against racing reader teardowns),
-// then run the established wind-down — readers exit, the runtime
-// drains, writers report, the completer closes. A clean drain means no
-// in-flight request is ever cut off mid-response; the timeout bounds
-// how long a stuck client can hold the process.
+// then run the established wind-down — readers exit and the runtime
+// drains (a fallback write in flight is an outstanding promise, so the
+// drain covers writers too). A clean drain means no in-flight request is
+// ever cut off mid-response; the timeout bounds how long a stuck client
+// can hold the process.
 func (s *Server) Shutdown() error {
 	if s.shutdown.Swap(true) {
 		return nil
@@ -817,16 +821,6 @@ func (s *Server) Shutdown() error {
 	}
 	s.connWG.Wait()
 	err := s.rt.WaitIdle(30 * time.Second)
-	if err == nil {
-		// A drained runtime guarantees no handler will start another
-		// write; on timeout any straggling writers die with the process
-		// instead of racing a late Add against this Wait. Only after the
-		// last writer has reported may writeDone close, which in turn
-		// winds down the completer.
-		s.writeWG.Wait()
-		close(s.writeDone)
-		s.compWG.Wait()
-	}
 	s.rt.Shutdown()
 	if err != nil {
 		return fmt.Errorf("serve: shutdown drain: %w", err)
