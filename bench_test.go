@@ -10,6 +10,9 @@
 package repro_test
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/prio"
 	"repro/internal/schedsim"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -265,4 +269,74 @@ func BenchmarkRuntimeIOFuture(b *testing.B) {
 	if _, err := icilk.Await(fut, 10*time.Minute); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkHighPrioStartDelay is the layer number for prompt scheduling:
+// both workers of a two-worker runtime drain a level-0 backlog of 100 µs
+// tasks while level-1 tasks arrive from outside 2 ms apart, and the
+// reported metrics are the delay from the Go call to the task's first
+// instruction. The spacing matters: at 1 ms (the regression benchmark's
+// icilk.preempt_us probe) the master leaves a worker parked at level 1
+// between arrivals and the probe never finds both workers busy below it.
+func BenchmarkHighPrioStartDelay(b *testing.B) {
+	const (
+		backlog = 32
+		taskLen = 100 * time.Microsecond
+		spacing = 2 * time.Millisecond
+	)
+	// Two Ps beyond the workers': with only the workers' two, the pacer's
+	// and the ticker's timers cannot fire until a spinning worker's
+	// goroutine is preempted, 10 ms.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	rt := icilk.New(icilk.Config{Workers: 2, Levels: 2, Prioritize: true, DisableMetrics: true})
+	defer rt.Shutdown()
+
+	// The backlog is topped up from a ticker, not by the tasks
+	// themselves, so level 0 is always ready but never self-sustaining.
+	var outstanding atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			for outstanding.Load() < backlog {
+				outstanding.Add(1)
+				icilk.Go(rt, nil, 0, "backlog", func(*icilk.Ctx) int {
+					for end := time.Now().Add(taskLen); time.Now().Before(end); {
+					}
+					outstanding.Add(-1)
+					return 0
+				})
+			}
+		}
+	}()
+
+	delays := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range delays {
+		time.Sleep(spacing)
+		fired := time.Now()
+		started, err := icilk.Await(icilk.Go(rt, nil, 1, "probe", func(*icilk.Ctx) time.Time { return time.Now() }), time.Minute)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delays[i] = started.Sub(fired)
+	}
+	b.StopTimer()
+	close(done)
+	wg.Wait()
+	if err := rt.WaitIdle(time.Minute); err != nil {
+		b.Fatal(err)
+	}
+	sum := stats.Summarize(delays)
+	b.ReportMetric(float64(sum.P50.Nanoseconds())/1e3, "p50-µs")
+	b.ReportMetric(float64(sum.P99.Nanoseconds())/1e3, "p99-µs")
 }

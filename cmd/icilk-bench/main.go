@@ -263,17 +263,18 @@ func printFig14(rows []experiments.Fig14Row) {
 func sched(cfg experiments.EvalConfig) any {
 	fmt.Println("=== Scheduler event counters (event-driven core observables) ===")
 	pts := experiments.SchedCounters(cfg)
-	fmt.Printf("%-8s %-9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
-		"app", "mode", "spawns", "inline", "promote", "parks", "resumes", "helps", "steals", "wakes")
+	fmt.Printf("%-8s %-9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+		"app", "mode", "spawns", "inline", "promote", "parks", "resumes", "helps", "steals", "wakes",
+		"uptakes", "preyields")
 	for _, pt := range pts {
 		mode := "icilk"
 		if !pt.Prioritize {
 			mode = "baseline"
 		}
 		s := pt.Stats
-		fmt.Printf("%-8s %-9s %9d %9d %9d %9d %9d %9d %9d %9d\n",
+		fmt.Printf("%-8s %-9s %9d %9d %9d %9d %9d %9d %9d %9d %9d %9d\n",
 			pt.App, mode, s.Spawns, s.InlineRuns, s.Promotions, s.Parks,
-			s.Resumes, s.Helps, s.Steals, s.Wakes)
+			s.Resumes, s.Helps, s.Steals, s.Wakes, s.UpwardTakes, s.PreemptYields)
 		fmt.Printf("         event-loop response: %s\n", pt.Response)
 	}
 	fmt.Println()

@@ -17,9 +17,12 @@
 // levels every quantum using A-STEAL-style desire feedback: a level whose
 // utilization beat the threshold and whose desire was satisfied
 // multiplies its desire by γ; an underutilized level divides it by γ.
-// Cores are granted in priority order. With Prioritize=false the runtime
-// degenerates into the Cilk-F baseline: one priority-oblivious
-// work-stealing pool.
+// Cores are granted in priority order. A worker's assignment is a floor:
+// at every task boundary, and at Checkpoint inside a long task, it takes
+// the highest level with ready work at or above that floor, so a
+// higher-priority task never waits out a quantum behind lower-priority
+// work. With Prioritize=false the runtime degenerates into the Cilk-F
+// baseline: one priority-oblivious work-stealing pool.
 //
 // # Shared state
 //

@@ -9,9 +9,10 @@ import (
 
 // TestMasterKickServesLowLevelPromptly pins the event-driven master
 // reallocation: work submitted at a level below every worker's mandate
-// is invisible to all scans (helping is upward-only), so without the
-// kick it would wait out the master's quantum. With an absurdly long
-// quantum the only way this test finishes quickly is the kick path.
+// is invisible to all scans (each stops at its worker's floor), so
+// without the kick it would wait out the master's quantum. With an
+// absurdly long quantum the only way this test finishes quickly is the
+// kick path.
 func TestMasterKickServesLowLevelPromptly(t *testing.T) {
 	rt := New(Config{
 		Workers:    2,

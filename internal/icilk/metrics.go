@@ -78,25 +78,27 @@ type counter struct {
 // always collected (plain atomic increments, no timestamps) and exposed
 // through Stats.
 type schedCounters struct {
-	spawns       counter
-	inlineRuns   counter
-	promotions   counter
-	parks        counter
-	resumes      counter
-	helps        counter
-	steals       counter
-	wakes        counter
-	mutexParks   counter
-	rwReadParks  counter
-	rwWriteParks counter
-	rwRevokes    counter
-	inherits     counter
-	transBoosts  counter
-	ceilings     counter
-	poolHits     counter
-	poolMisses   counter
-	forwards     counter
-	masterKicks  counter
+	spawns        counter
+	inlineRuns    counter
+	promotions    counter
+	parks         counter
+	resumes       counter
+	helps         counter
+	steals        counter
+	wakes         counter
+	mutexParks    counter
+	rwReadParks   counter
+	rwWriteParks  counter
+	rwRevokes     counter
+	inherits      counter
+	transBoosts   counter
+	ceilings      counter
+	poolHits      counter
+	poolMisses    counter
+	forwards      counter
+	masterKicks   counter
+	upwardTakes   counter
+	preemptYields counter
 }
 
 // SchedStats is a snapshot of the scheduler's event counters since the
@@ -172,9 +174,17 @@ type SchedStats struct {
 	ForwardedTouches int64
 	// MasterKicks counts event-driven master reallocations: work was
 	// submitted at a level below every worker's mandate (invisible to
-	// all scans, since helping is upward-only) and the submitter poked
-	// the master instead of letting the work wait out the quantum.
+	// all scans, which stop at the worker's floor) and the submitter
+	// poked the master instead of letting the work wait out the quantum.
 	MasterKicks int64
+	// UpwardTakes counts tasks a worker ran from a level above its
+	// assignment: ready higher-priority work served at a task boundary
+	// rather than at the master's next reassignment.
+	UpwardTakes int64
+	// PreemptYields counts Checkpoint yields caused by ready work at a
+	// level above the running task, as opposed to a reassignment of its
+	// worker.
+	PreemptYields int64
 }
 
 // Stats returns a snapshot of the scheduler's event counters.
@@ -200,13 +210,15 @@ func (rt *Runtime) Stats() SchedStats {
 		PoolMisses:        rt.stats.poolMisses.Load(),
 		ForwardedTouches:  rt.stats.forwards.Load(),
 		MasterKicks:       rt.stats.masterKicks.Load(),
+		UpwardTakes:       rt.stats.upwardTakes.Load(),
+		PreemptYields:     rt.stats.preemptYields.Load(),
 	}
 }
 
 func (s SchedStats) String() string {
 	return fmt.Sprintf(
-		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=%d poolmisses=%d forwards=%d masterkicks=%d",
+		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=%d poolmisses=%d forwards=%d masterkicks=%d upwardtakes=%d preemptyields=%d",
 		s.Spawns, s.InlineRuns, s.Promotions, s.Parks, s.Resumes, s.Helps, s.Steals, s.Wakes,
 		s.MutexParks, s.RWReadParks, s.RWWriteParks, s.RWRevokes, s.Inherits, s.TransitiveBoosts, s.CeilingViolations,
-		s.PoolHits, s.PoolMisses, s.ForwardedTouches, s.MasterKicks)
+		s.PoolHits, s.PoolMisses, s.ForwardedTouches, s.MasterKicks, s.UpwardTakes, s.PreemptYields)
 }

@@ -18,7 +18,11 @@ type Config struct {
 	// range over 0..Levels-1, larger = more urgent.
 	Levels int
 	// Quantum is the master scheduler's re-evaluation interval
-	// (default 500µs, the paper's setting).
+	// (default 500µs, the paper's setting). That is the timer's setting,
+	// not the tick rate: a sub-millisecond Go timer is served from
+	// epoll_wait's 1 ms granularity, and the default measures 750–870
+	// ticks/s, an effective quantum of ≈1.2 ms. Workers do not wait for
+	// it to serve a higher level (see findTask and Checkpoint).
 	Quantum time.Duration
 	// Gamma is the multiplicative desire growth parameter (default 2).
 	Gamma int
@@ -164,10 +168,10 @@ type Runtime struct {
 
 	// Event-driven master wakeup. minAssign is the lowest level any
 	// worker is currently mandated to serve; work submitted below it is
-	// invisible to every scan (workers help upward only) and would wait
-	// out the rest of the quantum, so the submitter pokes the master
-	// through masterKick (buffered, non-blocking — concurrent pokes
-	// coalesce) and the master reruns its allocation immediately.
+	// invisible to every scan (a scan stops at the worker's floor) and
+	// would wait out the rest of the quantum, so the submitter pokes the
+	// master through masterKick (buffered, non-blocking — concurrent
+	// pokes coalesce) and the master reruns its allocation immediately.
 	minAssign  atomic.Int32
 	masterKick chan struct{}
 
@@ -205,19 +209,18 @@ func New(cfg Config) *Runtime {
 		pools:      make([]poolStripe, cfg.Workers),
 	}
 	rt.parkCond = sync.NewCond(&rt.parkMu)
-	for l := 0; l < cfg.Levels; l++ {
+	// Only the levels effLevel can name exist, so every scan is bounded
+	// by the levels in use: all of them when prioritizing, level 0 alone
+	// in the baseline.
+	for range rt.effLevel(Priority(cfg.Levels-1)) + 1 {
 		lv := &level{desire: 1, inject: newInjectQueue()}
 		for w := 0; w < cfg.Workers; w++ {
 			lv.deques = append(lv.deques, newTaskDeque(cfg))
 		}
 		rt.levels = append(rt.levels, lv)
 	}
-	// Initial assignment: everyone serves the highest level (prioritized)
-	// or level 0 (baseline).
-	init := int32(0)
-	if cfg.Prioritize {
-		init = int32(cfg.Levels - 1)
-	}
+	// Initial assignment: everyone serves the highest level.
+	init := int32(len(rt.levels) - 1)
 	rt.minAssign.Store(init)
 	for w := 0; w < cfg.Workers; w++ {
 		rt.assignment[w].Store(init)
@@ -383,9 +386,9 @@ func (rt *Runtime) submit(t *task, g *gctx) {
 }
 
 // kickMaster pokes the master when work lands at a level below every
-// worker's mandate — the one placement no scan reaches (workers help
-// upward only), which previously waited out the remainder of the
-// quantum. The send is non-blocking: concurrent kicks coalesce into the
+// worker's mandate — the one placement no scan reaches (every scan stops
+// at its worker's floor), which previously waited out the remainder of
+// the quantum. The send is non-blocking: concurrent kicks coalesce into the
 // buffered token, and the baseline configuration (no master) just
 // leaves the token unread.
 func (rt *Runtime) kickMaster(lvl int) {
@@ -576,21 +579,26 @@ func (w *worker) park(seq uint64) {
 	w.idleNs.Add(time.Since(start).Nanoseconds())
 }
 
-// findTask pops local work, then drains the injection queue, then steals
-// within the worker's assigned level. If the level is dry, the worker
-// helps upward: it serves the highest-priority level with pending work
-// above its assignment. Helping upward can never cause a priority
-// violation (the work taken is more urgent than the worker's mandate) and
-// it removes the up-to-one-quantum latency a fresh high-priority task
-// would otherwise pay while workers idle on lower levels. Helping
-// downward is deliberately not done — that would be baseline behavior;
-// an idle worker instead waits for the master to reassign it.
-func (w *worker) findTask(lvl int) *task {
-	if t := w.findAtLevel(lvl); t != nil {
-		return t
-	}
-	for up := len(w.rt.levels) - 1; up > lvl; up-- {
-		if t := w.findAtLevel(up); t != nil {
+// findTask returns the most urgent ready task this worker may run: one
+// scan from the top level down to floor, the worker's assignment. The
+// assignment is a floor, not a first choice — a worker never runs a task
+// while one at a higher level is ready (the prompt schedules of Theorem
+// 2.3), so a level-1 arrival, a lock hand-off or an IO completion is
+// served at the next task boundary instead of the master's next tick.
+// Work above the floor can never be a priority violation; work below it
+// is deliberately not taken — that would be baseline behavior — and an
+// idle worker waits for the master to lower its floor. A level with
+// nothing queued costs only its size loads.
+func (w *worker) findTask(floor int) *task {
+	rt := w.rt
+	for lvl := len(rt.levels) - 1; lvl >= floor; lvl-- {
+		if !rt.levels[lvl].pending() {
+			continue
+		}
+		if t := w.findAtLevel(lvl); t != nil {
+			if lvl > floor {
+				rt.stats.upwardTakes.Add(1)
+			}
 			return t
 		}
 	}
@@ -651,12 +659,18 @@ func (rt *Runtime) master() {
 	defer rt.wg.Done()
 	p := rt.cfg.Workers
 	lastIdle := make([]int64, p)
+	busy := make([]int64, rt.cfg.Levels)
+	idle := make([]int64, rt.cfg.Levels)
 	lastNow := time.Now()
+	tick := time.NewTimer(rt.cfg.Quantum)
+	defer tick.Stop()
 	for {
+		// Every wake-up, tick or kick, restarts the quantum.
+		tick.Reset(rt.cfg.Quantum)
 		select {
 		case <-rt.masterStop:
 			return
-		case <-time.After(rt.cfg.Quantum):
+		case <-tick.C:
 		case <-rt.masterKick:
 			// Event-driven path: work arrived below every worker's
 			// mandate. The interval since the last tick is too short for
@@ -675,8 +689,8 @@ func (rt *Runtime) master() {
 			continue
 		}
 		// Attribute each worker's busy/idle time to its assigned level.
-		busy := make([]int64, rt.cfg.Levels)
-		idle := make([]int64, rt.cfg.Levels)
+		clear(busy)
+		clear(idle)
 		for _, w := range rt.workers {
 			// Cumulative idle clock: completed parks plus the
 			// in-progress one. The two loads are not atomic together, so

@@ -325,9 +325,10 @@ func (c *Ctx) WorkerID() int {
 }
 
 // Yield returns the slot to the scheduler unconditionally; the task is
-// requeued at its level and resumes when scheduled again. Long-running
-// compute tasks should prefer Checkpoint, which only yields when the
-// master has reassigned this worker.
+// requeued at its level and resumes when a worker's scan reaches it
+// again, after any ready work at a higher level. Long-running compute
+// tasks should prefer Checkpoint, which yields only when there is
+// something more urgent for this worker to do.
 func (c *Ctx) Yield() {
 	g, t := c.g, c.t
 	t.shedSpawnBoost()
@@ -340,14 +341,33 @@ func (c *Ctx) Yield() {
 	g.park(t.rt, w)
 }
 
-// Checkpoint yields only if the worker's level assignment changed since
-// it granted this task's goroutine the slot (the quantum-boundary
-// preemption point of the two-level scheduler). It is cheap enough for
-// inner loops.
+// Checkpoint is the preemption point of a long-running task. It yields
+// if the master has reassigned this worker since it granted the task's
+// goroutine the slot (the quantum-boundary preemption of the two-level
+// scheduler), or if a level above the task's effective priority has work
+// in its injection queue — an arrival, an unblocked waiter or a boosted
+// lock holder, which the worker's next scan takes before coming back to
+// this task. Only the levels above the task are read, one queue size
+// each (none at the top level or in the baseline), so it is cheap enough
+// for inner loops; and the first worker to yield for an entry pops it,
+// so one arrival costs at most one yield per worker.
 func (c *Ctx) Checkpoint() {
-	g := c.g
-	if w := g.w; w != nil && c.t.rt.assignment[w.id].Load() != g.grantLvl {
+	g, rt := c.g, c.t.rt
+	w := g.w
+	if w == nil {
+		return
+	}
+	if rt.assignment[w.id].Load() != g.grantLvl {
 		c.Yield()
+		return
+	}
+	own := rt.effLevel(c.t.effPrio())
+	for lvl := len(rt.levels) - 1; lvl > own; lvl-- {
+		if rt.levels[lvl].inject.size() > 0 {
+			rt.stats.preemptYields.Add(1)
+			c.Yield()
+			return
+		}
 	}
 }
 
