@@ -1,92 +1,14 @@
-// Package conc provides the concurrent data structures the paper's case
-// studies rely on (Section 5.1): a sharded hash map (the proxy server's
-// website cache) and an atomic slot table supporting compare-and-swap of
-// future handles (the email client's print/compress coordination).
+// Package conc provides the concurrent data structure the paper's email
+// case study relies on (Section 5.1): an atomic slot table supporting
+// compare-and-swap of future handles (the client's print/compress
+// coordination).
 package conc
 
 import (
-	"hash/fnv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/icilk"
 )
-
-const shardCount = 16
-
-// Map is a sharded concurrent hash map from string keys to values.
-type Map[V any] struct {
-	shards [shardCount]mapShard[V]
-}
-
-type mapShard[V any] struct {
-	mu sync.RWMutex
-	m  map[string]V
-}
-
-// NewMap returns an empty concurrent map.
-func NewMap[V any]() *Map[V] {
-	m := &Map[V]{}
-	for i := range m.shards {
-		m.shards[i].m = make(map[string]V)
-	}
-	return m
-}
-
-func (m *Map[V]) shard(key string) *mapShard[V] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &m.shards[h.Sum32()%shardCount]
-}
-
-// Get returns the value for key.
-func (m *Map[V]) Get(key string) (V, bool) {
-	s := m.shard(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
-// Put stores value under key.
-func (m *Map[V]) Put(key string, v V) {
-	s := m.shard(key)
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
-}
-
-// PutIfAbsent stores v only if key is unbound, returning the value now
-// bound and whether this call bound it.
-func (m *Map[V]) PutIfAbsent(key string, v V) (V, bool) {
-	s := m.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.m[key]; ok {
-		return old, false
-	}
-	s.m[key] = v
-	return v, true
-}
-
-// Delete removes key.
-func (m *Map[V]) Delete(key string) {
-	s := m.shard(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-}
-
-// Len counts entries (approximate under concurrency).
-func (m *Map[V]) Len() int {
-	n := 0
-	for i := range m.shards {
-		m.shards[i].mu.RLock()
-		n += len(m.shards[i].m)
-		m.shards[i].mu.RUnlock()
-	}
-	return n
-}
 
 // SlotTable is an array of atomic future-handle slots indexed by integer
 // IDs. It is the email application's coordination structure: "within each

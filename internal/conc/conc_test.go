@@ -1,58 +1,12 @@
 package conc
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/icilk"
 )
-
-func TestMapBasics(t *testing.T) {
-	m := NewMap[int]()
-	if _, ok := m.Get("a"); ok {
-		t.Error("empty map should miss")
-	}
-	m.Put("a", 1)
-	if v, ok := m.Get("a"); !ok || v != 1 {
-		t.Errorf("Get(a) = %d, %v", v, ok)
-	}
-	if got, bound := m.PutIfAbsent("a", 9); bound || got != 1 {
-		t.Errorf("PutIfAbsent on existing = %d, %v", got, bound)
-	}
-	if got, bound := m.PutIfAbsent("b", 2); !bound || got != 2 {
-		t.Errorf("PutIfAbsent on fresh = %d, %v", got, bound)
-	}
-	if m.Len() != 2 {
-		t.Errorf("Len = %d", m.Len())
-	}
-	m.Delete("a")
-	if _, ok := m.Get("a"); ok {
-		t.Error("deleted key should miss")
-	}
-}
-
-func TestMapConcurrent(t *testing.T) {
-	m := NewMap[int]()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%50)
-				m.Put(key, g*1000+i)
-				m.Get(key)
-				m.PutIfAbsent(key+"-x", i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m.Len() == 0 {
-		t.Error("map should have entries")
-	}
-}
 
 func TestSlotTableSwap(t *testing.T) {
 	rt := icilk.New(icilk.Config{Workers: 2, Levels: 1})

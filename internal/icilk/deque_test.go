@@ -292,14 +292,14 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers != 4 || c.Levels != 2 || c.Gamma != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if !c.CheckInversions || !c.CollectMetrics {
+	if !c.checkInversions || !c.collectMetrics {
 		t.Error("checks and metrics should default on")
 	}
 	if c.LockedDeques {
 		t.Error("lock-free deques should be the default")
 	}
 	c2 := Config{DisableInversionCheck: true, DisableMetrics: true}.withDefaults()
-	if c2.CheckInversions || c2.CollectMetrics {
+	if c2.checkInversions || c2.collectMetrics {
 		t.Error("disable flags should turn features off")
 	}
 }

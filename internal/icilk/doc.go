@@ -39,6 +39,17 @@
 // Lock/Unlock/TryLock/RLock is a single CAS — so the ceilinged
 // primitives cost about what the plain Go primitives they replace do.
 //
+// A lock is a state word plus a wait queue. Mutex and RWMutex each keep
+// their own word, fast paths and grant policy; what a contended acquire
+// does — publish the blocked-on edge, walk it for a deadlock
+// (Config.DetectDeadlocks), lend the holder its priority, queue by
+// priority, park — and what a hand-off does on the other side exist
+// once, in the waitq both embed (waitq.go). A grant retracts the
+// grantee's edge before publishing it as holder, so a task is never
+// owner of the lock it is recorded as waiting on; a task that panics
+// holding locks releases them through the same hand-off before its
+// future fails.
+//
 // # External IO
 //
 // Two primitives connect the runtime to the world outside it. IO builds

@@ -227,7 +227,7 @@ func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
 func (f *future) touchOne(c *Ctx, budget *int) any {
 	t := c.t
 	rt := t.rt
-	if rt.cfg.CheckInversions && t.prio > f.prio {
+	if rt.cfg.checkInversions && t.prio > f.prio {
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: f.prio})
 	}
 	if f.done.Load() {

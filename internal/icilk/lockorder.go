@@ -1,7 +1,6 @@
 package icilk
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +20,7 @@ import (
 // either panic on (write side) or silently deadlock on once a writer
 // queues between the two holds (read side).
 //
-// Nodes are lock identities (the *Mutex / *RWMutex pointer), not names:
+// Nodes are lock identities (the *waitq each lock embeds), not names:
 // two shard locks sharing a label must not merge into one node, or a
 // consistent shards[0]→shards[1] nesting would self-loop. Names appear
 // only in the report. Read holds are recorded like write holds — a
@@ -37,22 +36,22 @@ import (
 // lockOrderGraph accumulates observed hold→acquire pairs.
 type lockOrderGraph struct {
 	mu    sync.Mutex
-	succ  map[waitableLock]map[waitableLock]bool
-	nodes []waitableLock // insertion order, for deterministic reports
+	succ  map[*waitq]map[*waitq]bool
+	nodes []*waitq // insertion order, for deterministic reports
 }
 
 // recordAcquire notes that t acquired l while holding everything in
 // t.ordHeld, adding one graph edge per held lock, then marks l held.
 // Called from the acquiring task's own context on every successful
 // acquisition path (callers gate on cfg.RecordLockOrder).
-func (rt *Runtime) recordAcquire(t *task, l waitableLock) {
+func (rt *Runtime) recordAcquire(t *task, l *waitq) {
 	g := &rt.lockOrder
 	g.mu.Lock()
 	if g.succ == nil {
-		g.succ = make(map[waitableLock]map[waitableLock]bool)
+		g.succ = make(map[*waitq]map[*waitq]bool)
 	}
 	if _, ok := g.succ[l]; !ok {
-		g.succ[l] = make(map[waitableLock]bool)
+		g.succ[l] = make(map[*waitq]bool)
 		g.nodes = append(g.nodes, l)
 	}
 	for _, h := range t.ordHeld {
@@ -64,7 +63,7 @@ func (rt *Runtime) recordAcquire(t *task, l waitableLock) {
 
 // recordRelease drops one hold of l from t's recorder held set (newest
 // first, matching the release order of properly nested sections).
-func (rt *Runtime) recordRelease(t *task, l waitableLock) {
+func (rt *Runtime) recordRelease(t *task, l *waitq) {
 	for i := len(t.ordHeld) - 1; i >= 0; i-- {
 		if t.ordHeld[i] == l {
 			t.ordHeld = append(t.ordHeld[:i], t.ordHeld[i+1:]...)
@@ -89,7 +88,7 @@ func (rt *Runtime) LockOrderViolations() []string {
 	var out []string
 	for _, l := range g.nodes {
 		if g.succ[l][l] {
-			out = append(out, fmt.Sprintf("reacquire of held %s %s", lockKind(l), lockName(l)))
+			out = append(out, "reacquire of held "+l.lockLabel())
 		}
 	}
 	for _, scc := range g.sccs() {
@@ -98,7 +97,7 @@ func (rt *Runtime) LockOrderViolations() []string {
 		}
 		labels := make([]string, len(scc))
 		for i, l := range scc {
-			labels[i] = lockKind(l) + " " + lockName(l)
+			labels[i] = l.lockLabel()
 		}
 		sort.Strings(labels)
 		out = append(out, "lock-order cycle (potential deadlock): "+strings.Join(labels, " <-> "))
@@ -110,15 +109,15 @@ func (rt *Runtime) LockOrderViolations() []string {
 // sccs returns the graph's strongly connected components (Tarjan,
 // iterative via an explicit recursion would be overkill: lock graphs
 // are tiny, so the recursive form is fine). Caller holds g.mu.
-func (g *lockOrderGraph) sccs() [][]waitableLock {
-	index := make(map[waitableLock]int, len(g.nodes))
-	low := make(map[waitableLock]int, len(g.nodes))
-	onStack := make(map[waitableLock]bool, len(g.nodes))
-	var stack []waitableLock
-	var comps [][]waitableLock
+func (g *lockOrderGraph) sccs() [][]*waitq {
+	index := make(map[*waitq]int, len(g.nodes))
+	low := make(map[*waitq]int, len(g.nodes))
+	onStack := make(map[*waitq]bool, len(g.nodes))
+	var stack []*waitq
+	var comps [][]*waitq
 	next := 0
-	var strongconnect func(v waitableLock)
-	strongconnect = func(v waitableLock) {
+	var strongconnect func(v *waitq)
+	strongconnect = func(v *waitq) {
 		index[v] = next
 		low[v] = next
 		next++
@@ -135,7 +134,7 @@ func (g *lockOrderGraph) sccs() [][]waitableLock {
 			}
 		}
 		if low[v] == index[v] {
-			var comp []waitableLock
+			var comp []*waitq
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]

@@ -34,7 +34,7 @@ type metrics struct {
 const maxRecords = 1 << 20 // drop beyond this to bound memory
 
 func (rt *Runtime) recordTask(t *task) {
-	if !rt.cfg.CollectMetrics {
+	if !rt.cfg.collectMetrics {
 		return
 	}
 	rt.metrics.mu.Lock()

@@ -36,23 +36,16 @@ type Config struct {
 	// tested against each other; the knob also helps when bisecting a
 	// suspected deque bug.
 	LockedDeques bool
-	// CheckInversions enables the dynamic priority-inversion check on
-	// Touch and the ceiling check on Ref/Mutex (default true; set
-	// DisableInversionCheck to turn off).
-	CheckInversions bool
-	// CollectMetrics records per-task timing (default true; set
-	// DisableMetrics to turn off).
-	CollectMetrics bool
-	// Inherit enables priority inheritance on Mutex: a holder blocked
-	// ahead of a higher-priority waiter is re-leveled to the waiter's
-	// priority until it releases the lock (default true; set
-	// DisableInheritance to turn off — the state benchmark's ablation).
-	Inherit bool
-	// DisableInversionCheck, DisableMetrics, and DisableInheritance
-	// exist so the zero Config enables all three features.
+	// DisableInversionCheck turns off the dynamic priority-inversion
+	// check on Touch and the ceiling check on Ref/Mutex/RWMutex.
 	DisableInversionCheck bool
-	DisableMetrics        bool
-	DisableInheritance    bool
+	// DisableMetrics turns off per-task timing records.
+	DisableMetrics bool
+	// DisableInheritance turns off priority inheritance on Mutex and
+	// RWMutex — a holder blocked ahead of a higher-priority waiter is
+	// otherwise re-leveled to the waiter's priority until it releases
+	// the lock (the state benchmark's ablation).
+	DisableInheritance bool
 	// DetectDeadlocks is a debug flag: before a task parks on a held
 	// Mutex or RWMutex, walk the blocked-on edges from the holder and
 	// panic with the printed cycle if the chain leads back to the
@@ -88,8 +81,9 @@ type Config struct {
 	// production invariant, and tests are where it should fail.
 	DebugPooling bool
 
-	// pooling is the derived positive form of DisablePooling.
-	pooling bool
+	// The derived positive forms of the four Disable flags, set by
+	// withDefaults so the zero Config enables every feature.
+	checkInversions, collectMetrics, inherit, pooling bool
 }
 
 func (c Config) withDefaults() Config {
@@ -108,9 +102,9 @@ func (c Config) withDefaults() Config {
 	if c.UtilThreshold <= 0 {
 		c.UtilThreshold = 0.9
 	}
-	c.CheckInversions = !c.DisableInversionCheck
-	c.CollectMetrics = !c.DisableMetrics
-	c.Inherit = !c.DisableInheritance
+	c.checkInversions = !c.DisableInversionCheck
+	c.collectMetrics = !c.DisableMetrics
+	c.inherit = !c.DisableInheritance
 	c.pooling = !c.DisablePooling
 	return c
 }
@@ -430,7 +424,7 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 			t.floor = Priority(b)
 		}
 	}
-	if rt.cfg.CollectMetrics {
+	if rt.cfg.collectMetrics {
 		t.created = time.Now()
 	}
 	rt.outstanding.Add(1)

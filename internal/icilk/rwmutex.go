@@ -2,8 +2,6 @@ package icilk
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -96,11 +94,17 @@ type rwslot struct {
 // undetectable here). Acquiring the write lock while holding a read
 // lock deadlocks the same way; RLock while holding the write lock
 // panics.
+//
+// A task that panics while holding the lock releases what the lock can
+// attribute to it before its future fails: the write hold, through the
+// ordinary grant pass, and read holds published through a reader slot
+// (the task records those itself). A read hold taken on the centralized
+// word is anonymous — one more in a count — and stays held: a reader
+// that can panic under revoked bias can still strand the writers behind
+// it.
 type RWMutex struct {
-	rt    *Runtime
 	rceil Priority
 	wceil Priority
-	name  string
 
 	// state is the fast-path lock word; wowner identifies the write
 	// holder (stored after the acquiring CAS, cleared before the
@@ -124,22 +128,17 @@ type RWMutex struct {
 	rearm    atomic.Int32
 	noSlots  bool
 
-	// mu guards the waiter lists — slow path only. Both lists are kept
-	// ordered by waitPrio (highest first, FIFO among equals). Whenever
-	// rwWait is set, every acquire and release serializes on mu, so the
-	// grant decisions below read a stable state word.
-	mu       sync.Mutex
-	rwaiters []*task
-	wwaiters []*task
+	// waitq is the slow path: the internal lock mu, the reader and
+	// writer waiter lists, and the block / hand-off protocol shared with
+	// Mutex. Whenever rwWait is set, every acquire and release
+	// serializes on mu, so the grant decisions below read a stable state
+	// word.
+	waitq
 
 	// drainW (under mu) is a writer that won the acquiring CAS during a
 	// bias-enable race and is parked waiting for the slot readers it
 	// raced with to drain; the last slot reader out requeues it.
 	drainW *task
-
-	// wlRef is the preallocated waitList target waiters publish while
-	// enqueued, so a mid-wait boost can re-sort them (repositionBoosted).
-	wlRef waitListRef
 }
 
 // NewRWMutex creates an RWMutex with the given per-mode ceilings. The
@@ -155,9 +154,9 @@ func NewRWMutex(rt *Runtime, readCeiling, writeCeiling Priority, name string) *R
 	for n < rt.cfg.Workers && n < rwSlotMax {
 		n <<= 1
 	}
-	m := &RWMutex{rt: rt, rceil: readCeiling, wceil: writeCeiling, name: name,
+	m := &RWMutex{rceil: readCeiling, wceil: writeCeiling,
 		slots: make([]rwslot, n), slotMask: uint32(n - 1)}
-	m.wlRef.l = m
+	m.waitq.init(rt, "rwmutex", name, m, &m.wowner)
 	m.rbias.Store(true)
 	return m
 }
@@ -188,7 +187,7 @@ func (m *RWMutex) RLock(c *Ctx) {
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.CheckInversions && t.prio > m.rceil {
+	if rt.cfg.checkInversions && t.prio > m.rceil {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.rceil, Primitive: "rwmutex(read)", Name: m.name})
 	}
@@ -207,9 +206,7 @@ func (m *RWMutex) RLock(c *Ctx) {
 			sl.n.Add(1)
 			if m.state.Load()&(rwWriter|rwWait) == 0 && m.rbias.Load() {
 				t.rslots = append(t.rslots, rslotHold{m: m, sl: sl})
-				if rt.cfg.RecordLockOrder {
-					rt.recordAcquire(t, m)
-				}
+				m.recordAcquire(t)
 				return
 			}
 			m.slotRelease(sl) // undo; wakes a drain-waiting writer if we were last
@@ -223,9 +220,7 @@ func (m *RWMutex) RLock(c *Ctx) {
 		}
 		if m.state.CompareAndSwap(s, s+rwReaderInc) {
 			m.maybeRearm()
-			if rt.cfg.RecordLockOrder {
-				rt.recordAcquire(t, m)
-			}
+			m.recordAcquire(t)
 			return
 		}
 	}
@@ -296,84 +291,54 @@ func (m *RWMutex) slotDrainCheck() {
 }
 
 // rlockSlow re-checks under the internal lock (the writer may have just
-// released, or the wait bit may be stale), then enqueues, boosts any
-// write holder, and parks. On resume the read lock is already held: the
-// granter counted every granted reader into the state word before
-// requeueing them.
+// released, or the wait bit may be stale), then queues behind the write
+// holder. On resume the read lock is already held: the granter counted
+// every granted reader into the state word before requeueing them.
 func (m *RWMutex) rlockSlow(c *Ctx, t *task, rt *Runtime) {
 	if m.wowner.Load() == t {
 		panic("icilk: RWMutex.RLock by the current write holder")
 	}
-	g := c.g
-	g.prepare(t)
-	w := g.w // capture before t becomes resumable; see gctx.park
 	m.mu.Lock()
-	// Pin releases to the slow path before deciding anything.
-	for {
-		s := m.state.Load()
-		if s&rwWait != 0 || m.state.CompareAndSwap(s, s|rwWait) {
-			break
-		}
-	}
+	m.pinSlow()
 	// Self-grant when no writer holds and none waits. (Waiting readers
 	// cannot exist in that configuration — every grant that clears the
 	// writer bit with no writers left drains the whole reader queue.)
-	// When a writer does hold, resolve its identity before parking: a
-	// writer-locked word with nil wowner is an owner publish still in
-	// flight (never a path blocked on m.mu — see Mutex.lockSlow), so
-	// spin it out rather than silently skipping the boost. With only
-	// writers *queued* (readers hold the lock), there is no one to
-	// boost: read holders are anonymous.
+	// With only writers *queued* (readers hold the lock), there is no one
+	// to boost: read holders are anonymous.
 	var holder *task
 	for {
 		s := m.state.Load()
-		if s&rwWriter == 0 {
-			if len(m.wwaiters) > 0 {
-				break
-			}
-			ns := s + rwReaderInc
-			if len(m.rwaiters) == 0 {
-				ns &^= rwWait
-			}
-			if m.state.CompareAndSwap(s, ns) {
-				m.mu.Unlock()
-				if rt.cfg.RecordLockOrder {
-					rt.recordAcquire(t, m)
-				}
-				return
-			}
-			continue
-		}
-		if holder = m.wowner.Load(); holder != nil {
+		if s&rwWriter != 0 {
+			holder = m.resolveHolder()
 			break
 		}
-		runtime.Gosched()
-	}
-	// Publish the blocked-on edge unconditionally: transitive
-	// inheritance (propagateBoost) traverses it even with deadlock
-	// detection off.
-	t.blockEdge(m)
-	if rt.cfg.DetectDeadlocks && holder != nil {
-		if cyc := checkDeadlock(t, m, holder); cyc != nil {
-			t.clearBlockEdge()
+		if len(m.lists[qWrite]) > 0 {
+			break
+		}
+		ns := s + rwReaderInc
+		if len(m.lists[qRead]) == 0 {
+			ns &^= rwWait
+		}
+		if m.state.CompareAndSwap(s, ns) {
 			m.mu.Unlock()
-			panic(cyc)
+			m.recordAcquire(t)
+			return
 		}
 	}
-	boosted := inheritInto(rt, holder, t)
-	t.waitList.Store(&m.wlRef)
-	t.waitPrio = t.effPrio()
-	m.rwaiters = insertByPrio(m.rwaiters, t)
-	m.mu.Unlock()
-	if boosted {
-		propagateBoost(rt, holder)
+	if cyc := m.block(c, qRead, holder, &rt.stats.rwReadParks); cyc != nil {
+		panic(cyc)
 	}
-	rt.stats.rwReadParks.Add(1)
-	g.park(rt, w)
-	t.waitList.Store(nil)
-	t.clearBlockEdge()
-	if rt.cfg.RecordLockOrder {
-		rt.recordAcquire(t, m)
+	m.recordAcquire(t)
+}
+
+// pinSlow sets rwWait, diverting every new reader and every release to
+// the slow path, where they serialize on mu. Caller holds mu.
+func (m *RWMutex) pinSlow() {
+	for {
+		s := m.state.Load()
+		if s&rwWait != 0 || m.state.CompareAndSwap(s, s|rwWait) {
+			return
+		}
 	}
 }
 
@@ -388,9 +353,7 @@ func (m *RWMutex) RUnlock(c *Ctx) {
 		panic("icilk: RWMutex.RUnlock outside task context")
 	}
 	t := c.t
-	if t.rt.cfg.RecordLockOrder {
-		t.rt.recordRelease(t, m)
-	}
+	m.recordRelease(t)
 	for i := len(t.rslots) - 1; i >= 0; i-- {
 		if t.rslots[i].m == m {
 			sl := t.rslots[i].sl
@@ -441,7 +404,7 @@ func (m *RWMutex) Lock(c *Ctx) {
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.CheckInversions && t.prio > m.wceil {
+	if rt.cfg.checkInversions && t.prio > m.wceil {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.wceil, Primitive: "rwmutex(write)", Name: m.name})
 	}
@@ -458,10 +421,7 @@ func (m *RWMutex) Lock(c *Ctx) {
 	// against a bias-off lock.
 	if !m.rbias.Load() && m.state.CompareAndSwap(0, rwWriter) {
 		m.wowner.Store(t)
-		t.held = append(t.held, m)
-		if rt.cfg.RecordLockOrder {
-			rt.recordAcquire(t, m)
-		}
+		m.acquired(t)
 		if m.rbias.Load() {
 			m.revokeAndDrain(c, t, rt)
 		}
@@ -477,16 +437,8 @@ func (m *RWMutex) Lock(c *Ctx) {
 // bias-clear order is what makes a racing slot reader either bounce on
 // its recheck or be counted by our sweep.
 func (m *RWMutex) revokeAndDrain(c *Ctx, t *task, rt *Runtime) {
-	g := c.g
-	g.prepare(t)
-	w := g.w // capture before t becomes resumable; see gctx.park
 	m.mu.Lock()
-	for {
-		s := m.state.Load()
-		if s&rwWait != 0 || m.state.CompareAndSwap(s, s|rwWait) {
-			break
-		}
-	}
+	m.pinSlow()
 	m.rbias.Store(false)
 	m.rearm.Store(rwRearmAfter)
 	rt.stats.rwRevokes.Add(1)
@@ -494,7 +446,7 @@ func (m *RWMutex) revokeAndDrain(c *Ctx, t *task, rt *Runtime) {
 		// Nothing to drain. Clear the wait bit if it is ours alone, so
 		// the release fast path stays a single CAS; with waiters queued
 		// it must stay set for the grant machinery.
-		if len(m.rwaiters) == 0 && len(m.wwaiters) == 0 {
+		if m.empty() {
 			for {
 				s := m.state.Load()
 				if m.state.CompareAndSwap(s, s&^rwWait) {
@@ -505,30 +457,25 @@ func (m *RWMutex) revokeAndDrain(c *Ctx, t *task, rt *Runtime) {
 		m.mu.Unlock()
 		return
 	}
+	g := c.g
+	g.prepare(t)
+	w := g.w // capture before t becomes resumable; see gctx.park
 	m.drainW = t
 	m.mu.Unlock()
 	rt.stats.rwWriteParks.Add(1)
 	g.park(rt, w)
 }
 
-// wlockSlow re-checks under the internal lock, then enqueues, boosts any
-// write holder (read holders are anonymous and cannot be boosted), and
-// parks. On resume the write lock is held and wowner already points at
-// this task.
+// wlockSlow re-checks under the internal lock, then queues behind the
+// write holder, or behind the read era (read holders are anonymous:
+// there is no one to boost). On resume the write lock is held and
+// wowner already points at this task.
 func (m *RWMutex) wlockSlow(c *Ctx, t *task, rt *Runtime) {
 	if m.wowner.Load() == t {
 		panic("icilk: RWMutex is not reentrant: Lock by current write holder")
 	}
-	g := c.g
-	g.prepare(t)
-	w := g.w // capture before t becomes resumable; see gctx.park
 	m.mu.Lock()
-	for {
-		s := m.state.Load()
-		if s&rwWait != 0 || m.state.CompareAndSwap(s, s|rwWait) {
-			break
-		}
-	}
+	m.pinSlow()
 	// Revoke the reader bias under writer pressure — the standard BRAVO
 	// fallback. rwWait is already set (above), so a slot reader that
 	// raced past the bias check bounces on its state recheck, and one
@@ -542,69 +489,35 @@ func (m *RWMutex) wlockSlow(c *Ctx, t *task, rt *Runtime) {
 	// Self-grant when fully free. Readers can still drain concurrently
 	// (their RUnlock is a plain add or slot decrement), so CAS until the
 	// picture is stable: the last reader out will find rwWait set and
-	// serialize on mu. When another writer holds, resolve its identity
-	// before parking (same publish-in-flight spin as rlockSlow); when
-	// readers hold, there is no one to boost — read holders are
-	// anonymous.
+	// serialize on mu.
 	var holder *task
 	for {
 		s := m.state.Load()
-		if s&rwWriter == 0 {
-			if rwReaders(s) > 0 || m.slotSum() > 0 {
-				break
-			}
-			if len(m.rwaiters) > 0 || len(m.wwaiters) > 0 {
-				// Fully free but waiters are queued: a granter is en
-				// route (the releaser that freed the lock serializes on
-				// m.mu behind us). Self-granting here would barge past
-				// waiters that may outrank us; queue instead and let the
-				// grant go by priority.
-				break
-			}
-			ns := (s | rwWriter) &^ rwWait
-			if m.state.CompareAndSwap(s, ns) {
-				m.wowner.Store(t)
-				m.mu.Unlock()
-				t.held = append(t.held, m)
-				if rt.cfg.RecordLockOrder {
-					rt.recordAcquire(t, m)
-				}
-				return
-			}
-			continue
-		}
-		if holder = m.wowner.Load(); holder != nil {
+		if s&rwWriter != 0 {
+			holder = m.resolveHolder()
 			break
 		}
-		runtime.Gosched()
-	}
-	// Publish the blocked-on edge unconditionally: transitive
-	// inheritance (propagateBoost) traverses it even with deadlock
-	// detection off.
-	t.blockEdge(m)
-	if rt.cfg.DetectDeadlocks && holder != nil {
-		if cyc := checkDeadlock(t, m, holder); cyc != nil {
-			t.clearBlockEdge()
+		if rwReaders(s) > 0 || m.slotSum() > 0 {
+			break
+		}
+		if !m.empty() {
+			// Fully free but waiters are queued: a granter is en route
+			// (the releaser that freed the lock serializes on m.mu behind
+			// us). Self-granting here would barge past waiters that may
+			// outrank us; queue instead and let the grant go by priority.
+			break
+		}
+		if m.state.CompareAndSwap(s, (s|rwWriter)&^rwWait) {
+			m.wowner.Store(t)
 			m.mu.Unlock()
-			panic(cyc)
+			m.acquired(t)
+			return
 		}
 	}
-	boosted := inheritInto(rt, holder, t)
-	t.waitList.Store(&m.wlRef)
-	t.waitPrio = t.effPrio()
-	m.wwaiters = insertByPrio(m.wwaiters, t)
-	m.mu.Unlock()
-	if boosted {
-		propagateBoost(rt, holder)
+	if cyc := m.block(c, qWrite, holder, &rt.stats.rwWriteParks); cyc != nil {
+		panic(cyc)
 	}
-	rt.stats.rwWriteParks.Add(1)
-	g.park(rt, w)
-	t.waitList.Store(nil)
-	t.clearBlockEdge()
-	t.held = append(t.held, m)
-	if rt.cfg.RecordLockOrder {
-		rt.recordAcquire(t, m)
-	}
+	m.acquired(t)
 }
 
 // Unlock releases the write lock, recomputes the holder's inherited
@@ -621,11 +534,7 @@ func (m *RWMutex) Unlock(c *Ctx) {
 	// match fails if any waiter has registered).
 	m.wowner.Store(nil)
 	if m.state.CompareAndSwap(rwWriter, 0) {
-		t.unheld(m)
-		if t.rt.cfg.RecordLockOrder {
-			t.rt.recordRelease(t, m)
-		}
-		t.dropBoost()
+		m.released(t)
 		return
 	}
 	m.wowner.Store(t)
@@ -633,11 +542,7 @@ func (m *RWMutex) Unlock(c *Ctx) {
 	m.mu.Lock()
 	m.wowner.Store(nil)
 	m.grantLocked(false)
-	t.unheld(m)
-	if t.rt.cfg.RecordLockOrder {
-		t.rt.recordRelease(t, m)
-	}
-	t.dropBoost()
+	m.released(t)
 }
 
 // grantLocked hands a fully released lock (no writer, no readers) to a
@@ -652,19 +557,10 @@ func (m *RWMutex) Unlock(c *Ctx) {
 // mutate the state word, so plain stores suffice.
 func (m *RWMutex) grantLocked(preferWriter bool) {
 	rt := m.rt
-	bestW, bestR := Priority(-1), Priority(-1)
-	if len(m.wwaiters) > 0 {
-		bestW = m.wwaiters[0].waitPrio
-	}
-	if len(m.rwaiters) > 0 {
-		bestR = m.rwaiters[0].waitPrio
-	}
+	bestW, bestR := m.headPrio(qWrite), m.headPrio(qRead)
 	switch {
 	case bestW >= 0 && (preferWriter || bestW >= bestR):
-		next := m.wwaiters[0]
-		copy(m.wwaiters, m.wwaiters[1:])
-		m.wwaiters[len(m.wwaiters)-1] = nil
-		m.wwaiters = m.wwaiters[:len(m.wwaiters)-1]
+		next := m.pop(qWrite)
 		// A drain-preferred writer can be outranked by readers still
 		// queued behind it: inherit their level for its one section, or
 		// the "bounded" inversion window is no bound at all — the
@@ -672,11 +568,11 @@ func (m *RWMutex) grantLocked(preferWriter bool) {
 		// any backlog while the high-priority readers stay parked. The
 		// requeue below routes on effPrio, so the boost lands it at the
 		// readers' level immediately; no re-injection kick is needed.
-		if rt.cfg.Inherit && bestR > next.effPrio() && next.raiseBoost(bestR) {
+		if rt.cfg.inherit && bestR > next.effPrio() && next.raiseBoost(bestR) {
 			rt.stats.inherits.Add(1)
 		}
 		ns := rwWriter
-		if len(m.wwaiters) > 0 || len(m.rwaiters) > 0 {
+		if !m.empty() {
 			ns |= rwWait
 		}
 		m.wowner.Store(next)
@@ -684,10 +580,9 @@ func (m *RWMutex) grantLocked(preferWriter bool) {
 		m.mu.Unlock()
 		rt.requeue(next)
 	case bestR >= 0:
-		granted := m.rwaiters
-		m.rwaiters = nil
+		granted := m.popAll(qRead)
 		ns := int64(len(granted)) * rwReaderInc
-		if len(m.wwaiters) > 0 {
+		if !m.empty() {
 			ns |= rwWait
 		}
 		m.state.Store(ns)
@@ -701,41 +596,4 @@ func (m *RWMutex) grantLocked(preferWriter bool) {
 		m.state.Store(0)
 		m.mu.Unlock()
 	}
-}
-
-// holderTask and lockLabel let the deadlock cycle walk traverse and
-// print the RWMutex. Only the write side has an identifiable holder;
-// read holders are anonymous, so a chain reaching a read-held RWMutex
-// ends there.
-func (m *RWMutex) holderTask() *task { return m.wowner.Load() }
-func (m *RWMutex) lockLabel() string { return m.name }
-
-// repositionWaiter re-sorts t in whichever waiter list holds it after a
-// mid-wait priority boost (see repositionBoosted). A no-op if t was
-// granted concurrently and is on neither list.
-func (m *RWMutex) repositionWaiter(t *task) {
-	m.mu.Lock()
-	m.rwaiters = repositionInList(m.rwaiters, t)
-	m.wwaiters = repositionInList(m.wwaiters, t)
-	m.mu.Unlock()
-}
-
-// maxWaiterPrio reports the highest effective priority among tasks
-// blocked on either mode, or -1 when none — dropBoost's input when the
-// write holder recomputes its inherited floor.
-func (m *RWMutex) maxWaiterPrio() Priority {
-	best := Priority(-1)
-	m.mu.Lock()
-	for _, wt := range m.wwaiters {
-		if p := wt.effPrio(); p > best {
-			best = p
-		}
-	}
-	for _, wt := range m.rwaiters {
-		if p := wt.effPrio(); p > best {
-			best = p
-		}
-	}
-	m.mu.Unlock()
-	return best
 }

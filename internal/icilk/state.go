@@ -1,11 +1,6 @@
 package icilk
 
-import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file is the runtime half of the paper's "and state": mutable
 // shared state whose priority discipline the scheduler understands. The
@@ -58,7 +53,7 @@ func (r *Ref[T]) check(c *Ctx) {
 	if c == nil {
 		return
 	}
-	if r.rt.cfg.CheckInversions && c.t.prio > r.ceiling {
+	if r.rt.cfg.checkInversions && c.t.prio > r.ceiling {
 		r.rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: c.t.prio, Touched: r.ceiling, Primitive: "ref"})
 	}
@@ -91,58 +86,15 @@ func (r *Ref[T]) Update(c *Ctx, fn func(T) T) T {
 	}
 }
 
-// Counter is the allocation-free specialization of Ref for the hot
-// counters: a ceilinged atomic int64. Ref's generic Store/Update box a
-// new value per call (the price of atomic.Pointer genericity); serving
-// paths that bump a counter per request (proxy hits/misses, response-
-// cache hits) shouldn't pay a heap allocation per bump. Like Ref, a
-// Counter never blocks or parks, and a nil Ctx marks external access.
-type Counter struct {
-	rt      *Runtime
-	ceiling Priority
-	v       atomic.Int64
-}
-
-// NewCounter creates a zeroed Counter with the given ceiling.
-func NewCounter(rt *Runtime, ceiling Priority) *Counter {
-	return &Counter{rt: rt, ceiling: ceiling}
-}
-
-// Ceiling returns the Counter's priority ceiling.
-func (k *Counter) Ceiling() Priority { return k.ceiling }
-
-func (k *Counter) check(c *Ctx) {
-	if c == nil {
-		return
-	}
-	if k.rt.cfg.CheckInversions && c.t.prio > k.ceiling {
-		k.rt.stats.ceilings.Add(1)
-		panic(&PriorityInversionError{Toucher: c.t.prio, Touched: k.ceiling, Primitive: "counter"})
-	}
-}
-
-// Load returns the current value.
-func (k *Counter) Load(c *Ctx) int64 {
-	k.check(c)
-	return k.v.Load()
-}
-
-// Add atomically adds d and returns the new value.
-func (k *Counter) Add(c *Ctx, d int64) int64 {
-	k.check(c)
-	return k.v.Add(d)
-}
-
-// StripedCounter is the accumulator-pattern specialization of Counter
-// for write-hot, read-rare counters (request tallies, hit/miss counts):
-// Add lands on a per-worker, cache-line-padded stripe indexed by the
-// caller's worker id, so concurrent bumpers on different cores never
-// contend on one line; Load sums the stripes. The tradeoff is
-// deliberate — Load costs a short scan and is not a linearizable
-// snapshot (stripes are read one by one), which is exactly the contract
-// stats-page counters need and a sequenced counter does not get to
-// relax. Like Counter, it never blocks or parks, and a nil Ctx marks
-// external access (stripe 0).
+// StripedCounter is a ceilinged int64 accumulator for write-hot,
+// read-rare counters (request tallies, hit/miss counts): Add lands on a
+// per-worker, cache-line-padded stripe indexed by the caller's worker
+// id, so concurrent bumpers on different cores never contend on one
+// line; Load sums the stripes. The tradeoff is deliberate — Load costs
+// a short scan and is not a linearizable snapshot (stripes are read one
+// by one), which is exactly the contract stats-page counters need and a
+// sequenced counter does not get to relax. Like Ref, it never blocks,
+// parks or allocates, and a nil Ctx marks external access (stripe 0).
 type StripedCounter struct {
 	rt      *Runtime
 	ceiling Priority
@@ -169,7 +121,7 @@ func (k *StripedCounter) check(c *Ctx) {
 	if c == nil {
 		return
 	}
-	if k.rt.cfg.CheckInversions && c.t.prio > k.ceiling {
+	if k.rt.cfg.checkInversions && c.t.prio > k.ceiling {
 		k.rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: c.t.prio, Touched: k.ceiling, Primitive: "counter"})
 	}
@@ -218,31 +170,34 @@ const (
 // typing rules out.
 //
 // Inheritance: when a task blocks on a held Mutex, the holder's
-// effective priority is raised to the waiter's (Config.Inherit, default
-// on). The boost re-levels the holder everywhere placement decisions
-// are made — a holder parked on IO or a future is requeued at the
-// waiter's level when it completes, a holder already sitting in a run
-// queue is re-injected at the waiter's level (a duplicate entry; the
-// dispatch claim on the task keeps it from running twice), and tasks the
-// holder spawns while boosted inherit the boost as a floor. Unlock
-// recomputes the boost from the locks the holder still holds, hands the
-// Mutex to the highest-priority waiter, and requeues it.
+// effective priority is raised to the waiter's (unless
+// Config.DisableInheritance). The boost re-levels the holder everywhere
+// placement decisions are made — a holder parked on IO or a future is
+// requeued at the waiter's level when it completes, a holder already
+// sitting in a run queue is re-injected at the waiter's level (a
+// duplicate entry; the dispatch claim on the task keeps it from running
+// twice), and tasks the holder spawns while boosted inherit the boost
+// as a floor. Unlock recomputes the boost from the locks the holder
+// still holds, hands the Mutex to the highest-priority waiter, and
+// requeues it.
 //
 // Fast path: the lock word is a CAS-published state machine. An
 // uncontended Lock is one CAS on the state word (plus an owner-pointer
 // store); an uncontended Unlock is the mirror image; TryLock is a single
-// CAS. The slow path — waiter registration, inheritance, handoff —
-// still serializes on an internal sync.Mutex, but that lock is never
-// touched while the Mutex is free or held without waiters.
+// CAS. Everything a contended acquire or a hand-off does beyond the
+// state word — queueing, inheritance, the deadlock walk, parking — is
+// the embedded waitq's (waitq.go), shared with RWMutex; its internal
+// sync.Mutex is never touched while the Mutex is free or held without
+// waiters.
 //
 // Lock and Unlock must be called from task context (a non-nil Ctx): a
 // blocked Lock parks the task exactly like an unresolved Touch, freeing
 // its worker. External goroutines coordinate with the runtime through
-// Promise, not Mutex.
+// Promise, not Mutex. A task that panics while holding the Mutex
+// releases it — through the same hand-off as Unlock — before its future
+// fails; the state it guarded is left as the panic found it.
 type Mutex struct {
-	rt      *Runtime
 	ceiling Priority
-	name    string
 
 	// state is the fast-path lock word: mutexLocked plus a registered-
 	// waiter count. owner identifies the holding task (for inheritance,
@@ -253,32 +208,18 @@ type Mutex struct {
 	state atomic.Int32
 	owner atomic.Pointer[task]
 
-	// mu guards the waiter list — the slow path only. waiters is kept
-	// ordered by waitPrio (highest first, FIFO among equals), so handoff
-	// pops the head instead of scanning.
-	mu      sync.Mutex
-	waiters []*task
-
-	// wlRef is the preallocated waitList target waiters publish while
-	// enqueued, so a mid-wait boost can re-sort them (repositionBoosted).
-	wlRef waitListRef
+	// waitq is the slow path: the internal lock, the waiter list and the
+	// block / hand-off protocol. It sits after the words the fast paths
+	// touch.
+	waitq
 }
 
 // NewMutex creates a Mutex with the given ceiling. The name identifies
 // the lock in ceiling-violation errors and diagnostics.
 func NewMutex(rt *Runtime, ceiling Priority, name string) *Mutex {
-	m := &Mutex{rt: rt, ceiling: ceiling, name: name}
-	m.wlRef.l = m
+	m := &Mutex{ceiling: ceiling}
+	m.waitq.init(rt, "mutex", name, m, &m.owner)
 	return m
-}
-
-// repositionWaiter re-sorts t in the waiter list after a mid-wait
-// priority boost (see repositionBoosted). A no-op if t was granted
-// concurrently and is no longer queued.
-func (m *Mutex) repositionWaiter(t *task) {
-	m.mu.Lock()
-	m.waiters = repositionInList(m.waiters, t)
-	m.mu.Unlock()
 }
 
 // Ceiling returns the Mutex's priority ceiling.
@@ -294,24 +235,21 @@ func (m *Mutex) Lock(c *Ctx) {
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.CheckInversions && t.prio > m.ceiling {
+	if rt.cfg.checkInversions && t.prio > m.ceiling {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.ceiling, Primitive: "mutex", Name: m.name})
 	}
 	// Fast path: free, no registered waiters — one CAS.
 	if m.state.CompareAndSwap(0, mutexLocked) {
 		m.owner.Store(t)
-		t.held = append(t.held, m)
-		if rt.cfg.RecordLockOrder {
-			rt.recordAcquire(t, m)
-		}
+		m.acquired(t)
 		return
 	}
 	m.lockSlow(c, t, rt)
 }
 
 // lockSlow is the contended acquire: register a waiter count against the
-// locked word, then inherit, enqueue, and park under the internal lock.
+// locked word, then queue behind the holder.
 func (m *Mutex) lockSlow(c *Ctx, t *task, rt *Runtime) {
 	for {
 		s := m.state.Load()
@@ -320,10 +258,7 @@ func (m *Mutex) lockSlow(c *Ctx, t *task, rt *Runtime) {
 			// count (other registrants) rides along unchanged.
 			if m.state.CompareAndSwap(s, s|mutexLocked) {
 				m.owner.Store(t)
-				t.held = append(t.held, m)
-				if rt.cfg.RecordLockOrder {
-					rt.recordAcquire(t, m)
-				}
+				m.acquired(t)
 				return
 			}
 			continue
@@ -341,203 +276,32 @@ func (m *Mutex) lockSlow(c *Ctx, t *task, rt *Runtime) {
 		}
 	}
 
-	// prepare must precede waiter-list insertion so that an Unlock
-	// racing with us can already resume the task (the same protocol as
-	// future.touch).
-	g := c.g
-	g.prepare(t)
-	w := g.w // capture before t becomes resumable; see gctx.park
 	m.mu.Lock()
 	// Re-check under m.mu: the holder may have released between our
 	// registration and here (its slow-path Unlock found the list empty
 	// and dropped the locked bit, leaving our count in place). While the
 	// word stays locked, our count pins every Unlock to the slow path,
 	// which serializes on m.mu — so the holder cannot complete a release
-	// until we are enqueued, and the inherited boost below cannot be
-	// applied to a stale holder. A locked word with a nil owner is a
-	// holder whose owner store is still in flight (the acquiring CAS and
-	// the publish are two instructions, and a failed fast Unlock briefly
-	// nils the owner before restoring it); no owner-publishing path ever
-	// waits on m.mu, so spinning the scheduler resolves it promptly —
-	// skipping the boost instead would let that holder run its whole
-	// critical section unboosted.
-	var holder *task
+	// until we are enqueued, and the boost block applies cannot land on
+	// a stale holder.
 	for {
 		s := m.state.Load()
-		if s&mutexLocked == 0 {
-			if m.state.CompareAndSwap(s, (s-mutexWaiterInc)|mutexLocked) {
-				m.owner.Store(t)
-				m.mu.Unlock()
-				t.held = append(t.held, m)
-				if rt.cfg.RecordLockOrder {
-					rt.recordAcquire(t, m)
-				}
-				return
-			}
-			continue
-		}
-		if holder = m.owner.Load(); holder != nil {
+		if s&mutexLocked != 0 {
 			break
 		}
-		runtime.Gosched()
-	}
-	// Publish the blocked-on edge unconditionally: transitive
-	// inheritance (propagateBoost) traverses it even with deadlock
-	// detection off.
-	t.blockEdge(m)
-	if rt.cfg.DetectDeadlocks {
-		if cyc := checkDeadlock(t, m, holder); cyc != nil {
-			t.clearBlockEdge()
-			m.state.Add(-mutexWaiterInc) // deregister: we will not wait
+		if m.state.CompareAndSwap(s, (s-mutexWaiterInc)|mutexLocked) {
+			m.owner.Store(t)
 			m.mu.Unlock()
-			panic(cyc)
+			m.acquired(t)
+			return
 		}
 	}
-	boosted := inheritInto(rt, holder, t)
-	t.waitList.Store(&m.wlRef)
-	t.waitPrio = t.effPrio()
-	m.waiters = insertByPrio(m.waiters, t)
-	m.mu.Unlock()
-	if boosted {
-		propagateBoost(rt, holder)
+	if cyc := m.block(c, qWrite, m.resolveHolder(), &rt.stats.mutexParks); cyc != nil {
+		m.state.Add(-mutexWaiterInc) // deregister: we will not wait
+		panic(cyc)
 	}
-	rt.stats.mutexParks.Add(1)
-	g.park(rt, w)
-	t.waitList.Store(nil)
-	t.clearBlockEdge()
 	// Resumed: Unlock handed us the Mutex (m.owner == t already).
-	t.held = append(t.held, m)
-	if rt.cfg.RecordLockOrder {
-		rt.recordAcquire(t, m)
-	}
-}
-
-// inheritInto is the priority-inheritance event, shared by the Mutex
-// and RWMutex slow paths: raise the holder's effective priority to the
-// blocked waiter's and, if it actually rose, kick the holder — if it is
-// sitting in a run queue at its old level, make it visible at the
-// waiter's level by injecting a duplicate entry there. The dispatch
-// claim arbitrates: whichever entry is popped first runs the holder,
-// the other is dropped. If the holder is running or parked the
-// duplicate dies harmlessly (its claim fails), and the boost takes
-// effect at the next requeue. Returns whether the boost actually rose;
-// the caller then runs propagateBoost AFTER releasing its own internal
-// lock (taking another lock's mu from under this one could deadlock
-// against a crossed inheritance in the other direction).
-func inheritInto(rt *Runtime, holder, waiter *task) bool {
-	if holder == nil || !rt.cfg.Inherit || !holder.raiseBoost(waiter.effPrio()) {
-		return false
-	}
-	rt.stats.inherits.Add(1)
-	rt.levels[rt.effLevel(holder.effPrio())].inject.push(holder)
-	rt.wake()
-	return true
-}
-
-// prioWaitList is a lock that keeps a priority-ordered waiter list and
-// can re-sort one entry after a mid-wait boost.
-type prioWaitList interface {
-	repositionWaiter(t *task)
-}
-
-// waitListRef wraps a prioWaitList so tasks can publish it through an
-// atomic.Pointer (which needs a concrete type). Each lock preallocates
-// one, so the publish never allocates.
-type waitListRef struct{ l prioWaitList }
-
-// repositionBoosted re-sorts a just-boosted holder in the waiter list
-// it is itself enqueued on, if any — the nested-blocking shape where H
-// holds lock A, waits on lock B, and a high-priority waiter arrives on
-// A: without the re-sort, H would stay queued on B at its stale
-// enqueue-time priority and the boost would not shorten the chain.
-// Callers must hold no lock-internal mutex. Benign races: if H was
-// granted concurrently the scan finds nothing; if H re-enqueued
-// elsewhere it did so with its boosted priority already applied, and
-// the re-sort is a no-op.
-func repositionBoosted(holder *task) {
-	if holder == nil {
-		return
-	}
-	if ref := holder.waitList.Load(); ref != nil {
-		ref.l.repositionWaiter(holder)
-	}
-}
-
-// propagateBoost runs the deferred half of an inheritance event, after
-// the boosting lock's internal mu is released (the crossed-lock
-// discipline inheritInto documents): re-sort the freshly boosted holder
-// in whatever waiter list it sits on, then chain the boost along its
-// published blocked-on edge. A holder that is itself parked on another
-// lock leaves the lock a high-priority waiter just blocked on
-// transitively held up behind whatever ITS holder is doing — so that
-// next holder is raised too, repositioned, and the walk continues to
-// the chain's end. Each onward hop is counted in
-// SchedStats.TransitiveBoosts and re-injects the re-boosted task at its
-// new level (same duplicate-entry kick as the direct event; the
-// dispatch claim arbitrates).
-//
-// Termination: raiseBoost refuses a boost that does not rise, so a
-// cyclic chain (an undetected deadlock) stops the moment priorities
-// equalize around the loop, and maxCycleWalk bounds a pathological
-// racing hand-off storm. Benign races mirror repositionBoosted's: an
-// edge or holder read here can be momentarily stale, in which case a
-// task is boosted that no longer blocks the chain — a transient
-// over-boost that dropBoost/shedSpawnBoost sheds. Chains end silently
-// at anonymous read holders and at drain-parked writers (neither
-// publishes an edge), the same visibility limit the deadlock walk has.
-func propagateBoost(rt *Runtime, holder *task) {
-	cur := holder
-	for hop := 0; hop < maxCycleWalk; hop++ {
-		repositionBoosted(cur)
-		edge := cur.waitingOn.Load()
-		if edge == nil {
-			return
-		}
-		next := edge.l.holderTask()
-		if next == nil || next == cur || !next.raiseBoost(cur.effPrio()) {
-			return
-		}
-		rt.stats.transBoosts.Add(1)
-		rt.levels[rt.effLevel(next.effPrio())].inject.push(next)
-		rt.wake()
-		cur = next
-	}
-}
-
-// repositionInList re-sorts t within one waiter list if its effective
-// priority rose past its enqueue-time sort key. Caller holds the list's
-// internal mutex (which is also what makes the waitPrio write safe).
-func repositionInList(ws []*task, t *task) []*task {
-	for i, wt := range ws {
-		if wt != t {
-			continue
-		}
-		np := t.effPrio()
-		if np <= t.waitPrio {
-			return ws
-		}
-		copy(ws[i:], ws[i+1:])
-		ws = ws[:len(ws)-1]
-		t.waitPrio = np
-		return insertByPrio(ws, t)
-	}
-	return ws
-}
-
-// insertByPrio inserts t into a waiter list kept ordered by waitPrio,
-// highest first, FIFO among equals: binary-search the first strictly
-// lower slot, shift, place. Handoff then pops the head in O(1) instead
-// of scanning the whole list per Unlock.
-//
-// waitPrio is the waiter's effective priority at enqueue time; a boost
-// arriving while the task is already queued re-sorts the entry through
-// repositionBoosted.
-func insertByPrio(ws []*task, t *task) []*task {
-	i := sort.Search(len(ws), func(i int) bool { return ws[i].waitPrio < t.waitPrio })
-	ws = append(ws, nil)
-	copy(ws[i+1:], ws[i:])
-	ws[i] = t
-	return ws
+	m.acquired(t)
 }
 
 // Unlock releases the Mutex: the holder's inherited boost is recomputed
@@ -559,11 +323,7 @@ func (m *Mutex) Unlock(c *Ctx) {
 	// and hand off.
 	m.owner.Store(nil)
 	if m.state.CompareAndSwap(mutexLocked, 0) {
-		t.unheld(m)
-		if t.rt.cfg.RecordLockOrder {
-			t.rt.recordRelease(t, m)
-		}
-		t.dropBoost()
+		m.released(t)
 		return
 	}
 	m.owner.Store(t)
@@ -576,14 +336,11 @@ func (m *Mutex) Unlock(c *Ctx) {
 func (m *Mutex) unlockSlow(t *task) {
 	m.mu.Lock()
 	var next *task
-	if len(m.waiters) > 0 {
-		next = m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters[len(m.waiters)-1] = nil
-		m.waiters = m.waiters[:len(m.waiters)-1]
+	if !m.empty() {
 		// Ownership transfers: the locked bit stays set, the popped
 		// waiter's count comes off, and the owner moves directly to the
 		// successor.
+		next = m.pop(qWrite)
 		m.state.Add(-mutexWaiterInc)
 		m.owner.Store(next)
 	} else {
@@ -596,36 +353,11 @@ func (m *Mutex) unlockSlow(t *task) {
 		}
 	}
 	m.mu.Unlock()
-	t.unheld(m)
-	if t.rt.cfg.RecordLockOrder {
-		t.rt.recordRelease(t, m)
-	}
-	t.dropBoost()
+	m.released(t)
 	if next != nil {
-		t.rt.requeue(next)
+		m.rt.requeue(next)
 	}
 }
-
-// maxWaiterPrio reports the highest effective priority among tasks
-// blocked on the Mutex, or -1 when none — dropBoost's input when the
-// holder recomputes its inherited floor. The scan reads live effPrio
-// (a queued waiter's boost may have risen since it was enqueued).
-func (m *Mutex) maxWaiterPrio() Priority {
-	best := Priority(-1)
-	m.mu.Lock()
-	for _, wt := range m.waiters {
-		if p := wt.effPrio(); p > best {
-			best = p
-		}
-	}
-	m.mu.Unlock()
-	return best
-}
-
-// holderTask and lockLabel let the deadlock cycle walk traverse and
-// print the Mutex.
-func (m *Mutex) holderTask() *task { return m.owner.Load() }
-func (m *Mutex) lockLabel() string { return m.name }
 
 // TryLock acquires the Mutex if it is free, without blocking and without
 // ceiling checking (like TryTouch, a non-blocking attempt cannot make a
@@ -639,9 +371,6 @@ func (m *Mutex) TryLock(c *Ctx) bool {
 		return false
 	}
 	m.owner.Store(t)
-	t.held = append(t.held, m)
-	if t.rt.cfg.RecordLockOrder {
-		t.rt.recordAcquire(t, m)
-	}
+	m.acquired(t)
 	return true
 }

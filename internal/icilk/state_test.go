@@ -345,30 +345,3 @@ func TestMutexStressMultiLevel(t *testing.T) {
 		t.Errorf("ref total = %d, want %d", v, tasks*6)
 	}
 }
-
-// TestCounter covers the allocation-free Ref specialization: atomic
-// adds, external reads, and the ceiling check.
-func TestCounter(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
-	k := NewCounter(rt, 0)
-	fut := Go(rt, nil, 0, "count", func(c *Ctx) int {
-		for i := 0; i < 100; i++ {
-			k.Add(c, 1)
-		}
-		return int(k.Load(c))
-	})
-	if v, err := Await(fut, 5*time.Second); err != nil || v != 100 {
-		t.Fatalf("counter: v=%d err=%v", v, err)
-	}
-	if v := k.Load(nil); v != 100 {
-		t.Errorf("external Load = %d, want 100", v)
-	}
-	bad := Go(rt, nil, 1, "above", func(c *Ctx) int {
-		k.Add(c, 1) // prio 1 > ceiling 0
-		return 0
-	})
-	var inv *PriorityInversionError
-	if _, err := Await(bad, 5*time.Second); err == nil || !errors.As(err, &inv) {
-		t.Fatalf("counter above ceiling: want PriorityInversionError, got %v", err)
-	}
-}

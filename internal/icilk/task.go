@@ -50,14 +50,16 @@ type task struct {
 	// blockedOn is set while parked on a future (diagnostics only).
 	blockedOn *future
 
-	// waitingOn publishes the Mutex/RWMutex this task is blocked on
-	// while parked in a lock's slow path — the blocked-on edge both the
-	// deadlock cycle walk (Config.DetectDeadlocks) and transitive
-	// priority inheritance (propagateBoost) traverse. Written by the
+	// waitingOn is the blocked-on edge: the lock this task is queued on,
+	// which both the deadlock cycle walk (Config.DetectDeadlocks) and
+	// transitive priority inheritance (propagateBoost) traverse without
+	// taking any lock. Written only under that lock's waitq.mu: set by the
 	// task itself before it becomes visible on the waiter list, cleared
-	// after the park resumes; concurrent walkers only read. Always
-	// published: inheritance must see the edge regardless of debug flags.
-	waitingOn waitingOnPtr
+	// by the grant that pops it — before the task is published as the
+	// lock's holder, so a task is never owner of the lock its waitingOn
+	// names. Always published: inheritance must see the edge regardless
+	// of debug flags.
+	waitingOn atomic.Pointer[waitq]
 
 	// boost is the priority-inheritance floor: while a higher-priority
 	// task waits on a Mutex this task holds, boost carries the waiter's
@@ -78,8 +80,9 @@ type task struct {
 	// task currently holds, newest last. It is task-private (only read
 	// and written from the task's own execution context), and is what
 	// Unlock scans to recompute boost when inheritance from one critical
-	// section ends while another is still in progress.
-	held []heldLock
+	// section ends while another is still in progress — and what a
+	// panicking task releases (releaseHeld).
+	held []*waitq
 
 	// floor is the spawn-inherited boost floor: a task spawned from
 	// inside a boosted critical section starts with the parent's boost,
@@ -94,21 +97,21 @@ type task struct {
 	// RecordLockOrder): every lock this task holds in ANY mode, read
 	// holds included — unlike held, which only write-side boost
 	// recomputation needs. Task-private, like held.
-	ordHeld []waitableLock
+	ordHeld []*waitq
 
 	// waitPrio is the task's effective priority at the moment it was
 	// enqueued on a lock's waiter list — the sort key of the
-	// priority-ordered list. Written under the owning lock's internal
-	// mutex (at enqueue and by repositionWaiter when a mid-wait boost
-	// re-sorts the entry); a task waits on at most one lock at a time.
+	// priority-ordered list. Written under the lock's waitq.mu (at
+	// enqueue and by repositionWaiter when a mid-wait boost re-sorts the
+	// entry); a task waits on at most one lock at a time.
 	waitPrio Priority
 
 	// waitList publishes the lock whose waiter list this task is
-	// currently enqueued on. It is stored (before waitPrio is computed)
-	// ahead of the insert and cleared after the park resumes, so a
-	// booster that raised this task's priority mid-wait can re-sort the
-	// entry under that lock's own internal mutex (see repositionBoosted).
-	waitList atomic.Pointer[waitListRef]
+	// currently enqueued on, so a booster that raised this task's
+	// priority mid-wait can re-sort the entry (propagateBoost). Written
+	// under that lock's waitq.mu: stored, before waitPrio is computed,
+	// ahead of the insert, and cleared with waitingOn by the grant.
+	waitList atomic.Pointer[waitq]
 
 	// rslots records BRAVO slot read holds (RWMutex) so RUnlock can
 	// release the exact slot the acquire published into, even if the
@@ -135,23 +138,6 @@ type task struct {
 type rslotHold struct {
 	m  *RWMutex
 	sl *rwslot
-}
-
-// heldLock is a lock a task can hold and be boosted through: Mutex and
-// the write side of RWMutex. maxWaiterPrio reports the highest effective
-// priority among tasks currently blocked on the lock, or -1 when none.
-type heldLock interface {
-	maxWaiterPrio() Priority
-}
-
-// unheld drops one lock from the task's held list (task-private).
-func (t *task) unheld(l heldLock) {
-	for i, h := range t.held {
-		if h == l {
-			t.held = append(t.held[:i], t.held[i+1:]...)
-			break
-		}
-	}
 }
 
 // effPrio is the task's effective priority: its declared priority, or
@@ -397,23 +383,25 @@ func (e *PriorityInversionError) Error() string {
 
 // execTask runs t's body to completion on the current goroutine — the
 // fcreate fast path. A panic in the body (including a
-// PriorityInversionError from a nested Touch) fails the future; touching
-// a failed future re-panics the error in the toucher, so failures
-// propagate along join edges instead of crashing unrelated workers.
+// PriorityInversionError from a nested Touch) releases the locks the
+// task held and fails the future; touching a failed future re-panics the
+// error in the toucher, so failures propagate along join edges instead
+// of crashing unrelated workers or stranding later acquirers.
 // execTask returns only once the task has finished (it may park and be
 // resumed by other workers any number of times in between).
 func (rt *Runtime) execTask(g *gctx, t *task) {
 	t.ctx = Ctx{t: t, g: g}
 	c := &t.ctx
-	if rt.cfg.CollectMetrics {
+	if rt.cfg.collectMetrics {
 		t.firstRun = time.Now()
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			if rt.cfg.CollectMetrics {
+			if rt.cfg.collectMetrics {
 				t.done = time.Now()
 			}
 			rt.recordTask(t)
+			t.releaseHeld(c)
 			if err, ok := r.(error); ok {
 				t.fut.fail(fmt.Errorf("icilk: task %q panicked: %w", t.name, err))
 			} else {
@@ -429,7 +417,7 @@ func (rt *Runtime) execTask(g *gctx, t *task) {
 		// path: no goroutine, no channel operations, no promotion.
 		rt.stats.inlineRuns.Add(1)
 	}
-	if rt.cfg.CollectMetrics {
+	if rt.cfg.collectMetrics {
 		t.done = time.Now()
 	}
 	rt.recordTask(t)
