@@ -463,24 +463,16 @@ func lock(cfg experiments.EvalConfig) any {
 	fmt.Printf("%-28s %10.1f %14.1f %7.2fx  (vs sync.Mutex)\n",
 		"Mutex.Lock+Unlock", f.MutexLockUnlockNs, f.SyncMutexLockUnlockNs, f.MutexOverhead())
 	fmt.Printf("%-28s %10.1f %14s %8s\n", "Mutex.TryLock+Unlock", f.TryLockUnlockNs, "-", "-")
-	central := "-"
-	if f.RWMutexCentralRLockNs > 0 {
-		central = fmt.Sprintf("%7.2fx", f.RWMutexRLockRUnlockNs/f.RWMutexCentralRLockNs)
-	}
-	fmt.Printf("%-28s %10.1f %14.1f %8s  (vs centralized readers)\n",
-		"RWMutex.RLock+RUnlock", f.RWMutexRLockRUnlockNs, f.RWMutexCentralRLockNs, central)
+	fmt.Printf("%-28s %10.1f %14s %8s\n", "RWMutex.RLock+RUnlock", f.RWMutexRLockRUnlockNs, "-", "-")
 	fmt.Printf("%-28s %10.1f %14.1f %7.2fx  (vs atomic load)\n",
 		"Ref.Load", f.RefLoadNs, f.AtomicLoadNs, f.RefOverhead())
 	fmt.Printf("%-28s %10.1f %14.1f %7s  (vs atomic add)\n",
 		"Ref.Update", f.RefUpdateNs, f.AtomicAddNs, "-")
 	fmt.Println()
 	fmt.Printf("read-mostly scaling (1 write per 1024 reads, ~2µs read sections):\n")
-	fmt.Printf("%8s %16s %16s %16s %9s %9s\n",
-		"workers", "rw slotted op/s", "rw central op/s", "mutex ops/s", "speedup", "slotgain")
+	fmt.Printf("%8s %16s %16s %9s\n", "workers", "rwmutex ops/s", "mutex ops/s", "speedup")
 	for _, pt := range res.ReadScaling {
-		fmt.Printf("%8d %16.0f %16.0f %16.0f %8.2fx %8.2fx\n",
-			pt.Workers, pt.RWOpsPerSec, pt.RWCentralOpsPerSec, pt.MutexOpsPerSec,
-			pt.Speedup(), pt.SlotGain())
+		fmt.Printf("%8d %16.0f %16.0f %8.2fx\n", pt.Workers, pt.RWOpsPerSec, pt.MutexOpsPerSec, pt.Speedup())
 	}
 	fmt.Println()
 	return res

@@ -177,7 +177,6 @@ func TestLockFast(t *testing.T) {
 		"sync.Mutex": f.SyncMutexLockUnlockNs,
 		"trylock":    f.TryLockUnlockNs,
 		"rlock":      f.RWMutexRLockRUnlockNs,
-		"rlock-ctr":  f.RWMutexCentralRLockNs,
 		"ref.Load":   f.RefLoadNs,
 		"atomic":     f.AtomicLoadNs,
 		"ref.Update": f.RefUpdateNs,
@@ -190,21 +189,13 @@ func TestLockFast(t *testing.T) {
 	if r := f.MutexOverhead(); r > 10 {
 		t.Errorf("uncontended Mutex pair is %.1fx sync.Mutex; the CAS fast path has regressed", r)
 	}
-	// The slotted reader pair must stay near the centralized one (the
-	// acceptance bound is 1.5x; 4x here keeps CI timing noise from
-	// flaking the build while still catching the slot path regressing to
-	// something qualitatively slower, e.g. falling through to the
-	// centralized CAS every time plus the slot attempt).
-	if r := f.RWMutexRLockRUnlockNs / f.RWMutexCentralRLockNs; r > 4 {
-		t.Errorf("slotted RLock pair is %.1fx the centralized pair; the slot fast path has regressed", r)
-	}
 	if len(res.ReadScaling) == 0 {
 		t.Error("no read-scaling points")
 	}
 	for _, pt := range res.ReadScaling {
-		if pt.RWOpsPerSec <= 0 || pt.RWCentralOpsPerSec <= 0 || pt.MutexOpsPerSec <= 0 {
-			t.Errorf("workers=%d: zero throughput (rw=%.0f central=%.0f mutex=%.0f)",
-				pt.Workers, pt.RWOpsPerSec, pt.RWCentralOpsPerSec, pt.MutexOpsPerSec)
+		if pt.RWOpsPerSec <= 0 || pt.MutexOpsPerSec <= 0 {
+			t.Errorf("workers=%d: zero throughput (rw=%.0f mutex=%.0f)",
+				pt.Workers, pt.RWOpsPerSec, pt.MutexOpsPerSec)
 		}
 	}
 }

@@ -26,14 +26,8 @@ type LockFastPath struct {
 	SyncMutexLockUnlockNs float64 `json:"sync_mutex_lock_unlock_ns"`
 	// TryLockNs is one successful icilk.Mutex TryLock+Unlock pair.
 	TryLockUnlockNs float64 `json:"trylock_unlock_ns"`
-	// RWMutexRLockRUnlockNs is one uncontended read-mode pair on the
-	// default (BRAVO-slotted) reader fast path.
+	// RWMutexRLockRUnlockNs is one uncontended read-mode pair.
 	RWMutexRLockRUnlockNs float64 `json:"rwmutex_rlock_runlock_ns"`
-	// RWMutexCentralRLockNs is the same pair with the reader slots
-	// disabled (SetReaderSlots(false)) — the centralized CAS fast path.
-	// The slotted path trades a hair of single-reader cost for cross-core
-	// scalability; this pair bounds that hair.
-	RWMutexCentralRLockNs float64 `json:"rwmutex_central_rlock_runlock_ns"`
 	// RefLoadNs is one icilk.Ref Load (ceiling check + atomic load).
 	RefLoadNs float64 `json:"ref_load_ns"`
 	// AtomicLoadNs is the raw atomic.Int64 Load baseline.
@@ -62,19 +56,14 @@ func (f LockFastPath) RefOverhead() float64 {
 
 // RWScalePoint is one worker count of the read-mostly scaling curve:
 // total read-section throughput with the shared table behind an
-// icilk.RWMutex (slotted and centralized reader paths) versus an
-// icilk.Mutex. The read section does a few microseconds of real work
-// (a map probe plus a spin), so the curve measures whether readers run
-// in parallel, not just the lock word's cycle count.
+// icilk.RWMutex versus an icilk.Mutex. The read section does a few
+// microseconds of real work (a map probe plus a spin), so the curve
+// measures whether readers run in parallel, not just the lock word's
+// cycle count.
 type RWScalePoint struct {
-	Workers int `json:"workers"`
-	// RWOpsPerSec is the default RWMutex: BRAVO reader slots on.
-	RWOpsPerSec float64 `json:"rw_ops_per_sec"`
-	// RWCentralOpsPerSec is the RWMutex with SetReaderSlots(false):
-	// every reader CASes the one state word — the PR 4 fast path, kept
-	// as the ablation that isolates what the slots buy.
-	RWCentralOpsPerSec float64 `json:"rw_central_ops_per_sec"`
-	MutexOpsPerSec     float64 `json:"mutex_ops_per_sec"`
+	Workers        int     `json:"workers"`
+	RWOpsPerSec    float64 `json:"rw_ops_per_sec"`
+	MutexOpsPerSec float64 `json:"mutex_ops_per_sec"`
 }
 
 // Speedup is the RW/Mutex throughput ratio at this worker count.
@@ -83,15 +72,6 @@ func (p RWScalePoint) Speedup() float64 {
 		return 0
 	}
 	return p.RWOpsPerSec / p.MutexOpsPerSec
-}
-
-// SlotGain is the slotted/centralized RWMutex throughput ratio at this
-// worker count — what distributing the reader count bought.
-func (p RWScalePoint) SlotGain() float64 {
-	if p.RWCentralOpsPerSec == 0 {
-		return 0
-	}
-	return p.RWOpsPerSec / p.RWCentralOpsPerSec
 }
 
 // LockResult is the `lock` experiment's full payload.
@@ -166,14 +146,6 @@ func measureFastPaths() LockFastPath {
 			rw.RUnlock(c)
 		}
 	})
-	rwc := icilk.NewRWMutex(rt, 0, 0, "bench.rwmutex.central")
-	rwc.SetReaderSlots(false)
-	out.RWMutexCentralRLockNs = run(func(c *icilk.Ctx) {
-		for i := 0; i < fastPathIters; i++ {
-			rwc.RLock(c)
-			rwc.RUnlock(c)
-		}
-	})
 	ref := icilk.NewRef[int64](rt, 0, 1)
 	var sink int64
 	out.RefLoadNs = run(func(c *icilk.Ctx) {
@@ -223,31 +195,21 @@ func scaleWorkerCounts(max int) []int {
 	return out
 }
 
-// lockMode selects which primitive guards the read-mostly table in one
-// scaling cell.
-type lockMode int
-
-const (
-	modeRWSlotted lockMode = iota // RWMutex, BRAVO reader slots on (default)
-	modeRWCentral                 // RWMutex, slots off: centralized CAS readers
-	modeMutex                     // plain Mutex: readers serialize
-)
-
 // measureReadScaling runs the read-mostly workload (1 write per 1024
 // reads, a ~2µs read section over a shared table) on w workers, behind
-// each lock mode in turn, and reports total read-section throughput.
+// an RWMutex and then a Mutex, and reports total read-section
+// throughput.
 func measureReadScaling(w int, dur time.Duration) RWScalePoint {
 	if dur > 150*time.Millisecond {
 		dur = 150 * time.Millisecond // per (primitive, workers) cell
 	}
 	pt := RWScalePoint{Workers: w}
-	pt.RWOpsPerSec = readMostlyThroughput(w, dur, modeRWSlotted)
-	pt.RWCentralOpsPerSec = readMostlyThroughput(w, dur, modeRWCentral)
-	pt.MutexOpsPerSec = readMostlyThroughput(w, dur, modeMutex)
+	pt.RWOpsPerSec = readMostlyThroughput(w, dur, true)
+	pt.MutexOpsPerSec = readMostlyThroughput(w, dur, false)
 	return pt
 }
 
-func readMostlyThroughput(workers int, dur time.Duration, mode lockMode) float64 {
+func readMostlyThroughput(workers int, dur time.Duration, rwlock bool) float64 {
 	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1, DisableMetrics: true})
 	defer rt.Shutdown()
 
@@ -259,10 +221,6 @@ func readMostlyThroughput(workers int, dur time.Duration, mode lockMode) float64
 		rw = icilk.NewRWMutex(rt, 0, 0, "scale.rw")
 		mu = icilk.NewMutex(rt, 0, "scale.mu")
 	)
-	if mode == modeRWCentral {
-		rw.SetReaderSlots(false)
-	}
-	rwlock := mode != modeMutex
 	var stop atomic.Bool
 	var ops atomic.Int64
 	var futs []icilk.Future[int]

@@ -89,7 +89,6 @@ type schedCounters struct {
 	mutexParks    counter
 	rwReadParks   counter
 	rwWriteParks  counter
-	rwRevokes     counter
 	inherits      counter
 	transBoosts   counter
 	ceilings      counter
@@ -138,10 +137,10 @@ type SchedStats struct {
 	// contention observables of the reader/writer primitive.
 	RWReadParks  int64
 	RWWriteParks int64
-	// RWRevokes counts BRAVO bias revocations: a writer found an RWMutex
-	// read-biased and swept the distributed reader slots before (or
-	// while) acquiring. High values relative to write acquires mean the
-	// lock is write-heavy and spends its time re-arming.
+	// RWRevokes is always 0: RWMutex keeps no reader bias to revoke. The
+	// field, and its rwrevokes= token in String(), stay so that readers
+	// of this snapshot and of the /stats scheduler line keep the fields
+	// and the order they parse.
 	RWRevokes int64
 	// Inherits counts priority-inheritance events: a Mutex or RWMutex
 	// write holder's effective priority raised because a higher-priority
@@ -202,7 +201,6 @@ func (rt *Runtime) Stats() SchedStats {
 		MutexParks:        rt.stats.mutexParks.Load(),
 		RWReadParks:       rt.stats.rwReadParks.Load(),
 		RWWriteParks:      rt.stats.rwWriteParks.Load(),
-		RWRevokes:         rt.stats.rwRevokes.Load(),
 		Inherits:          rt.stats.inherits.Load(),
 		TransitiveBoosts:  rt.stats.transBoosts.Load(),
 		CeilingViolations: rt.stats.ceilings.Load(),

@@ -89,7 +89,7 @@ func (rt *Runtime) putTask(g *gctx, t *task) {
 	t.floor = 0
 	t.held = t.held[:0]
 	t.ordHeld = t.ordHeld[:0]
-	t.rslots = t.rslots[:0]
+	t.rheld = t.rheld[:0]
 	t.fwdBudget = 0
 	t.fwdVal = nil
 	t.fwdErr = nil

@@ -20,23 +20,6 @@ const (
 
 func rwReaders(s int64) int64 { return s >> rwReaderShift }
 
-// BRAVO slot parameters: at most rwSlotMax reader slots per lock (one
-// cache line each), and rwRearmAfter centralized reads after a
-// revocation before the slot fast path is re-enabled — the cooldown
-// that keeps a write-heavy phase from paying a revocation sweep per
-// write.
-const (
-	rwSlotMax    = 32
-	rwRearmAfter = 64
-)
-
-// rwslot is one distributed reader-count slot, padded to a cache line
-// so readers hashed to different slots never contend on one word.
-type rwslot struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // RWMutex is a scheduler-aware reader/writer lock with per-mode priority
 // ceilings and priority inheritance into the writer. It is the
 // primitive for read-mostly shared state — caches, session tables,
@@ -57,24 +40,17 @@ type rwslot struct {
 // reader or writer blocking behind a write holder raises that holder's
 // effective priority exactly like a Mutex waiter does (counted in
 // SchedStats.Inherits, re-leveled by the same duplicate-injection
-// kick). Read holders are anonymous — only a count, no identities — so
+// kick). The lock keeps its read holders as a count, not identities, so
 // a writer blocked behind readers parks without boosting anyone; the
 // ceiling discipline already guarantees those readers run at or below
 // the read ceiling, and granting the writer happens the moment the last
 // reader leaves.
 //
-// Fast paths: while the lock is read-biased (the default), an
-// uncontended RLock publishes into a per-worker slot array (hashed by
-// worker id) instead of CASing the shared state word — BRAVO-style
-// distributed reader counting, so readers on different cores touch
-// different cache lines and the read path scales with cores instead of
-// serializing on one word. A writer revokes the bias (set the wait bit,
-// clear the bias flag, sweep the slots) and readers fall back to the
-// centralized word — one CAS — until rwRearmAfter centralized reads
-// re-enable the bias. RUnlock is one atomic add (or slot decrement); an
-// uncontended Lock/Unlock is one CAS each, as for Mutex. Blocked
-// acquires of either mode park the task like an unresolved Touch
-// (SchedStats.RWReadParks / RWWriteParks), freeing its worker.
+// Fast paths: an uncontended RLock is one CAS on the state word and
+// RUnlock one atomic add; an uncontended Lock/Unlock is one CAS each,
+// as for Mutex. Blocked acquires of either mode park the task like an
+// unresolved Touch (SchedStats.RWReadParks / RWWriteParks), freeing its
+// worker.
 //
 // Grant policy: while a writer waits, newly arriving readers queue
 // instead of joining the running read era, and the drain of a read era
@@ -86,22 +62,20 @@ type rwslot struct {
 // contention; neither side starves, even with the read ceiling above
 // the write ceiling.
 //
-// RWMutex is not reentrant in either mode, and read holds are
-// invisible to it (a count, not identities): a task that RLocks while
-// already holding a read lock can deadlock once a writer queues between
-// the two acquires (the second RLock waits behind the writer, which
-// waits on the first hold — the same restriction as sync.RWMutex, but
-// undetectable here). Acquiring the write lock while holding a read
-// lock deadlocks the same way; RLock while holding the write lock
-// panics.
+// RWMutex is not reentrant in either mode, and it does not check read
+// reentrancy: a task that RLocks while already holding a read lock can
+// deadlock once a writer queues between the two acquires (the second
+// RLock waits behind the writer, which waits on the first hold — the
+// same restriction as sync.RWMutex). Acquiring the write lock while
+// holding a read lock deadlocks the same way; RLock while holding the
+// write lock panics. RUnlock must come from the task that took the read
+// hold.
 //
-// A task that panics while holding the lock releases what the lock can
-// attribute to it before its future fails: the write hold, through the
-// ordinary grant pass, and read holds published through a reader slot
-// (the task records those itself). A read hold taken on the centralized
-// word is anonymous — one more in a count — and stays held: a reader
-// that can panic under revoked bias can still strand the writers behind
-// it.
+// Every hold is recorded on its task — the write hold in task.held,
+// each read hold in task.rheld, whether it came through the fast path
+// or a grant — so a task that panics while holding the lock releases
+// all of it through the ordinary Unlock and RUnlock, and their grant
+// passes, before its future fails.
 type RWMutex struct {
 	rceil Priority
 	wceil Priority
@@ -112,33 +86,12 @@ type RWMutex struct {
 	state  atomic.Int64
 	wowner atomic.Pointer[task]
 
-	// BRAVO distributed reader counting. While rbias is set, RLock
-	// publishes a read hold by incrementing slots[workerID&slotMask] and
-	// re-checking the state word and the bias; the centralized CAS is the
-	// fallback. A writer that needs exclusivity sets rwWait FIRST, then
-	// clears rbias, then sweeps the slots — the ordering that makes a
-	// racing slot reader either visible to the sweep or bounced by its
-	// own post-increment recheck. rearm counts down centralized reads
-	// until the bias is re-enabled. noSlots disables the whole slot path
-	// (the lock experiment's ablation knob); it must be set before the
-	// lock is shared.
-	slots    []rwslot
-	slotMask uint32
-	rbias    atomic.Bool
-	rearm    atomic.Int32
-	noSlots  bool
-
 	// waitq is the slow path: the internal lock mu, the reader and
 	// writer waiter lists, and the block / hand-off protocol shared with
 	// Mutex. Whenever rwWait is set, every acquire and release
 	// serializes on mu, so the grant decisions below read a stable state
 	// word.
 	waitq
-
-	// drainW (under mu) is a writer that won the acquiring CAS during a
-	// bias-enable race and is parked waiting for the slot readers it
-	// raced with to drain; the last slot reader out requeues it.
-	drainW *task
 }
 
 // NewRWMutex creates an RWMutex with the given per-mode ceilings. The
@@ -150,31 +103,10 @@ func NewRWMutex(rt *Runtime, readCeiling, writeCeiling Priority, name string) *R
 		panic(fmt.Sprintf("icilk: NewRWMutex %q: read ceiling %d below write ceiling %d",
 			name, readCeiling, writeCeiling))
 	}
-	n := 1
-	for n < rt.cfg.Workers && n < rwSlotMax {
-		n <<= 1
-	}
-	m := &RWMutex{rceil: readCeiling, wceil: writeCeiling,
-		slots: make([]rwslot, n), slotMask: uint32(n - 1)}
+	m := &RWMutex{rceil: readCeiling, wceil: writeCeiling}
 	m.waitq.init(rt, "rwmutex", name, m, &m.wowner)
-	m.rbias.Store(true)
 	return m
 }
-
-// SetReaderSlots enables or disables the BRAVO slot fast path. With it
-// off, every reader uses the centralized CAS on the state word — the
-// pre-BRAVO behavior the lock experiment compares against. Must be
-// called before the lock is shared between tasks.
-func (m *RWMutex) SetReaderSlots(on bool) {
-	m.noSlots = !on
-	m.rbias.Store(on)
-}
-
-// ReadCeiling returns the ceiling checked against readers.
-func (m *RWMutex) ReadCeiling() Priority { return m.rceil }
-
-// WriteCeiling returns the ceiling checked against writers.
-func (m *RWMutex) WriteCeiling() Priority { return m.wceil }
 
 // RLock acquires the lock in read mode: shared with other readers,
 // exclusive against writers. A task above the read ceiling panics with a
@@ -191,109 +123,24 @@ func (m *RWMutex) RLock(c *Ctx) {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.rceil, Primitive: "rwmutex(read)", Name: m.name})
 	}
-	// BRAVO fast path: publish into this worker's slot, then re-check.
-	// Entry is only valid if the state word is still clean AND the bias
-	// is still set after the increment — the state check orders us
-	// against a writer mid-revocation (it dirties the word before
-	// sweeping, so either our increment is visible to its sweep or we
-	// see the dirty word here and undo), and the bias check closes the
-	// window where a completed revocation-plus-release left a clean word
-	// with the bias off (a writer's fast path trusts bias-off to mean
-	// the slots are empty).
-	if m.rbias.Load() {
-		if w := c.g.w; w != nil {
-			sl := &m.slots[uint32(w.id)&m.slotMask]
-			sl.n.Add(1)
-			if m.state.Load()&(rwWriter|rwWait) == 0 && m.rbias.Load() {
-				t.rslots = append(t.rslots, rslotHold{m: m, sl: sl})
-				m.recordAcquire(t)
-				return
-			}
-			m.slotRelease(sl) // undo; wakes a drain-waiting writer if we were last
-		}
-	}
 	for {
 		s := m.state.Load()
 		if s&(rwWriter|rwWait) != 0 {
 			m.rlockSlow(c, t, rt)
-			return
+			break
 		}
 		if m.state.CompareAndSwap(s, s+rwReaderInc) {
-			m.maybeRearm()
-			m.recordAcquire(t)
-			return
+			break
 		}
 	}
-}
-
-// maybeRearm re-enables the slot fast path after rwRearmAfter
-// centralized reads found the word write-free — BRAVO's cooldown, by
-// count rather than clock. Called only after a successful centralized
-// read CAS (so the word was clean a moment ago); turning the bias on
-// while a writer is active or arriving is harmless, because slot entry
-// re-checks the state word and the writer fast path re-checks the bias.
-func (m *RWMutex) maybeRearm() {
-	if m.noSlots || m.rbias.Load() {
-		return
-	}
-	if m.rearm.Add(-1) <= 0 {
-		m.rearm.Store(rwRearmAfter)
-		m.rbias.Store(true)
-	}
-}
-
-// slotSum is the distributed reader count. Transient entries from
-// readers about to undo can be included — callers treat a nonzero sum
-// as "readers may hold" and rely on the undo path running slotRelease,
-// which re-triggers the drain check.
-func (m *RWMutex) slotSum() int64 {
-	var n int64
-	for i := range m.slots {
-		n += m.slots[i].n.Load()
-	}
-	return n
-}
-
-// slotRelease drops one slot hold (or undoes a bounced slot entry) and,
-// under writer pressure, runs the drain check that grants or wakes the
-// writer the moment the distributed count reaches zero.
-func (m *RWMutex) slotRelease(sl *rwslot) {
-	if sl.n.Add(-1) < 0 {
-		panic("icilk: RWMutex.RUnlock of an unlocked RWMutex")
-	}
-	if m.state.Load()&(rwWriter|rwWait) != 0 {
-		m.slotDrainCheck()
-	}
-}
-
-// slotDrainCheck re-reads everything under the internal lock after a
-// slot release observed writer pressure: if the distributed count has
-// drained, either wake the drain-parked writer (which already holds the
-// writer bit) or run the ordinary grant pass.
-func (m *RWMutex) slotDrainCheck() {
-	m.mu.Lock()
-	if m.slotSum() != 0 {
-		m.mu.Unlock()
-		return
-	}
-	if dw := m.drainW; dw != nil {
-		m.drainW = nil
-		m.mu.Unlock()
-		m.rt.requeue(dw)
-		return
-	}
-	s := m.state.Load()
-	if s&rwWriter == 0 && rwReaders(s) == 0 && s&rwWait != 0 {
-		m.grantLocked(true) // releases mu
-		return
-	}
-	m.mu.Unlock()
+	t.rheld = append(t.rheld, m)
+	m.recordAcquire(t)
 }
 
 // rlockSlow re-checks under the internal lock (the writer may have just
 // released, or the wait bit may be stale), then queues behind the write
-// holder. On resume the read lock is already held: the granter counted
-// every granted reader into the state word before requeueing them.
+// holder. On return the read lock is held: either self-granted here, or
+// counted into the state word by the granter before it requeued us.
 func (m *RWMutex) rlockSlow(c *Ctx, t *task, rt *Runtime) {
 	if m.wowner.Load() == t {
 		panic("icilk: RWMutex.RLock by the current write holder")
@@ -304,7 +151,7 @@ func (m *RWMutex) rlockSlow(c *Ctx, t *task, rt *Runtime) {
 	// cannot exist in that configuration — every grant that clears the
 	// writer bit with no writers left drains the whole reader queue.)
 	// With only writers *queued* (readers hold the lock), there is no one
-	// to boost: read holders are anonymous.
+	// to boost: the lock does not know its read holders.
 	var holder *task
 	for {
 		s := m.state.Load()
@@ -321,14 +168,12 @@ func (m *RWMutex) rlockSlow(c *Ctx, t *task, rt *Runtime) {
 		}
 		if m.state.CompareAndSwap(s, ns) {
 			m.mu.Unlock()
-			m.recordAcquire(t)
 			return
 		}
 	}
 	if cyc := m.block(c, qRead, holder, &rt.stats.rwReadParks); cyc != nil {
 		panic(cyc)
 	}
-	m.recordAcquire(t)
 }
 
 // pinSlow sets rwWait, diverting every new reader and every release to
@@ -342,33 +187,25 @@ func (m *RWMutex) pinSlow() {
 	}
 }
 
-// RUnlock releases a read hold: a slot decrement when the hold was
-// published through the BRAVO slot array (the task-private rslots
-// record says which slot, so a task that migrated workers mid-hold
-// still releases the slot it incremented), or one atomic add on the
-// centralized word — plus a grant pass when this was the last reader
-// out and waiters are queued.
+// RUnlock releases a read hold the calling task took: it drops the
+// task's record of the hold, then one atomic add on the state word —
+// plus a grant pass when this was the last reader out and waiters are
+// queued.
 func (m *RWMutex) RUnlock(c *Ctx) {
 	if c == nil {
 		panic("icilk: RWMutex.RUnlock outside task context")
 	}
 	t := c.t
+	i := len(t.rheld) - 1
+	for i >= 0 && t.rheld[i] != m {
+		i--
+	}
+	if i < 0 {
+		panic("icilk: RWMutex.RUnlock by a task that holds no read lock on it")
+	}
+	t.rheld = append(t.rheld[:i], t.rheld[i+1:]...)
 	m.recordRelease(t)
-	for i := len(t.rslots) - 1; i >= 0; i-- {
-		if t.rslots[i].m == m {
-			sl := t.rslots[i].sl
-			copy(t.rslots[i:], t.rslots[i+1:])
-			t.rslots[len(t.rslots)-1] = rslotHold{}
-			t.rslots = t.rslots[:len(t.rslots)-1]
-			m.slotRelease(sl)
-			return
-		}
-	}
-	s := m.state.Add(-rwReaderInc)
-	if rwReaders(s) < 0 {
-		panic("icilk: RWMutex.RUnlock of an unlocked RWMutex")
-	}
-	if s&rwWait != 0 && rwReaders(s) == 0 {
+	if s := m.state.Add(-rwReaderInc); s&rwWait != 0 && rwReaders(s) == 0 {
 		m.runlockSlow()
 	}
 }
@@ -380,9 +217,7 @@ func (m *RWMutex) RUnlock(c *Ctx) {
 func (m *RWMutex) runlockSlow() {
 	m.mu.Lock()
 	s := m.state.Load()
-	if s&rwWriter != 0 || rwReaders(s) > 0 || s&rwWait == 0 || m.slotSum() != 0 {
-		// Slot readers still hold: the last of them re-runs this check
-		// from slotRelease, so bailing here cannot strand the grant.
+	if s&rwWriter != 0 || rwReaders(s) > 0 || s&rwWait == 0 {
 		m.mu.Unlock()
 		return
 	}
@@ -408,88 +243,28 @@ func (m *RWMutex) Lock(c *Ctx) {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.wceil, Primitive: "rwmutex(write)", Name: m.name})
 	}
-	// Fast path: completely free and not read-biased — one CAS. With the
-	// bias set, slot readers may hold invisibly to the state word, so the
-	// write acquire must go through the revocation sweep instead. The
-	// post-CAS bias re-check closes the enable race: a concurrent
-	// maybeRearm can set the bias between our load and our CAS, letting a
-	// slot reader in; seeing the bias after winning the CAS means slot
-	// holds are possible and must be revoked and drained before entering.
-	// Seeing it clear means any revocation completed before our CAS (an
-	// in-progress one holds rwWait, which would have failed the CAS) and
-	// drained the slots to zero, and no new slot reader can have entered
-	// against a bias-off lock.
-	if !m.rbias.Load() && m.state.CompareAndSwap(0, rwWriter) {
+	// Fast path: completely free — one CAS.
+	if m.state.CompareAndSwap(0, rwWriter) {
 		m.wowner.Store(t)
 		m.acquired(t)
-		if m.rbias.Load() {
-			m.revokeAndDrain(c, t, rt)
-		}
 		return
 	}
 	m.wlockSlow(c, t, rt)
 }
 
-// revokeAndDrain runs bias revocation for a writer that already holds
-// the writer bit (the fast-path enable race): pin releases to the slow
-// path, clear the bias, and if slot readers are still out, park as the
-// drain waiter until the last of them requeues us. The rwWait-then-
-// bias-clear order is what makes a racing slot reader either bounce on
-// its recheck or be counted by our sweep.
-func (m *RWMutex) revokeAndDrain(c *Ctx, t *task, rt *Runtime) {
-	m.mu.Lock()
-	m.pinSlow()
-	m.rbias.Store(false)
-	m.rearm.Store(rwRearmAfter)
-	rt.stats.rwRevokes.Add(1)
-	if m.slotSum() == 0 {
-		// Nothing to drain. Clear the wait bit if it is ours alone, so
-		// the release fast path stays a single CAS; with waiters queued
-		// it must stay set for the grant machinery.
-		if m.empty() {
-			for {
-				s := m.state.Load()
-				if m.state.CompareAndSwap(s, s&^rwWait) {
-					break
-				}
-			}
-		}
-		m.mu.Unlock()
-		return
-	}
-	g := c.g
-	g.prepare(t)
-	w := g.w // capture before t becomes resumable; see gctx.park
-	m.drainW = t
-	m.mu.Unlock()
-	rt.stats.rwWriteParks.Add(1)
-	g.park(rt, w)
-}
-
 // wlockSlow re-checks under the internal lock, then queues behind the
-// write holder, or behind the read era (read holders are anonymous:
-// there is no one to boost). On resume the write lock is held and
-// wowner already points at this task.
+// write holder, or behind the read era (the lock does not know its read
+// holders: there is no one to boost). On resume the write lock is held
+// and wowner already points at this task.
 func (m *RWMutex) wlockSlow(c *Ctx, t *task, rt *Runtime) {
 	if m.wowner.Load() == t {
 		panic("icilk: RWMutex is not reentrant: Lock by current write holder")
 	}
 	m.mu.Lock()
 	m.pinSlow()
-	// Revoke the reader bias under writer pressure — the standard BRAVO
-	// fallback. rwWait is already set (above), so a slot reader that
-	// raced past the bias check bounces on its state recheck, and one
-	// that made it in is visible to the slotSum reads below; the last
-	// slot reader out re-runs the grant check from slotRelease.
-	if m.rbias.Load() {
-		m.rbias.Store(false)
-		m.rearm.Store(rwRearmAfter)
-		rt.stats.rwRevokes.Add(1)
-	}
 	// Self-grant when fully free. Readers can still drain concurrently
-	// (their RUnlock is a plain add or slot decrement), so CAS until the
-	// picture is stable: the last reader out will find rwWait set and
-	// serialize on mu.
+	// (their RUnlock is a plain add), so CAS until the picture is stable:
+	// the last reader out will find rwWait set and serialize on mu.
 	var holder *task
 	for {
 		s := m.state.Load()
@@ -497,7 +272,7 @@ func (m *RWMutex) wlockSlow(c *Ctx, t *task, rt *Runtime) {
 			holder = m.resolveHolder()
 			break
 		}
-		if rwReaders(s) > 0 || m.slotSum() > 0 {
+		if rwReaders(s) > 0 {
 			break
 		}
 		if !m.empty() {

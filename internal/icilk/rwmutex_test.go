@@ -323,7 +323,7 @@ func TestRWMutexWriteInheritance(t *testing.T) {
 
 // TestRWMutexStressMultiLevel hammers one map-guarding RWMutex from
 // readers and writers at every admissible level, with parking write
-// sections — the -race workout for the grant machinery.
+// and read sections — the -race workout for the grant machinery.
 func TestRWMutexStressMultiLevel(t *testing.T) {
 	rt := testRuntime(t, Config{Workers: 4, Levels: 4, Prioritize: true})
 	m := NewRWMutex(rt, 3, 2, "stress")
@@ -348,12 +348,16 @@ func TestRWMutexStressMultiLevel(t *testing.T) {
 	}
 	for i := 0; i < readers; i++ {
 		p := Priority(i % 4) // ≤ read ceiling 3
+		park := i%5 == 0
 		futs = append(futs, Go(rt, nil, p, "r", func(c *Ctx) int {
 			sum := 0
 			for n := 0; n < rounds; n++ {
 				m.RLock(c)
 				for _, v := range table {
 					sum += v
+				}
+				if park {
+					IO(rt, p, 20*time.Microsecond, func() int { return 0 }).Touch(c)
 				}
 				m.RUnlock(c)
 				c.Checkpoint()
@@ -502,5 +506,162 @@ func TestMutexFastPathChurnRace(t *testing.T) {
 	}
 	if counter != tasks*rounds {
 		t.Errorf("counter = %d, want %d (lost updates across fast/slow paths)", counter, tasks*rounds)
+	}
+}
+
+// TestMutexMidWaitBoostReorders is the reposition regression test: a
+// waiter already enqueued on one Mutex is boosted (through a second
+// lock it holds) while parked, and the grant must respect its raised
+// priority — previously the waiter list kept the stale insertion-time
+// position, so a boost mid-wait could not overtake a higher-priority
+// waiter queued before it.
+func TestMutexMidWaitBoostReorders(t *testing.T) {
+	rt := testRuntime(t, Config{Workers: 2, Levels: 3, Prioritize: true})
+	m := NewMutex(rt, 1, "contended")
+	m2 := NewMutex(rt, 2, "boost-carrier")
+	gate := NewPromise[int](rt, 0)
+	locked := make(chan struct{})
+	holder := Go(rt, nil, 0, "holder", func(c *Ctx) int {
+		m.Lock(c)
+		close(locked)
+		gate.Future().Touch(c)
+		m.Unlock(c)
+		return 0
+	})
+	<-locked
+
+	var order []string
+	aHolds := make(chan struct{})
+	parksAtA := rt.Stats().MutexParks + 1
+	a := Go(rt, nil, 0, "waiter-a", func(c *Ctx) int {
+		m2.Lock(c) // uncontended: the lock the booster will arrive through
+		close(aHolds)
+		m.Lock(c) // parks at waitPrio 0
+		order = append(order, "a")
+		m.Unlock(c)
+		m2.Unlock(c)
+		return 0
+	})
+	<-aHolds
+	waitParks := func(want int64, who string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for rt.Stats().MutexParks < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never parked", who)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitParks(parksAtA, "waiter-a")
+
+	parksAtB := rt.Stats().MutexParks + 1
+	b := Go(rt, nil, 1, "waiter-b", func(c *Ctx) int {
+		m.Lock(c) // parks at waitPrio 1, ahead of a
+		order = append(order, "b")
+		m.Unlock(c)
+		return 0
+	})
+	waitParks(parksAtB, "waiter-b")
+
+	// The booster blocks on m2, boosting a to level 2 while a is parked
+	// on m — the mid-wait boost that must re-sort a ahead of b.
+	parksAtBoost := rt.Stats().MutexParks + 1
+	booster := Go(rt, nil, 2, "booster", func(c *Ctx) int {
+		m2.Lock(c)
+		m2.Unlock(c)
+		return 0
+	})
+	waitParks(parksAtBoost, "booster")
+	if rt.Stats().Inherits == 0 {
+		t.Fatal("booster should have boosted waiter-a through m2")
+	}
+
+	gate.Complete(0)
+	for _, f := range []Future[int]{holder, a, b, booster} {
+		if _, err := Await(f, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
+		t.Errorf("grant order = %v, want [a b]: the mid-wait boost must reposition waiter-a ahead of waiter-b", order)
+	}
+}
+
+// TestRWMutexMidWaitBoostReorders is the RW twin: two write waiters
+// queued behind a write holder, the lower-priority one boosted mid-wait
+// through a Mutex it holds; the write release must grant the boosted
+// waiter first.
+func TestRWMutexMidWaitBoostReorders(t *testing.T) {
+	rt := testRuntime(t, Config{Workers: 2, Levels: 3, Prioritize: true})
+	m := NewRWMutex(rt, 1, 1, "contended-rw")
+	m2 := NewMutex(rt, 2, "boost-carrier")
+	gate := NewPromise[int](rt, 0)
+	locked := make(chan struct{})
+	holder := Go(rt, nil, 0, "holder", func(c *Ctx) int {
+		m.Lock(c)
+		close(locked)
+		gate.Future().Touch(c)
+		m.Unlock(c)
+		return 0
+	})
+	<-locked
+
+	var order []string
+	aHolds := make(chan struct{})
+	wparksAtA := rt.Stats().RWWriteParks + 1
+	a := Go(rt, nil, 0, "writer-a", func(c *Ctx) int {
+		m2.Lock(c)
+		close(aHolds)
+		m.Lock(c) // write-waits at waitPrio 0
+		order = append(order, "a")
+		m.Unlock(c)
+		m2.Unlock(c)
+		return 0
+	})
+	<-aHolds
+	waitWParks := func(want int64, who string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for rt.Stats().RWWriteParks < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never parked", who)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitWParks(wparksAtA, "writer-a")
+
+	wparksAtB := rt.Stats().RWWriteParks + 1
+	b := Go(rt, nil, 1, "writer-b", func(c *Ctx) int {
+		m.Lock(c) // write-waits at waitPrio 1, ahead of a
+		order = append(order, "b")
+		m.Unlock(c)
+		return 0
+	})
+	waitWParks(wparksAtB, "writer-b")
+
+	mparks := rt.Stats().MutexParks + 1
+	booster := Go(rt, nil, 2, "booster", func(c *Ctx) int {
+		m2.Lock(c)
+		m2.Unlock(c)
+		return 0
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Stats().MutexParks < mparks {
+		if time.Now().After(deadline) {
+			t.Fatal("booster never parked on m2")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	gate.Complete(0)
+	for _, f := range []Future[int]{holder, a, b, booster} {
+		if _, err := Await(f, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
+		t.Errorf("grant order = %v, want [a b]: the mid-wait boost must reposition writer-a ahead of writer-b", order)
 	}
 }

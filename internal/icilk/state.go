@@ -43,9 +43,6 @@ func NewRef[T any](rt *Runtime, ceiling Priority, v T) *Ref[T] {
 	return r
 }
 
-// Ceiling returns the Ref's priority ceiling.
-func (r *Ref[T]) Ceiling() Priority { return r.ceiling }
-
 // check enforces the ceiling for task-context access. A nil Ctx marks
 // access from outside the runtime (harness goroutines, diagnostics),
 // which has no priority to violate.
@@ -98,24 +95,21 @@ func (r *Ref[T]) Update(c *Ctx, fn func(T) T) T {
 type StripedCounter struct {
 	rt      *Runtime
 	ceiling Priority
-	stripes []rwslot // reuse the padded-counter layout
+	stripes []counter
 	mask    uint32
 }
 
 // NewStripedCounter creates a zeroed StripedCounter with the given
 // ceiling, one stripe per worker (rounded up to a power of two, capped
-// like the RWMutex slot array).
+// at 32).
 func NewStripedCounter(rt *Runtime, ceiling Priority) *StripedCounter {
 	n := 1
-	for n < rt.cfg.Workers && n < rwSlotMax {
+	for n < rt.cfg.Workers && n < 32 {
 		n <<= 1
 	}
 	return &StripedCounter{rt: rt, ceiling: ceiling,
-		stripes: make([]rwslot, n), mask: uint32(n - 1)}
+		stripes: make([]counter, n), mask: uint32(n - 1)}
 }
-
-// Ceiling returns the StripedCounter's priority ceiling.
-func (k *StripedCounter) Ceiling() Priority { return k.ceiling }
 
 func (k *StripedCounter) check(c *Ctx) {
 	if c == nil {
@@ -134,7 +128,7 @@ func (k *StripedCounter) Add(c *Ctx, d int64) {
 	if c != nil {
 		i = uint32(c.WorkerID()) & k.mask
 	}
-	k.stripes[i].n.Add(d)
+	k.stripes[i].Add(d)
 }
 
 // Load sums the stripes. Concurrent Adds may or may not be included;
@@ -143,7 +137,7 @@ func (k *StripedCounter) Load(c *Ctx) int64 {
 	k.check(c)
 	var n int64
 	for i := range k.stripes {
-		n += k.stripes[i].n.Load()
+		n += k.stripes[i].Load()
 	}
 	return n
 }
@@ -221,9 +215,6 @@ func NewMutex(rt *Runtime, ceiling Priority, name string) *Mutex {
 	m.waitq.init(rt, "mutex", name, m, &m.owner)
 	return m
 }
-
-// Ceiling returns the Mutex's priority ceiling.
-func (m *Mutex) Ceiling() Priority { return m.ceiling }
 
 // Lock acquires the Mutex, parking the task (and freeing its worker)
 // while another task holds it. Acquiring from a task whose declared

@@ -113,10 +113,11 @@ type task struct {
 	// ahead of the insert, and cleared with waitingOn by the grant.
 	waitList atomic.Pointer[waitq]
 
-	// rslots records BRAVO slot read holds (RWMutex) so RUnlock can
-	// release the exact slot the acquire published into, even if the
-	// task migrated workers while holding. Task-private, like held.
-	rslots []rslotHold
+	// rheld lists the RWMutex read holds this task currently has, one
+	// entry per hold, newest last: RLock appends, RUnlock drops, and a
+	// panicking task releases what is left (releaseHeld). Task-private,
+	// like held.
+	rheld []*RWMutex
 
 	// fwdVal/fwdErr deliver a touched future's outcome to this task
 	// while it is parked as a waiter: finish writes them before the
@@ -131,13 +132,6 @@ type task struct {
 	fwdBudget int32
 	fwdVal    any
 	fwdErr    error
-}
-
-// rslotHold is one slot-path read hold: the lock and the slot counter
-// the acquire incremented.
-type rslotHold struct {
-	m  *RWMutex
-	sl *rwslot
 }
 
 // effPrio is the task's effective priority: its declared priority, or

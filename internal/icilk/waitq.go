@@ -299,9 +299,9 @@ func inheritInto(rt *Runtime, holder, waiter *task) bool {
 // are unlocked, so a holder can have released or a waiter been granted
 // since: the re-sort then finds nothing, or a task is boosted that no
 // longer blocks the chain — a transient over-boost that dropBoost and
-// shedSpawnBoost shed. Chains end silently at anonymous read holders
-// and at drain-parked writers (neither publishes an edge), the same
-// visibility limit the deadlock walk has.
+// shedSpawnBoost shed. Chains end silently at read holders (the lock
+// keeps a count, not identities), the same visibility limit the
+// deadlock walk has.
 func propagateBoost(rt *Runtime, holder *task) {
 	cur := holder
 	for hop := 0; hop < maxCycleWalk; hop++ {
@@ -324,17 +324,15 @@ func propagateBoost(rt *Runtime, holder *task) {
 }
 
 // releaseHeld is what a task that dies with locks held runs before its
-// future fails: every exclusive hold goes through the ordinary
-// Unlock (and so its hand-off), newest first, and every slot read hold
-// through slotRelease, so one panic cannot park every later acquirer
-// forever. Centralized read holds are a bare count with no record of
-// who holds them and cannot be released here.
+// future fails: every exclusive hold goes through the ordinary Unlock
+// and every read hold through the ordinary RUnlock, newest first, each
+// with its hand-off or grant pass, so one panic cannot park every later
+// acquirer forever.
 func (t *task) releaseHeld(c *Ctx) {
 	for len(t.held) > 0 {
 		t.held[len(t.held)-1].lock.Unlock(c)
 	}
-	for _, h := range t.rslots {
-		h.m.slotRelease(h.sl)
+	for len(t.rheld) > 0 {
+		t.rheld[len(t.rheld)-1].RUnlock(c)
 	}
-	t.rslots = t.rslots[:0]
 }

@@ -145,28 +145,50 @@ func TestDeadlockWalkNeedsAStablePath(t *testing.T) {
 	}
 }
 
-// TestPanickingHolderReleasesLocks: a task dies holding a Mutex with a
-// parked waiter and a slot read hold on an RWMutex with a queued writer.
-// Both waiters must acquire, the panic must surface on the dead task's
-// future, and the runtime must drain. One worker and the gate order it:
-// both waiters are parked before the holder resumes and panics.
+// TestPanickingHolderReleasesLocks: a task dies holding a Mutex, a
+// fast-path read hold on one RWMutex and a read hold on a second that it
+// was granted after parking behind a writer, with a waiter queued behind
+// each hold. Every waiter must acquire, the panic must surface on the
+// dead task's future, and the runtime must drain. One worker and the
+// gates order it: the holder parks on rw2 before the writer there
+// releases, and every waiter is parked before the holder resumes and
+// panics.
 func TestPanickingHolderReleasesLocks(t *testing.T) {
 	rt := testRuntime(t, Config{Workers: 1, Levels: 1})
 	m := NewMutex(rt, 0, "m")
 	rw := NewRWMutex(rt, 0, 0, "rw")
+	rw2 := NewRWMutex(rt, 0, 0, "rw2")
 	gate := NewPromise[int](rt, 0)
+	wrHolds, wrRelease := NewPromise[int](rt, 0), NewPromise[int](rt, 0)
 	var arrived atomic.Int32
 	arrive := func() {
-		if arrived.Add(1) == 2 {
+		if arrived.Add(1) == 3 {
 			gate.Complete(0)
 		}
 	}
-	var w1, w2 Future[int]
+	var holder *task
+	var wr, w1, w2, w3 Future[int]
 	dead := Go(rt, nil, 0, "dies", func(c *Ctx) int {
+		holder = c.t
 		m.Lock(c)
 		rw.RLock(c)
-		if len(c.t.rslots) != 1 {
-			t.Error("read hold did not take the slot path")
+		if len(c.t.rheld) != 1 {
+			t.Error("fast-path read hold not recorded on its task")
+		}
+		wr = Go(rt, c, 0, "wr", func(c *Ctx) int {
+			rw2.Lock(c)
+			wrHolds.Complete(0)
+			wrRelease.Future().Touch(c)
+			rw2.Unlock(c)
+			return 4
+		})
+		wrHolds.Future().Touch(c)
+		// wr cannot run until this task parks: the RLock below queues
+		// behind its write hold and is granted by its Unlock.
+		wrRelease.Complete(0)
+		rw2.RLock(c)
+		if len(c.t.rheld) != 2 || rt.Stats().RWReadParks != 1 {
+			t.Errorf("read hold on rw2 not granted after a park: rheld %d, %+v", len(c.t.rheld), rt.Stats())
 		}
 		w1 = Go(rt, c, 0, "w1", func(c *Ctx) int {
 			arrive()
@@ -180,8 +202,14 @@ func TestPanickingHolderReleasesLocks(t *testing.T) {
 			rw.Unlock(c)
 			return 2
 		})
+		w3 = Go(rt, c, 0, "w3", func(c *Ctx) int {
+			arrive()
+			rw2.Lock(c)
+			rw2.Unlock(c)
+			return 3
+		})
 		gate.Future().Touch(c)
-		if s := rt.Stats(); s.MutexParks != 1 || s.RWWriteParks != 1 {
+		if s := rt.Stats(); s.MutexParks != 1 || s.RWWriteParks != 2 {
 			t.Errorf("waiters not parked before the panic: %+v", s)
 		}
 		panic("boom")
@@ -189,7 +217,7 @@ func TestPanickingHolderReleasesLocks(t *testing.T) {
 	if _, err := Await(dead, 10*time.Second); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("Await on the panicked task = %v, want its panic", err)
 	}
-	for i, f := range []Future[int]{w1, w2} {
+	for i, f := range []Future[int]{w1, w2, w3, wr} {
 		if v, err := Await(f, 10*time.Second); err != nil || v != i+1 {
 			t.Errorf("waiter %d: v=%d err=%v", i+1, v, err)
 		}
@@ -197,8 +225,11 @@ func TestPanickingHolderReleasesLocks(t *testing.T) {
 	if err := rt.WaitIdle(10 * time.Second); err != nil {
 		t.Error(err)
 	}
-	if m.state.Load() != 0 || rw.state.Load() != 0 || rw.slotSum() != 0 {
-		t.Errorf("locks not free at the end: mutex %#x rwmutex %#x slots %d",
-			m.state.Load(), rw.state.Load(), rw.slotSum())
+	if len(holder.rheld) != 0 {
+		t.Errorf("dead task still records %d read holds", len(holder.rheld))
+	}
+	if m.state.Load() != 0 || rw.state.Load() != 0 || rw2.state.Load() != 0 {
+		t.Errorf("locks not free at the end: mutex %#x rw %#x rw2 %#x",
+			m.state.Load(), rw.state.Load(), rw2.state.Load())
 	}
 }

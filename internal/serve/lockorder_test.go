@@ -29,7 +29,7 @@ func TestLockOrderReportNamesServeShards(t *testing.T) {
 	rt := s.Runtime()
 	a := s.sess.shards[0].mu
 	b := s.sess.shards[1].mu
-	p := a.WriteCeiling()
+	p := derivedCeiling("serve.sessions")
 	for _, order := range [][2]*icilk.RWMutex{{a, b}, {b, a}} {
 		order := order
 		f := icilk.Go(rt, nil, p, "crossed", func(c *icilk.Ctx) int {

@@ -13,8 +13,8 @@ import (
 // key-addressed, read-mostly — so they are key-hashed into N shards
 // (N ≈ workers, power-of-two mask), each behind its own ceilinged
 // RWMutex; two requests touching different keys almost never meet on a
-// lock, and within a shard the BRAVO reader slots keep concurrent
-// lookups off each other's cache lines. The admission table is an
+// lock, and lookups within a shard share it as readers, each paying one
+// CAS on the lock's state word. The admission table is an
 // accumulator — write-hot, read only by /stats — so it is striped by
 // worker id and merged at read time. Every shard lock's ceilings come
 // from the same fail-fast derivation (derivedCeiling) the unsharded
