@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/huffman"
 	"repro/internal/icilk"
 	"repro/internal/simio"
@@ -100,11 +99,17 @@ type email struct {
 // append under it while sort, print/compress, and the check scan lock it
 // from below, so a send blocking behind a mid-sort mailbox boosts the
 // sorter to the send level.
+//
+// slots is the paper's coordination array: "within each user's inbox
+// data structure is an array indexed using the email ID where any thread
+// attempting to print or compress the email will store its own handle"
+// (Section 5.1). A print or compress Swaps its own handle into the
+// email's slot and touches the previous occupant before proceeding.
 type mailbox struct {
 	mu     *icilk.Mutex
 	emails []*email
 	order  []int // display order, updated by sort
-	slots  *conc.SlotTable
+	slots  []atomic.Pointer[icilk.Handle]
 }
 
 // newEmail builds one message with its ceilinged body lock.
@@ -160,7 +165,7 @@ func NewServer(rt *icilk.Runtime, cfg Config) *Server {
 	for u := 0; u < cfg.Users; u++ {
 		box := &mailbox{
 			mu:    icilk.NewMutex(rt, PrioSend, "email.mailbox"),
-			slots: conc.NewSlotTable(cfg.EmailsPerUser * 4),
+			slots: make([]atomic.Pointer[icilk.Handle], cfg.EmailsPerUser*4),
 		}
 		for e := 0; e < cfg.EmailsPerUser; e++ {
 			box.emails = append(box.emails,
@@ -362,8 +367,8 @@ func (s *Server) print(c *icilk.Ctx, box *mailbox, eid int, self icilk.Future[in
 	e := box.emails[eid]
 	box.mu.Unlock(c)
 
-	if eid < box.slots.Len() {
-		if prev := box.slots.Swap(eid, self.Untyped()); prev != nil {
+	if eid < len(box.slots) {
+		if prev := box.slots[eid].Swap(self.Untyped()); prev != nil {
 			prev.Touch(c) // wait for the in-flight compress/print
 		}
 	}
@@ -387,8 +392,8 @@ func (s *Server) print(c *icilk.Ctx, box *mailbox, eid int, self icilk.Future[in
 func (s *Server) compress(c *icilk.Ctx, box *mailbox, e *email, count *atomic.Int64) {
 	icilk.GoSelf(s.rt, c, PrioCompress, "compress",
 		func(c *icilk.Ctx, self icilk.Future[int]) int {
-			if e.id < box.slots.Len() {
-				if prev := box.slots.Swap(e.id, self.Untyped()); prev != nil {
+			if e.id < len(box.slots) {
+				if prev := box.slots[e.id].Swap(self.Untyped()); prev != nil {
 					prev.Touch(c) // wait for in-flight print
 				}
 			}

@@ -2,6 +2,7 @@ package email
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,6 +103,52 @@ func TestPrintDecompressesCorrectly(t *testing.T) {
 	}
 	if !bytes.Equal(dec, original) {
 		t.Error("compressed body corrupted by print")
+	}
+}
+
+// TestMailboxSlotPrintCompressProtocol: the Section 5.1 protocol on a
+// mailbox slot. A print task installs its handle in the email's slot;
+// compress swaps in its own, finds the print handle, and touches it
+// before compressing — so the body is still plain text when the print
+// finishes.
+func TestMailboxSlotPrintCompressProtocol(t *testing.T) {
+	rt := icilk.New(icilk.Config{Workers: 2, Levels: Levels, Prioritize: true})
+	defer rt.Shutdown()
+	srv := &Server{rt: rt}
+	box := newTestMailbox(rt, 2)
+	e := box.emails[1]
+
+	printGate := make(chan struct{})
+	var compressedMidPrint atomic.Bool
+	printFut := icilk.GoSelf(rt, nil, PrioCompress, "print",
+		func(c *icilk.Ctx, self icilk.Future[int]) int {
+			box.slots[e.id].Swap(self.Untyped())
+			close(printGate)
+			busy := time.Now().Add(2 * time.Millisecond)
+			for time.Now().Before(busy) {
+			}
+			e.mu.Lock(c)
+			compressedMidPrint.Store(e.compressed)
+			e.mu.Unlock(c)
+			return 0
+		})
+	<-printGate
+	var compresses atomic.Int64
+	icilk.Go(rt, nil, PrioCheck, "check", func(c *icilk.Ctx) int {
+		srv.compress(c, box, e, &compresses)
+		return 0
+	})
+	if _, err := icilk.Await(printFut, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.WaitIdle(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if compressedMidPrint.Load() {
+		t.Error("compress ran while the print holding the slot was in flight")
+	}
+	if n := compresses.Load(); n != 1 {
+		t.Errorf("compresses = %d, want 1", n)
 	}
 }
 

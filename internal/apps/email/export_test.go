@@ -2,8 +2,8 @@ package email
 
 import (
 	"fmt"
+	"sync/atomic"
 
-	"repro/internal/conc"
 	"repro/internal/icilk"
 	"repro/internal/simio"
 )
@@ -19,7 +19,7 @@ func deviceForTest(cfg Config) *simio.Device {
 func newTestMailbox(rt *icilk.Runtime, n int) *mailbox {
 	box := &mailbox{
 		mu:    icilk.NewMutex(rt, PrioSend, "email.mailbox"),
-		slots: conc.NewSlotTable(n * 2),
+		slots: make([]atomic.Pointer[icilk.Handle], n*2),
 	}
 	for e := 0; e < n; e++ {
 		box.emails = append(box.emails, newEmail(rt, e, fmt.Sprintf("s-%d", e), body(0, e)))

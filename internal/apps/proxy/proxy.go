@@ -106,13 +106,13 @@ func site(url string) string {
 // lookups from concurrent event loops never serialize against each
 // other, and an event loop blocking behind a mid-fill fetcher boosts
 // the fetcher to the event level rather than letting the fill stall the
-// interactive class behind batch work. The cache is key-hashed into
-// one shard per worker (each under its own per-mode-ceilinged RWMutex),
-// so a fetcher filling one URL never blocks lookups of any other, and
-// concurrent lookups of different URLs take different locks entirely.
+// interactive class behind batch work. The cache is an
+// icilk.ShardedMap, key-hashed across per-shard locks with those
+// ceilings, so a fetcher filling one URL never blocks lookups of any
+// other, and concurrent lookups of different URLs take different locks
+// entirely.
 type Service struct {
-	shards []cacheShard
-	mask   uint32
+	cache  *icilk.ShardedMap[string]
 	origin *simio.Device
 	// Hits and Misses are ceilinged worker-striped counters
 	// (allocation-free atomic bumps on the caller's stripe); harness and
@@ -121,54 +121,22 @@ type Service struct {
 	Misses *icilk.StripedCounter
 }
 
-// cacheShard is one key-hash shard of the proxy cache.
-type cacheShard struct {
-	mu *icilk.RWMutex
-	m  map[string]string
-}
-
-// fnv32a hashes a URL to its shard (FNV-1a, inlined to avoid a
-// hash.Hash32 allocation per lookup).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // NewService creates a proxy core on rt with the given origin latency.
-// Each cache shard's read ceiling is PrioEvent (event loops are its
-// highest readers); its write ceiling is PrioFetch (fetchers fill it).
+// The cache's read ceiling is PrioEvent (event loops are its highest
+// readers); its write ceiling is PrioFetch (fetchers fill it).
 func NewService(rt *icilk.Runtime, lat simio.Latency, seed int64) *Service {
-	nshards := 1
-	for nshards < rt.Workers() && nshards < 32 {
-		nshards <<= 1
-	}
-	s := &Service{
-		shards: make([]cacheShard, nshards),
-		mask:   uint32(nshards - 1),
+	return &Service{
+		cache:  icilk.NewShardedMap[string](rt, PrioEvent, PrioFetch, "proxy.cache"),
 		origin: simio.NewDevice("origin", lat, seed),
 		Hits:   icilk.NewStripedCounter(rt, PrioEvent),
 		Misses: icilk.NewStripedCounter(rt, PrioEvent),
 	}
-	for i := range s.shards {
-		s.shards[i] = cacheShard{
-			mu: icilk.NewRWMutex(rt, PrioEvent, PrioFetch, fmt.Sprintf("proxy.cache/%d", i)),
-			m:  map[string]string{},
-		}
-	}
-	return s
 }
 
 // Lookup consults the URL's cache shard from the calling task (a read
 // lock: lookups run in parallel), counting the hit or miss.
 func (s *Service) Lookup(c *icilk.Ctx, url string) (string, bool) {
-	sh := &s.shards[fnv32a(url)&s.mask]
-	sh.mu.RLock(c)
-	body, ok := sh.m[url]
-	sh.mu.RUnlock(c)
+	body, ok := s.cache.Get(c, url)
 	if ok {
 		s.Hits.Add(c, 1)
 	} else {
@@ -186,10 +154,8 @@ func (s *Service) Fetch(rt *icilk.Runtime, c *icilk.Ctx, p icilk.Priority, url s
 	}).Touch(c)
 	spin(150 * time.Microsecond) // parse/validate
 	c.Checkpoint()
-	sh := &s.shards[fnv32a(url)&s.mask]
-	sh.mu.Lock(c) // write lock: the fill is the shard's only mutation
-	sh.m[url] = body
-	sh.mu.Unlock(c)
+	// Write lock: the fill is the cache's only mutation.
+	s.cache.Update(c, url, func(m map[string]string) { m[url] = body })
 	return body
 }
 

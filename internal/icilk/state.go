@@ -99,14 +99,22 @@ type StripedCounter struct {
 	mask    uint32
 }
 
-// NewStripedCounter creates a zeroed StripedCounter with the given
-// ceiling, one stripe per worker (rounded up to a power of two, capped
-// at 32).
-func NewStripedCounter(rt *Runtime, ceiling Priority) *StripedCounter {
+// stripes is the stripe count of StripedCounter and the shard count of
+// ShardedMap: one per worker, rounded up to a power of two so a mask
+// picks the stripe, capped at 32 so a huge worker count cannot balloon
+// per-structure memory.
+func stripes(workers int) int {
 	n := 1
-	for n < rt.cfg.Workers && n < 32 {
+	for n < workers && n < 32 {
 		n <<= 1
 	}
+	return n
+}
+
+// NewStripedCounter creates a zeroed StripedCounter with the given
+// ceiling and stripes(workers) stripes.
+func NewStripedCounter(rt *Runtime, ceiling Priority) *StripedCounter {
+	n := stripes(rt.cfg.Workers)
 	return &StripedCounter{rt: rt, ceiling: ceiling,
 		stripes: make([]counter, n), mask: uint32(n - 1)}
 }

@@ -7,10 +7,10 @@ import (
 
 // TestDerivedCeilings pins the construction-time derivation: every
 // shared store's ceiling is the max priority among its declared
-// accessor classes — PrioInteractive for all three stores today, since
-// the event loop and the interactive handlers are the only accessors.
+// accessor classes — PrioInteractive for every store today, since the
+// event loop and the interactive handlers are the only accessors.
 func TestDerivedCeilings(t *testing.T) {
-	for _, store := range []string{"serve.admitted", "serve.sessions", "serve.rcache"} {
+	for store := range storeAccessors {
 		if got := derivedCeiling(store); got != PrioInteractive {
 			t.Errorf("%s: derived ceiling %d, want %d", store, got, PrioInteractive)
 		}

@@ -31,19 +31,20 @@ type handlerFn func(c *icilk.Ctx, self icilk.Future[int]) (int, string)
 // priority inversion regardless of the two handlers' classes.
 func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 	class, prio, run, self := s.route(req)
-	if reason, ok := s.admitOrShed(class); !ok {
+	cs := s.classes[class]
+	if reason, ok := s.admitOrShed(class, cs); !ok {
 		s.shedResponse(c, cn, class, prio, reason)
 		return
 	}
-	s.countAdmit(c, class)
+	// The event loop counts the admission, so the counter's ceiling
+	// check sees the true accessor priority; the stripe is the calling
+	// worker's, so concurrent event loops never contend here.
+	cs.admitted.Add(c, 1)
 	s.trackSession(c, cn, req)
 	admitted := time.Now()
 	ddl := s.deadlineFor(class)
-	inflight := s.classInflight[class]
 	s.inflight.Add(1)
-	if inflight != nil {
-		inflight.Add(1)
-	}
+	cs.inflight.Add(1)
 	prev := cn.lastWrite
 	// Pool-sourced: the order token is touched exactly once, by the
 	// successor handler, which releases it (TouchRelease below). The
@@ -80,9 +81,7 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 			// Inflight retires only after the response write: the drain
 			// phase's inflight==0 means every admitted request's bytes
 			// are on (or refused by) its socket, not merely computed.
-			if inflight != nil {
-				inflight.Add(-1)
-			}
+			cs.inflight.Add(-1)
 			s.inflight.Add(-1)
 			if !completed {
 				token.Complete(-1) // backstop: never strand the successor
@@ -114,7 +113,7 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 		}()
 		extra := ""
 		if timedOut {
-			s.timeouts.add(c, class)
+			cs.timeouts.Add(c, 1)
 			extra = overloadHeaders("deadline")
 		}
 		prev.TouchRelease(c) // sole toucher of the predecessor's token
@@ -130,14 +129,12 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 // configured watermark sheds its own new arrivals while every other
 // class proceeds — overload in the batch tier never costs an
 // interactive admission.
-func (s *Server) admitOrShed(class string) (reason string, ok bool) {
+func (s *Server) admitOrShed(class string, cs *classStats) (reason string, ok bool) {
 	if s.draining.Load() {
 		return "draining", false
 	}
-	if lim := s.cfg.ShedLimits[class]; lim > 0 {
-		if ctr := s.classInflight[class]; ctr != nil && ctr.Load() >= int64(lim) {
-			return "shed", false
-		}
+	if lim := s.cfg.ShedLimits[class]; lim > 0 && cs.inflight.Load() >= int64(lim) {
+		return "shed", false
 	}
 	return "", true
 }
@@ -151,7 +148,7 @@ func (s *Server) admitOrShed(class string) (reason string, ok bool) {
 // as inflight — during drain they are the only admissions, and counting
 // them would hold the drain open.
 func (s *Server) shedResponse(c *icilk.Ctx, cn *sconn, class string, prio icilk.Priority, reason string) {
-	s.shed.add(c, class)
+	s.classes[class].shed.Add(c, 1)
 	prev := cn.lastWrite
 	token := icilk.NewPromiseIn[int](c, PrioInteractive)
 	cn.lastWrite = token.Future()
@@ -366,28 +363,38 @@ func (s *Server) statsBody(c *icilk.Ctx) string {
 	fmt.Fprintf(&b, "writes direct=%d fallback=%d\n", s.writesDirect.Load(), s.writesFallback.Load())
 	fmt.Fprintf(&b, "proxy cache: %d hits, %d misses\n",
 		s.proxy.Hits.Load(c), s.proxy.Misses.Load(c))
-	fmt.Fprintf(&b, "response cache: %d entries, %d hits\n",
-		s.rcache.entries(c), s.rcacheHits.Load(c))
-	sessN, sessReqs := s.sess.counts(c)
+	rcN := 0
+	s.rcache.Range(c, func(m map[string]string) { rcN += len(m) })
+	fmt.Fprintf(&b, "response cache: %d entries, %d hits\n", rcN, s.rcacheHits.Load(c))
+	var sessN int
+	var sessReqs int64
+	s.sess.Range(c, func(m map[string]*session) {
+		sessN += len(m)
+		for _, sess := range m {
+			sessReqs += sess.requests
+		}
+	})
 	fmt.Fprintf(&b, "sessions: %d tracked, %d requests\n", sessN, sessReqs)
-	writeClassCounts := func(title string, m map[string]int64) {
-		classes := make([]string, 0, len(m))
-		for cl := range m {
-			classes = append(classes, cl)
-		}
-		sort.Strings(classes)
-		b.WriteString(title + ":\n")
+	// Per-class tallies list only the classes with a nonzero count.
+	classes := make([]string, 0, len(s.classes))
+	for cl := range s.classes {
+		classes = append(classes, cl)
+	}
+	sort.Strings(classes)
+	writeClassCounts := func(title string, always bool, ctr func(*classStats) *icilk.StripedCounter) {
+		var lines strings.Builder
 		for _, cl := range classes {
-			fmt.Fprintf(&b, "  %-16s %d\n", cl, m[cl])
+			if n := ctr(s.classes[cl]).Load(c); n != 0 {
+				fmt.Fprintf(&lines, "  %-16s %d\n", cl, n)
+			}
+		}
+		if always || lines.Len() > 0 {
+			b.WriteString(title + ":\n" + lines.String())
 		}
 	}
-	writeClassCounts("admitted per class", s.Admitted(c))
-	if shed := s.shed.merged(c); len(shed) > 0 {
-		writeClassCounts("shed per class", shed)
-	}
-	if to := s.timeouts.merged(c); len(to) > 0 {
-		writeClassCounts("deadline misses per class", to)
-	}
+	writeClassCounts("admitted per class", true, func(cs *classStats) *icilk.StripedCounter { return cs.admitted })
+	writeClassCounts("shed per class", false, func(cs *classStats) *icilk.StripedCounter { return cs.shed })
+	writeClassCounts("deadline misses per class", false, func(cs *classStats) *icilk.StripedCounter { return cs.timeouts })
 	if fl := s.cfg.Faults; fl != nil {
 		fmt.Fprintf(&b, "injected faults: %v\n", fl.Stats())
 	}

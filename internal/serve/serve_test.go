@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"net/textproto"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/apps/jserver"
+	"repro/internal/icilk"
 )
 
 // testServer starts a server with small job kernels on a free port.
@@ -280,5 +282,40 @@ func TestSessionAndResponseCache(t *testing.T) {
 	}
 	if rcHits < 1 {
 		t.Errorf("response cache hits = %d, want >= 1", rcHits)
+	}
+}
+
+// TestStoreCaps pushes more distinct keys than each cap through the
+// session store and the response cache: neither grows past its cap, and
+// the newest key survives the eviction it triggered.
+func TestStoreCaps(t *testing.T) {
+	s := testServer(t, Config{})
+	var sessN, rcN int
+	var newestSess, newestBody bool
+	f := icilk.Go(s.Runtime(), nil, PrioInteractive, "caps", func(c *icilk.Ctx) int {
+		const extra = 500
+		var key string
+		for i := 0; i < maxSessions+extra; i++ {
+			key = fmt.Sprintf("sid-%d", i)
+			s.trackSession(c, nil, &request{path: "/ping", query: url.Values{"sid": {key}}})
+		}
+		_, newestSess = s.sess.Get(c, key)
+		s.sess.Range(c, func(m map[string]*session) { sessN += len(m) })
+		for i := 0; i < maxResponseCache+extra; i++ {
+			key = fmt.Sprintf("proxy:%d", i)
+			s.storeResponse(c, key, "body")
+		}
+		_, newestBody = s.cachedResponse(c, key)
+		s.rcache.Range(c, func(m map[string]string) { rcN += len(m) })
+		return 0
+	})
+	if _, err := icilk.Await(f, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sessN > maxSessions || !newestSess {
+		t.Errorf("sessions: %d tracked (cap %d), newest present = %v", sessN, maxSessions, newestSess)
+	}
+	if rcN > maxResponseCache || !newestBody {
+		t.Errorf("response cache: %d entries (cap %d), newest present = %v", rcN, maxResponseCache, newestBody)
 	}
 }

@@ -59,13 +59,14 @@ var classPriorities = map[string]icilk.Priority{
 }
 
 // storeAccessors records, per shared store, the classes whose tasks
-// access it (in either lock mode): countAdmit and trackSession run in
-// the connection event loop, statsBody in the /stats handler, and the
-// response cache is consulted and filled by the /proxy handler. The
-// store's RWMutex ceilings (both modes — the same classes read and
-// write here) derive from these constants instead of hand-picked
-// literals; the derivation fails fast at construction on an unknown
-// class or an out-of-range priority.
+// access it: admissions are counted and sessions tracked in the
+// connection event loop, statsBody reads every store in the /stats
+// handler, and the response cache is consulted and filled by the /proxy
+// handler. Each store's ceilings — both lock modes of the ShardedMaps
+// (the same classes read and write here), and the single ceiling of the
+// per-class StripedCounters — derive from these constants instead of
+// hand-picked literals; the derivation fails fast at construction on an
+// unknown class or an out-of-range priority.
 var storeAccessors = map[string][]string{
 	"serve.admitted": {"conn-loop", "stats"},
 	"serve.sessions": {"conn-loop", "stats"},
@@ -259,36 +260,40 @@ type Server struct {
 	// Overload-protection state: connCount tracks open accepted
 	// connections against cfg.MaxConns (refused counts the rejects);
 	// inflight counts admitted-but-unresponded requests (the drain
-	// phase's completion condition); classInflight is the same count per
-	// admission class, read by the shedding watermark check. draining
-	// flips during Shutdown's first phase: admissions then shed
-	// everything so keep-alive clients cannot hold the drain open.
-	connCount     atomic.Int64
-	refused       atomic.Int64
-	inflight      atomic.Int64
-	classInflight map[string]*atomic.Int64
-	draining      atomic.Bool
+	// phase's completion condition). draining flips during Shutdown's
+	// first phase: admissions then shed everything so keep-alive clients
+	// cannot hold the drain open.
+	connCount atomic.Int64
+	refused   atomic.Int64
+	inflight  atomic.Int64
+	draining  atomic.Bool
 
-	// shed and timeouts count refused admissions and missed deadlines
-	// per class (worker-striped like admits; served by /stats).
-	shed     *admitTable
-	timeouts *admitTable
-
-	// Scheduler-visible shared state, sharded per shards.go: admits is
-	// the worker-striped per-class admission table; sess tracks client
-	// sessions (keyed by the sid query parameter, falling back to the
-	// remote host) in key-hash shards; rcache caches whole response
-	// bodies for idempotent endpoints in key-hash shards, with its hit
-	// count in a worker-striped counter. Each shard sits behind its own
-	// RWMutex whose ceilings derive from the admission table
+	// Scheduler-visible shared state, each store in the cheapest
+	// representation of its access pattern ("State access patterns in
+	// embarrassingly parallel computations"). classes holds every
+	// admission class's counters — accumulators, so worker-striped
+	// StripedCounters bumped without a lock. sess tracks client sessions
+	// (keyed by the sid query parameter, falling back to the remote host)
+	// and rcache caches whole response bodies for idempotent endpoints —
+	// key-addressed caches, so ShardedMaps, with the cache's hit count in
+	// a StripedCounter. Every ceiling derives from the admission table
 	// (derivedCeiling: the max priority among each store's declared
-	// accessor classes — PrioInteractive for all three today, recomputed
-	// automatically if a class moves). All three surface in /stats,
-	// merged across shards at read time.
-	admits     *admitTable
-	sess       *sessionStore
-	rcache     *responseCache
+	// accessor classes — PrioInteractive for all of them today,
+	// recomputed automatically if a class moves). All of it surfaces in
+	// /stats, summed across stripes and shards at read time.
+	classes    map[string]*classStats
+	sess       *icilk.ShardedMap[*session]
+	rcache     *icilk.ShardedMap[string]
 	rcacheHits *icilk.StripedCounter
+}
+
+// classStats is one admission class's counters. inflight counts its
+// admitted-but-unresponded requests, read by the shedding watermark
+// check; admitted, shed and timeouts tally admissions, refused
+// admissions and missed deadlines for /stats.
+type classStats struct {
+	inflight                 atomic.Int64
+	admitted, shed, timeouts *icilk.StripedCounter
 }
 
 // session is one tracked client session.
@@ -306,7 +311,8 @@ const maxResponseCache = 4096
 // maxSessions bounds the session store across all shards; a shard at
 // its share of the cap evicts its least-recently-seen session on
 // insert, so connection churn (every sid-less connection is its own
-// session) cannot grow the maps without bound.
+// session) cannot grow the maps without bound. A shard's share is at
+// least 4096/32 — ShardedMap caps its shard count at 32.
 const maxSessions = 4096
 
 // sconn is one accepted connection: the reader goroutine parses requests
@@ -372,33 +378,37 @@ func Start(cfg Config) (*Server, error) {
 		// time stamps and an append under one global mutex.
 		DisableMetrics: true,
 	})
-	nshards := shardCount(cfg.Workers)
-	// Every class the router can admit gets an inflight counter up
-	// front; the map is immutable after Start, so watermark checks read
-	// it without a lock.
-	classInflight := map[string]*atomic.Int64{}
+	// Every class the router can admit gets its counters up front; the
+	// map is immutable after Start, so every request reads it without a
+	// lock.
+	classes := map[string]*classStats{}
+	addClass := func(cl string) {
+		classes[cl] = &classStats{
+			admitted: icilk.NewStripedCounter(rt, derivedCeiling("serve.admitted")),
+			shed:     icilk.NewStripedCounter(rt, derivedCeiling("serve.shed")),
+			timeouts: icilk.NewStripedCounter(rt, derivedCeiling("serve.timeouts")),
+		}
+	}
 	for cl := range classPriorities {
-		classInflight[cl] = &atomic.Int64{}
+		addClass(cl)
 	}
 	for _, jt := range []workload.JobType{workload.JobMatMul, workload.JobFib, workload.JobSort, workload.JobSW} {
-		classInflight["jserver-"+jt.String()] = &atomic.Int64{}
+		addClass("jserver-" + jt.String())
 	}
+	sessCeil, rcacheCeil := derivedCeiling("serve.sessions"), derivedCeiling("serve.rcache")
 	s := &Server{
-		cfg:           cfg,
-		rt:            rt,
-		ln:            ln,
-		jobs:          jserver.NewJobSet(cfg.Jobs),
-		proxy:         proxy.NewService(rt, simio.Latency{Base: 3 * time.Millisecond, Jitter: 5 * time.Millisecond}, cfg.Seed),
-		email:         email.NewServer(rt, email.Config{Users: cfg.Users, Seed: cfg.Seed}),
-		start:         time.Now(),
-		conns:         map[*sconn]struct{}{},
-		admits:        newAdmitTable(rt, nshards, "serve.admitted"),
-		shed:          newAdmitTable(rt, nshards, "serve.shed"),
-		timeouts:      newAdmitTable(rt, nshards, "serve.timeouts"),
-		classInflight: classInflight,
-		sess:          newSessionStore(rt, nshards),
-		rcache:        newResponseCache(rt, nshards),
-		rcacheHits:    icilk.NewStripedCounter(rt, derivedCeiling("serve.rcache")),
+		cfg:        cfg,
+		rt:         rt,
+		ln:         ln,
+		jobs:       jserver.NewJobSet(cfg.Jobs),
+		proxy:      proxy.NewService(rt, simio.Latency{Base: 3 * time.Millisecond, Jitter: 5 * time.Millisecond}, cfg.Seed),
+		email:      email.NewServer(rt, email.Config{Users: cfg.Users, Seed: cfg.Seed}),
+		start:      time.Now(),
+		conns:      map[*sconn]struct{}{},
+		classes:    classes,
+		sess:       icilk.NewShardedMap[*session](rt, sessCeil, sessCeil, "serve.sessions"),
+		rcache:     icilk.NewShardedMap[string](rt, rcacheCeil, rcacheCeil, "serve.rcache"),
+		rcacheHits: icilk.NewStripedCounter(rt, rcacheCeil),
 	}
 	s.connWG.Add(1)
 	go s.acceptor()
@@ -744,24 +754,11 @@ func (s *Server) writeRest(cn *sconn, rest []byte, pr icilk.Promise[bool]) {
 	pr.Complete(ok)
 }
 
-// countAdmit records one admission into class (served by /stats). It
-// runs in the event-loop task, so the admission table's stripe lock
-// sees the true accessor priority; the stripe is the calling worker's,
-// so concurrent event loops never contend here.
-func (s *Server) countAdmit(c *icilk.Ctx, class string) {
-	s.admits.add(c, class)
-}
-
-// Admitted returns the per-class admission counters, merged across the
-// worker stripes under their read locks from the calling task.
-func (s *Server) Admitted(c *icilk.Ctx) map[string]int64 {
-	return s.admits.merged(c)
-}
-
 // trackSession updates the session store for one admitted request. The
 // session key is the sid query parameter when the client sends one, the
 // remote host otherwise (host only — the ephemeral port would make
-// every connection a fresh session).
+// every connection a fresh session). At the shard's share of
+// maxSessions, inserting evicts the shard's least-recently-seen session.
 func (s *Server) trackSession(c *icilk.Ctx, cn *sconn, req *request) {
 	key := req.query.Get("sid")
 	if key == "" {
@@ -770,24 +767,51 @@ func (s *Server) trackSession(c *icilk.Ctx, cn *sconn, req *request) {
 			key = host
 		}
 	}
-	s.sess.track(c, key, req.path)
+	capPer := maxSessions / s.sess.Shards()
+	s.sess.Update(c, key, func(m map[string]*session) {
+		sess := m[key]
+		if sess == nil {
+			if len(m) >= capPer {
+				var oldKey string
+				var oldSeen time.Time
+				for k, v := range m {
+					if oldKey == "" || v.lastSeen.Before(oldSeen) {
+						oldKey, oldSeen = k, v.lastSeen
+					}
+				}
+				delete(m, oldKey)
+			}
+			sess = &session{}
+			m[key] = sess
+		}
+		sess.requests++
+		sess.lastPath = req.path
+		sess.lastSeen = time.Now()
+	})
 }
 
 // cachedResponse consults the shared response cache — a read lock on
 // the key's shard, so concurrent handlers replaying cached bodies never
 // serialize, even across different keys.
 func (s *Server) cachedResponse(c *icilk.Ctx, key string) (string, bool) {
-	body, ok := s.rcache.get(c, key)
+	body, ok := s.rcache.Get(c, key)
 	if ok {
 		s.rcacheHits.Add(c, 1)
 	}
 	return body, ok
 }
 
-// storeResponse fills the shared response cache. Only deterministic,
+// storeResponse fills the shared response cache; on overflow the key's
+// shard (not the whole cache) is dropped. Only deterministic,
 // side-effect-free response bodies belong here.
 func (s *Server) storeResponse(c *icilk.Ctx, key, body string) {
-	s.rcache.put(c, key, body)
+	capPer := maxResponseCache / s.rcache.Shards()
+	s.rcache.Update(c, key, func(m map[string]string) {
+		if len(m) >= capPer {
+			clear(m)
+		}
+		m[key] = body
+	})
 }
 
 // Shutdown stops the server in two phases. Phase one (drain): close the
