@@ -34,27 +34,34 @@ type converter struct {
 	pnames []string
 }
 
+// namespace selects one of the two value namespaces a name resolves
+// in: expression variables or dcl-bound locations.
+type namespace int
+
+const (
+	nsVar namespace = iota
+	nsLoc
+)
+
 // cscope is the conversion-time view of one code object under
-// construction: name→slot stacks for the two value namespaces
-// (expression variables and dcl-bound locations), the slot counter, and
-// the capture table.
+// construction: the live binders, innermost last, the slot counter, and
+// the capture index, one map per namespace made on first capture.
 type cscope struct {
 	parent *cscope
 	co     *code
-	vars   map[string][]int
-	locs   map[string][]int
-	capIdx map[string]int
+	bound  []binder
+	capIdx [2]map[string]int
 	next   int
 }
 
+type binder struct {
+	name string
+	ns   namespace
+	slot int
+}
+
 func newScope(parent *cscope, co *code) *cscope {
-	return &cscope{
-		parent: parent,
-		co:     co,
-		vars:   map[string][]int{},
-		locs:   map[string][]int{},
-		capIdx: map[string]int{},
-	}
+	return &cscope{parent: parent, co: co}
 }
 
 func (sc *cscope) alloc() int {
@@ -66,55 +73,44 @@ func (sc *cscope) alloc() int {
 	return s
 }
 
-func (sc *cscope) bind(name string) int {
+// bind allocates a slot for a binder of name in namespace ns, live until
+// the matching unbind.
+func (sc *cscope) bind(ns namespace, name string) int {
 	s := sc.alloc()
-	sc.vars[name] = append(sc.vars[name], s)
+	sc.bound = append(sc.bound, binder{name: name, ns: ns, slot: s})
 	return s
 }
 
-func (sc *cscope) unbind(name string) {
-	st := sc.vars[name]
-	sc.vars[name] = st[:len(st)-1]
-}
-
-func (sc *cscope) bindLoc(name string) int {
-	s := sc.alloc()
-	sc.locs[name] = append(sc.locs[name], s)
-	return s
-}
-
-func (sc *cscope) unbindLoc(name string) {
-	st := sc.locs[name]
-	sc.locs[name] = st[:len(st)-1]
-}
+func (sc *cscope) unbind() { sc.bound = sc.bound[:len(sc.bound)-1] }
 
 func (c *converter) failf(format string, args ...any) {
 	panic(convErr{fmt.Errorf("compile: convert: "+format, args...)})
 }
 
 // resolve finds name's slot in sc, capturing through enclosing code
-// objects as needed. isLoc selects the dcl-location namespace.
-func (c *converter) resolve(sc *cscope, name string, isLoc bool) int {
-	m, key := sc.vars, "v:"+name
-	if isLoc {
-		m, key = sc.locs, "l:"+name
-	}
-	if st := m[name]; len(st) > 0 {
-		return st[len(st)-1]
+// objects as needed.
+func (c *converter) resolve(sc *cscope, ns namespace, name string) int {
+	for i := len(sc.bound) - 1; i >= 0; i-- {
+		if b := sc.bound[i]; b.name == name && b.ns == ns {
+			return b.slot
+		}
 	}
 	if sc.parent == nil {
-		if isLoc {
+		if ns == nsLoc {
 			c.failf("unbound location %s", name)
 		}
 		c.failf("unbound variable %s", name)
 	}
-	if s, ok := sc.capIdx[key]; ok {
+	if s, ok := sc.capIdx[ns][name]; ok {
 		return s
 	}
-	from := c.resolve(sc.parent, name, isLoc)
+	from := c.resolve(sc.parent, ns, name)
 	s := sc.alloc()
-	sc.capIdx[key] = s
-	sc.co.caps = append(sc.co.caps, capRec{from: from, slot: s, name: name, isLoc: isLoc})
+	if sc.capIdx[ns] == nil {
+		sc.capIdx[ns] = map[string]int{}
+	}
+	sc.capIdx[ns][name] = s
+	sc.co.caps = append(sc.co.caps, capRec{from: from, slot: s, name: name, isLoc: ns == nsLoc})
 	return s
 }
 
@@ -164,9 +160,9 @@ func (c *converter) cmd(sc *cscope, m ast.Cmd) iCmd {
 
 	case ast.Bind:
 		e := c.expr(sc, m.E)
-		slot := sc.bind(m.X)
+		slot := sc.bind(nsVar, m.X)
 		body := c.cmd(sc, m.M)
-		sc.unbind(m.X)
+		sc.unbind()
 		// Fused-forwarding peephole: the continuation is syntactically
 		// `ftouch x` for the bound x, so if the bound command turns out
 		// to be an ftouch too, one forwarding-aware touch (hop budget 1)
@@ -191,9 +187,9 @@ func (c *converter) cmd(sc *cscope, m ast.Cmd) iCmd {
 
 	case ast.Dcl:
 		e := c.expr(sc, m.E)
-		slot := sc.bindLoc(m.S)
+		slot := sc.bind(nsLoc, m.S)
 		body := c.cmd(sc, m.M)
-		sc.unbindLoc(m.S)
+		sc.unbind()
 		return cDcl{slot: slot, ceil: c.p.ceiling(m.S), loc: m.S, e: e, m: body}
 
 	case ast.Get:
@@ -217,12 +213,12 @@ func (c *converter) expr(sc *cscope, e ast.Expr) iExpr {
 		return iConst{v: vNat{n: e.N}}
 
 	case ast.Var:
-		return iVar{slot: c.resolve(sc, e.Name, false), name: e.Name}
+		return iVar{slot: c.resolve(sc, nsVar, e.Name), name: e.Name}
 
 	case ast.Ref:
 		// A dcl-bound location used as a first-class value: the frame
 		// slot holds the vRef allocated by the dcl.
-		return iVar{slot: c.resolve(sc, e.Loc, true), name: e.Loc}
+		return iVar{slot: c.resolve(sc, nsLoc, e.Loc), name: e.Loc}
 
 	case ast.Tid:
 		c.failf("thread literal tid[%s] in source program", e.Thread)
@@ -236,17 +232,17 @@ func (c *converter) expr(sc *cscope, e ast.Expr) iExpr {
 
 	case ast.Let:
 		e1 := c.expr(sc, e.E1)
-		slot := sc.bind(e.X)
+		slot := sc.bind(nsVar, e.X)
 		e2 := c.expr(sc, e.E2)
-		sc.unbind(e.X)
+		sc.unbind()
 		return iLet{slot: slot, e1: e1, e2: e2}
 
 	case ast.Ifz:
 		v := c.expr(sc, e.V)
 		zero := c.expr(sc, e.Zero)
-		slot := sc.bind(e.X)
+		slot := sc.bind(nsVar, e.X)
 		succ := c.expr(sc, e.Succ)
-		sc.unbind(e.X)
+		sc.unbind()
 		return iIfz{v: v, zero: zero, slot: slot, succ: succ}
 
 	case ast.App:
@@ -259,26 +255,26 @@ func (c *converter) expr(sc *cscope, e ast.Expr) iExpr {
 
 	case ast.Case:
 		v := c.expr(sc, e.V)
-		ls := sc.bind(e.X)
+		ls := sc.bind(nsVar, e.X)
 		l := c.expr(sc, e.L)
-		sc.unbind(e.X)
-		rs := sc.bind(e.Y)
+		sc.unbind()
+		rs := sc.bind(nsVar, e.Y)
 		r := c.expr(sc, e.R)
-		sc.unbind(e.Y)
+		sc.unbind()
 		return iCase{v: v, lslot: ls, l: l, rslot: rs, r: r}
 
 	case ast.Fix:
-		slot := sc.bind(e.X)
+		slot := sc.bind(nsVar, e.X)
 		body := c.expr(sc, e.E)
-		sc.unbind(e.X)
+		sc.unbind()
 		return iFix{slot: slot, e: body, name: e.X}
 
 	case ast.Lam:
 		co := &code{src: e}
 		inner := newScope(sc, co)
-		co.argSlot = inner.bind(e.X)
+		co.argSlot = inner.bind(nsVar, e.X)
 		co.body = c.expr(inner, e.Body)
-		inner.unbind(e.X)
+		inner.unbind()
 		return iLam{code: co}
 
 	case ast.CmdVal:

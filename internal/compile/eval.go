@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/icilk"
@@ -29,20 +30,21 @@ type (
 		t ast.Type
 	}
 	// vRef is an allocated cell: the icilk ref carrying the baked
-	// ceiling, plus the runtime location name reification prints.
+	// ceiling, plus the run's location number (reify prints s<id>).
 	vRef struct {
 		cell *icilk.Ref[value]
-		loc  string
+		id   int64
 	}
-	// vTid is a first-class thread handle. Embedding icilk.Handle makes
-	// every tid value a forwarding carrier: when a thread's final value
-	// is a vTid, the scheduler can migrate a parked toucher down the
-	// chain (completion-time forwarding) instead of waking it to
+	// vTid is a first-class thread handle: the run's thread number
+	// (reify prints t<id>) and the task's handle. Embedding icilk.Handle
+	// makes every tid value a forwarding carrier: when a thread's final
+	// value is a vTid, the scheduler can migrate a parked toucher down
+	// the chain (completion-time forwarding) instead of waking it to
 	// re-park. A plain Touch still returns the vTid itself — D-Touch
 	// returns the thread's value as-is — so the λ4i semantics are
 	// unchanged; only the parking pattern improves.
 	vTid struct {
-		name string
+		id int64
 		icilk.Handle
 	}
 )
@@ -82,11 +84,12 @@ const stepFlush = 256
 
 // texec is one task's evaluator state: the shared run, the task's
 // scheduler context (refs and touches check against its effective
-// priority), and the local step count.
+// priority), the local step count, and the task's frame stack.
 type texec struct {
-	x *exec
-	c *icilk.Ctx
-	n int32
+	x   *exec
+	c   *icilk.Ctx
+	n   int32
+	stk frameStack
 }
 
 func (t *texec) step() {
@@ -112,10 +115,38 @@ func load(fr []value, slot int, name string) value {
 	v := fr[slot]
 	if rc, ok := v.(*recCell); ok {
 		if rc.v == nil {
-			panic(stuckf("fix variable %s used before its definition closed", name))
+			unclosedFix(name)
 		}
 		return rc.v
 	}
+	return v
+}
+
+//go:noinline
+func unclosedFix(name string) {
+	panic(stuckf("fix variable %s used before its definition closed", name))
+}
+
+// stuck panics with a stuck-state report, format applied to the value in
+// hand as vstr prints it. It is out of line, so the cold reports keep
+// their locals out of eval's and command's Go frames.
+//
+//go:noinline
+func stuck(format string, v value) {
+	panic(stuckf(format, vstr(v)))
+}
+
+//go:noinline
+func unknownForm(kind string, form any) {
+	panic(stuckf("unknown %s form %T", kind, form))
+}
+
+// run executes a task's top-level command over its frame fr, the only
+// frame on t's stack, then retires the frame and the steps.
+func (t *texec) run(co *code, fr []value, penv []icilk.Priority) value {
+	v := t.command(co, fr, penv)
+	t.stk.pop(fr)
+	t.flush()
 	return v
 }
 
@@ -133,100 +164,127 @@ func (t *texec) command(co *code, fr []value, penv []icilk.Priority) value {
 			return t.eval(mm.e, fr, penv)
 
 		case cBind: // D-Bind: run the encapsulated command, write the slot.
-			bv := t.eval(mm.e, fr, penv)
-			cv, ok := bv.(*vCmd)
-			if !ok {
-				panic(stuckf("bind of non-command value %s", vstr(bv)))
-			}
+			bco, nf, bpenv := t.bound(mm.e, fr, penv)
 			if mm.fuse {
-				if ft, ok := cv.code.cbody.(cFtouch); ok {
-					return t.fusedTouch(cv, ft)
+				if ft, ok := bco.cbody.(cFtouch); ok {
+					v := t.fusedTouch(ft, nf, bpenv)
+					t.stk.pop(nf)
+					return v
 				}
 			}
-			fr[mm.slot] = t.command(cv.code, newFrame(cv.code, cv.caps), cv.penv)
+			fr[mm.slot] = t.command(bco, nf, bpenv)
+			t.stk.pop(nf)
 			m = mm.m
 
-		case cFcreate: // D-Create → icilk.Go at the baked level
-			x := t.x
-			name := x.freshThread()
-			caps := mkCaps(mm.code, fr)
-			co, pv := mm.code, penv
-			fut := icilk.Go(x.rt, t.c, mm.p.resolve(penv), "l4i:"+name, func(c2 *icilk.Ctx) value {
-				t2 := &texec{x: x, c: c2}
-				v := t2.command(co, newFrame(co, caps), pv)
-				t2.flush()
-				return v
-			})
-			return vTid{name: name, Handle: *fut.Untyped()}
+		case cFcreate: // D-Create → icilk.Spawn at the baked level
+			return t.fcreate(mm, fr, penv)
 
 		case cFtouch: // D-Touch → Handle.Touch (dynamic ρ ⪯ ρ′ check)
 			tv := t.eval(mm.e, fr, penv)
 			tid, ok := tv.(vTid)
 			if !ok {
-				panic(stuckf("ftouch of non-thread value %s", vstr(tv)))
+				stuck("ftouch of non-thread value %s", tv)
 			}
 			h := tid.Handle
 			return h.Touch(t.c)
 
 		case cDcl: // D-Dcl → icilk.Ref with the baked ceiling
 			v := t.eval(mm.e, fr, penv)
-			fr[mm.slot] = vRef{cell: icilk.NewRef[value](t.x.rt, mm.ceil, v), loc: t.x.freshLoc()}
+			fr[mm.slot] = vRef{cell: icilk.NewRef[value](t.x.rt, mm.ceil, v), id: t.x.nextLoc.Add(1)}
 			m = mm.m
 
 		case cGet: // D-Get → Ref.Load
-			r, ok := t.eval(mm.e, fr, penv).(vRef)
+			rv := t.eval(mm.e, fr, penv)
+			r, ok := rv.(vRef)
 			if !ok {
-				panic(stuckf("dereference of non-reference value %s", vstr(t.eval(mm.e, fr, penv))))
+				stuck("dereference of non-reference value %s", rv)
 			}
 			return r.cell.Load(t.c)
 
 		case cSet: // D-Set → Ref.Store
-			r, ok := t.eval(mm.l, fr, penv).(vRef)
+			rv := t.eval(mm.l, fr, penv)
+			r, ok := rv.(vRef)
 			if !ok {
-				panic(stuckf("assignment to non-reference value %s", vstr(t.eval(mm.l, fr, penv))))
+				stuck("assignment to non-reference value %s", rv)
 			}
 			v := t.eval(mm.r, fr, penv)
 			r.cell.Store(t.c, v)
 			return v
 
 		case cCAS: // D-CAS1/D-CAS2 → one Ref.Update CAS
-			r, ok := t.eval(mm.ref, fr, penv).(vRef)
+			rv := t.eval(mm.ref, fr, penv)
+			r, ok := rv.(vRef)
 			if !ok {
-				panic(stuckf("cas on non-reference value %s", vstr(t.eval(mm.ref, fr, penv))))
+				stuck("cas on non-reference value %s", rv)
 			}
-			old := t.eval(mm.old, fr, penv)
-			nw := t.eval(mm.nw, fr, penv)
-			var succ bool
-			r.cell.Update(t.c, func(cur value) value {
-				if valueEq(cur, old) {
-					succ = true
-					return nw
-				}
-				succ = false
-				return cur
-			})
-			if succ {
-				return vNat{n: 1}
-			}
-			return vNat{n: 0}
+			return t.cas(r, t.eval(mm.old, fr, penv), t.eval(mm.nw, fr, penv))
 
 		default:
-			panic(stuckf("unknown command form %T", m))
+			unknownForm("command", m)
 		}
 	}
+}
+
+// bound activates the command a Bind runs. A command literal runs in
+// place: its frame is filled straight from fr, with no vCmd or capture
+// vector in between, and it is charged the one step eval would have
+// counted for building it. Any other expression must evaluate to a vCmd.
+func (t *texec) bound(e iExpr, fr []value, penv []icilk.Priority) (*code, []value, []icilk.Priority) {
+	if lit, ok := e.(iCmdVal); ok {
+		t.step()
+		return lit.code, t.stk.enterFrom(lit.code, fr), penv
+	}
+	bv := t.eval(e, fr, penv)
+	cv, ok := bv.(*vCmd)
+	if !ok {
+		stuck("bind of non-command value %s", bv)
+	}
+	return cv.code, t.stk.enter(cv.code, cv.caps), cv.penv
+}
+
+// fcreate spawns mm's body as a new λ4i thread. The body's frame is
+// pushed on the new task's own stack here, captures copied from fr, so
+// the spawn needs no capture vector.
+func (t *texec) fcreate(mm cFcreate, fr []value, penv []icilk.Priority) value {
+	x, co := t.x, mm.code
+	id := x.nextThread.Add(1)
+	t2 := &texec{x: x}
+	nf := t2.stk.enterFrom(co, fr)
+	h := icilk.Spawn(x.rt, t.c, mm.p.resolve(penv), "l4i", func(c *icilk.Ctx) value {
+		t2.c = c
+		return t2.run(co, nf, penv)
+	})
+	return vTid{id: id, Handle: h}
+}
+
+// cas is D-CAS1/D-CAS2 as one Ref.Update: 1 if the cell held old and now
+// holds nw, 0 if it held something else and is unchanged.
+func (t *texec) cas(r vRef, old, nw value) value {
+	var succ bool
+	r.cell.Update(t.c, func(cur value) value {
+		if valueEq(cur, old) {
+			succ = true
+			return nw
+		}
+		succ = false
+		return cur
+	})
+	if succ {
+		return vNat{n: 1}
+	}
+	return vNat{n: 0}
 }
 
 // fusedTouch is `bind x = ftouch e in ftouch x` as one forwarding-aware
 // touch with hop budget 1: the outer touch rides the inner one's park
 // (one park, not two) while staying semantics-exact — exactly two
 // touches deep, so a third tid in the chain is returned unresolved,
-// just as the unfused pair would.
-func (t *texec) fusedTouch(cv *vCmd, ft cFtouch) value {
-	fr := newFrame(cv.code, cv.caps)
-	tv := t.eval(ft.e, fr, cv.penv)
+// just as the unfused pair would. fr is the bound command's frame.
+func (t *texec) fusedTouch(ft cFtouch, fr []value, penv []icilk.Priority) value {
+	tv := t.eval(ft.e, fr, penv)
 	tid, ok := tv.(vTid)
 	if !ok {
-		panic(stuckf("ftouch of non-thread value %s", vstr(tv)))
+		stuck("ftouch of non-thread value %s", tv)
 	}
 	h := tid.Handle
 	v := h.TouchThroughN(t.c, 1)
@@ -235,15 +293,16 @@ func (t *texec) fusedTouch(cv *vCmd, ft cFtouch) value {
 	// atomic load). A non-tid head value means the outer ftouch would
 	// have been stuck on it.
 	if _, headIsTid := h.Touch(t.c).(vTid); !headIsTid {
-		panic(stuckf("ftouch of non-thread value %s", vstr(v)))
+		stuck("ftouch of non-thread value %s", v)
 	}
 	return v
 }
 
 // eval evaluates a converted expression in its frame, big-step, with
 // the Figure 11 semantics: application activates the closure's code
-// object over a fresh frame, fix unrolls through the recCell, commands
-// under cmd[ρ]{...} are values that only run when bound.
+// object over a frame pushed on the task's stack, fix unrolls through
+// the recCell, commands under cmd[ρ]{...} are values that only run when
+// bound.
 func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 	t.step()
 	switch ee := e.(type) {
@@ -265,9 +324,10 @@ func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 		return t.eval(ee.e2, fr, penv)
 
 	case iIfz:
-		n, ok := t.eval(ee.v, fr, penv).(vNat)
+		v := t.eval(ee.v, fr, penv)
+		n, ok := v.(vNat)
 		if !ok {
-			panic(stuckf("ifz of non-numeral %s", vstr(t.eval(ee.v, fr, penv))))
+			stuck("ifz of non-numeral %s", v)
 		}
 		if n.n == 0 {
 			return t.eval(ee.zero, fr, penv)
@@ -279,23 +339,22 @@ func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 		f := t.eval(ee.f, fr, penv)
 		cl, ok := f.(*vClos)
 		if !ok {
-			panic(stuckf("application of non-lambda %s", vstr(f)))
+			stuck("application of non-lambda %s", f)
 		}
-		a := t.eval(ee.a, fr, penv)
-		nf := newFrame(cl.code, cl.caps)
-		nf[cl.code.argSlot] = a
-		return t.eval(cl.code.body, nf, cl.penv)
+		return t.apply(cl, t.eval(ee.a, fr, penv))
 
 	case iFst:
-		p, ok := t.eval(ee.v, fr, penv).(vPair)
+		v := t.eval(ee.v, fr, penv)
+		p, ok := v.(vPair)
 		if !ok {
-			panic(stuckf("fst of non-pair %s", vstr(t.eval(ee.v, fr, penv))))
+			stuck("fst of non-pair %s", v)
 		}
 		return p.l
 	case iSnd:
-		p, ok := t.eval(ee.v, fr, penv).(vPair)
+		v := t.eval(ee.v, fr, penv)
+		p, ok := v.(vPair)
 		if !ok {
-			panic(stuckf("snd of non-pair %s", vstr(t.eval(ee.v, fr, penv))))
+			stuck("snd of non-pair %s", v)
 		}
 		return p.r
 
@@ -308,7 +367,7 @@ func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 			fr[ee.rslot] = v.v
 			return t.eval(ee.r, fr, penv)
 		default:
-			panic(stuckf("case of non-sum %s", vstr(v)))
+			stuck("case of non-sum %s", v)
 		}
 
 	case iFix:
@@ -329,16 +388,34 @@ func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 		pv := t.eval(ee.v, fr, penv)
 		pl, ok := pv.(*vPLam)
 		if !ok {
-			panic(stuckf("priority application of non-abstraction %s", vstr(pv)))
+			stuck("priority application of non-abstraction %s", pv)
 		}
-		// ∀E: extend the priority environment with the (already
-		// resolved) instantiation and evaluate the body.
-		np := make([]icilk.Priority, len(pl.penv), len(pl.penv)+1)
-		copy(np, pl.penv)
-		np = append(np, ee.p.resolve(penv))
-		return t.eval(pl.code.body, newFrame(pl.code, pl.caps), np)
+		return t.papp(pl, ee.p.resolve(penv))
 	}
-	panic(stuckf("unknown expression form %T", e))
+	unknownForm("expression", e)
+	return nil
+}
+
+// apply is →E: it activates cl's code over a frame holding the argument
+// a and evaluates the body.
+func (t *texec) apply(cl *vClos, a value) value {
+	nf := t.stk.enter(cl.code, cl.caps)
+	nf[cl.code.argSlot] = a
+	v := t.eval(cl.code.body, nf, cl.penv)
+	t.stk.pop(nf)
+	return v
+}
+
+// papp is ∀E: it extends pl's priority environment with the (already
+// resolved) instantiation p and evaluates the body.
+func (t *texec) papp(pl *vPLam, p icilk.Priority) value {
+	np := make([]icilk.Priority, len(pl.penv), len(pl.penv)+1)
+	copy(np, pl.penv)
+	np = append(np, p)
+	nf := t.stk.enter(pl.code, pl.caps)
+	v := t.eval(pl.code.body, nf, np)
+	t.stk.pop(nf)
+	return v
 }
 
 // valueEq compares two values structurally — the CAS rule's D-CAS1/
@@ -366,7 +443,7 @@ func valueEq(a, b value) bool {
 		return ok && a.cell == bb.cell
 	case vTid:
 		bb, ok := b.(vTid)
-		return ok && a.name == bb.name
+		return ok && a.id == bb.id
 	default:
 		return vstr(a) == vstr(b)
 	}
@@ -389,9 +466,9 @@ func reify(v value, levels []string) ast.Expr {
 	case vInr:
 		return ast.Inr{V: reify(v.v, levels), T: v.t}
 	case vRef:
-		return ast.Ref{Loc: v.loc}
+		return ast.Ref{Loc: "s" + strconv.FormatInt(v.id, 10)}
 	case vTid:
-		return ast.Tid{Thread: v.name}
+		return ast.Tid{Thread: "t" + strconv.FormatInt(v.id, 10)}
 	case *recCell:
 		if v.v != nil {
 			return reify(v.v, levels)

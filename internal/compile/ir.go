@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/icilk"
@@ -20,9 +21,10 @@ import (
 //     slots they capture; a closure value is the code pointer plus a
 //     copied capture vector, so application never rewrites a term.
 //  2. Environment discipline: an activation is one []value frame sized
-//     at conversion time (code.nslots). Binders write their slot once;
-//     frames never grow, and the long Bind/Let chains that cost the
-//     substitution evaluator O(term²) become one frame allocation.
+//     at conversion time (code.nslots), pushed on its task's frame
+//     stack. Binders write their slot once; frames never grow, and the
+//     long Bind/Let chains that cost the substitution evaluator O(term²)
+//     become one frame.
 //  3. Constant resolution: every priority annotation is resolved to a
 //     linearized icilk level (or a priority-environment index under a Λ
 //     binder) and every dcl carries its derived ceiling, so the hot
@@ -86,12 +88,105 @@ func mkCaps(co *code, fr []value) []value {
 	return caps
 }
 
-// newFrame activates a code object: one flat frame, captures installed,
-// binder slots zero until their binder executes.
-func newFrame(co *code, caps []value) []value {
-	fr := make([]value, co.nslots)
+// segSlots is the size of a pooled frame-stack segment; inlineSlots is
+// the stack a task carries inside its texec, enough for the fcreate
+// bodies that return a capture, touch, or access one cell.
+const (
+	segSlots    = 4096
+	inlineSlots = 8
+)
+
+// stackSeg is one pooled frame-stack segment, with the segment and top
+// it was pushed over so popping its last frame resumes there. A segment
+// in the pool has every slot nil.
+type stackSeg struct {
+	slots    []value
+	below    []value
+	belowTop int
+	belowSeg *stackSeg
+}
+
+var segPool = sync.Pool{New: func() any { return &stackSeg{slots: make([]value, segSlots)} }}
+
+// frameStack is one task's activation frames: an inline buffer for tiny
+// tasks, then pooled segments. A segment that fills up is left as is and
+// a new one started over it — live frames keep their own slices, so
+// nothing is copied.
+type frameStack struct {
+	cur    []value   // the segment frames are pushed on
+	top    int       // first free slot of cur
+	seg    *stackSeg // the pooled segment cur is; nil on the inline buffer
+	inline [inlineSlots]value
+}
+
+// push returns a zeroed n-slot frame on top of the stack.
+//
+// Frames are strictly LIFO per task because no value ever points at a
+// frame: closures copy their captures (mkCaps), fix ties its knot
+// through a heap recCell, and fcreate copies captures onto the new
+// task's own stack. So an activation's frame is dead once it returns,
+// and its slots can be cleared and reused by the next push.
+func (s *frameStack) push(n int) []value {
+	top := s.top + n
+	if top > len(s.cur) {
+		s.grow(n)
+		top = n
+	}
+	fr := s.cur[s.top:top:top]
+	s.top = top
+	return fr
+}
+
+// grow makes room for an n-slot frame at the bottom of a fresh segment:
+// the inline buffer on a task's first push, a pooled segment on every
+// overflow after that.
+func (s *frameStack) grow(n int) {
+	if s.cur == nil && n <= inlineSlots {
+		s.cur = s.inline[:]
+		return
+	}
+	var ns *stackSeg
+	if n <= segSlots {
+		ns = segPool.Get().(*stackSeg)
+	} else {
+		ns = &stackSeg{slots: make([]value, n)}
+	}
+	ns.below, ns.belowTop, ns.belowSeg = s.cur, s.top, s.seg
+	s.cur, s.top, s.seg = ns.slots, 0, ns
+}
+
+// pop clears and releases the top frame fr. When fr was its segment's
+// first frame, the stack steps back down to the segment below and the
+// emptied segment goes back to the pool, so a task that returns holds
+// no segment.
+func (s *frameStack) pop(fr []value) {
+	clear(fr)
+	s.top -= len(fr)
+	if s.top == 0 && s.seg != nil {
+		ns := s.seg
+		s.cur, s.top, s.seg = ns.below, ns.belowTop, ns.belowSeg
+		ns.below, ns.belowSeg = nil, nil
+		if len(ns.slots) == segSlots {
+			segPool.Put(ns)
+		}
+	}
+}
+
+// enter pushes co's frame and installs a closure's captures caps.
+func (s *frameStack) enter(co *code, caps []value) []value {
+	fr := s.push(co.nslots)
 	for i := range co.caps {
 		fr[co.caps[i].slot] = caps[i]
+	}
+	return fr
+}
+
+// enterFrom pushes co's frame for a code object activated where it is
+// created, reading its captures straight from the creating frame.
+func (s *frameStack) enterFrom(co *code, from []value) []value {
+	fr := s.push(co.nslots)
+	for i := range co.caps {
+		fr[co.caps[i].slot] = from[co.caps[i].from]
 	}
 	return fr
 }

@@ -175,9 +175,7 @@ func (p *Prog) Run(cfg RunConfig) (*Result, error) {
 	start := time.Now()
 	fut := icilk.Go(rt, nil, mainLvl, "main", func(c *icilk.Ctx) value {
 		t := &texec{x: x, c: c}
-		v := t.command(ir.main, newFrame(ir.main, nil), nil)
-		t.flush()
-		return v
+		return t.run(ir.main, t.stk.push(ir.main.nslots), nil)
 	})
 	v, err := icilk.Await(fut, cfg.Timeout)
 	if err != nil {
@@ -216,12 +214,4 @@ func (p *Prog) IRSummary() (string, error) {
 func IsPriorityInversion(err error) bool {
 	var pie *icilk.PriorityInversionError
 	return errors.As(err, &pie)
-}
-
-func (x *exec) freshThread() string {
-	return fmt.Sprintf("t%d", x.nextThread.Add(1))
-}
-
-func (x *exec) freshLoc() string {
-	return fmt.Sprintf("s%d", x.nextLoc.Add(1))
 }

@@ -73,7 +73,9 @@ func (e *SyntaxError) Error() string {
 // lex converts source text to tokens. Comments run from "--" or "//" to
 // end of line.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// λ4i source averages over four bytes a token, so one allocation
+	// usually holds them all.
+	toks := make([]token, 0, len(src)/4+1)
 	line, col := 1, 1
 	i := 0
 	advance := func(n int) {

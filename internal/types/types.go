@@ -50,66 +50,70 @@ func (s Signature) Merge(other Signature) Signature {
 
 // Env is the typing context Γ: expression variables plus the priority
 // fragment (priority variables and assumed constraints). Env values are
-// persistent: extension returns a new Env. Alongside the types, Env
-// threads the usage recorder's ref-alias facts: a let-bound variable
-// known to denote a specific dcl site, so accesses through the alias
-// attribute to that site instead of widening its ceiling to top.
+// persistent: an Env is one binding on top of the context it extends,
+// newest first, so extension is one allocation and shares everything
+// below. Alongside the types, Env threads the usage recorder's ref-alias
+// facts: a let-bound variable known to denote a specific dcl site, so
+// accesses through the alias attribute to that site instead of widening
+// its ceiling to top. A rebinding shadows an outer alias like any other
+// binding.
 type Env struct {
-	vars    map[string]ast.Type
-	aliases map[string]int // let-bound var → RefUsage site index it denotes
-	pctx    *prio.Ctx
+	x    string
+	t    ast.Type
+	site int  // RefUsage site index x denotes, or -1
+	up   *Env // the context x extends; nil for the empty context
+	pctx *prio.Ctx
 }
 
 // NewEnv returns an empty context over the given priority order.
 func NewEnv(order *prio.Order) *Env {
-	return &Env{vars: map[string]ast.Type{}, aliases: map[string]int{}, pctx: prio.NewCtx(order)}
+	return &Env{site: -1, pctx: prio.NewCtx(order)}
 }
 
 // WithVar returns Γ, x:τ. Rebinding x kills any ref-alias fact recorded
 // for an outer x — the new binding denotes an unknown value.
 func (g *Env) WithVar(x string, t ast.Type) *Env {
-	vars := make(map[string]ast.Type, len(g.vars)+1)
-	for k, v := range g.vars {
-		vars[k] = v
-	}
-	vars[x] = t
-	aliases := g.aliases
-	if _, shadowed := aliases[x]; shadowed {
-		aliases = make(map[string]int, len(g.aliases))
-		for k, v := range g.aliases {
-			aliases[k] = v
-		}
-		delete(aliases, x)
-	}
-	return &Env{vars: vars, aliases: aliases, pctx: g.pctx}
+	return g.withAlias(x, t, -1)
 }
 
-// withRefAlias records that x (already bound by WithVar) denotes the
-// dcl site with the given usage index.
-func (g *Env) withRefAlias(x string, site int) *Env {
-	aliases := make(map[string]int, len(g.aliases)+1)
-	for k, v := range g.aliases {
-		aliases[k] = v
+// withAlias returns Γ, x:τ with x known to denote the dcl site with the
+// given usage index (-1: no site).
+func (g *Env) withAlias(x string, t ast.Type, site int) *Env {
+	return &Env{x: x, t: t, site: site, up: g, pctx: g.pctx}
+}
+
+// lookup returns the innermost binding of x, or nil.
+func (g *Env) lookup(x string) *Env {
+	for e := g; e.up != nil; e = e.up {
+		if e.x == x {
+			return e
+		}
 	}
-	aliases[x] = site
-	return &Env{vars: g.vars, aliases: aliases, pctx: g.pctx}
+	return nil
 }
 
 // refAlias returns the dcl site index x is known to denote, if any.
 func (g *Env) refAlias(x string) (int, bool) {
-	i, ok := g.aliases[x]
-	return i, ok
+	if b := g.lookup(x); b != nil && b.site >= 0 {
+		return b.site, true
+	}
+	return 0, false
 }
 
-// WithPrioVar returns Γ, π prio, C.
+// WithPrioVar returns Γ, π prio, C: the same bindings under an extended
+// priority fragment.
 func (g *Env) WithPrioVar(pi string, c prio.Constraints) *Env {
-	return &Env{vars: g.vars, aliases: g.aliases, pctx: g.pctx.WithVar(pi).WithConstraints(c...)}
+	ext := *g
+	ext.pctx = g.pctx.WithVar(pi).WithConstraints(c...)
+	return &ext
 }
 
 // Lookup returns the type of x in Γ.
 func (g *Env) Lookup(x string) (ast.Type, bool) {
-	t, ok := g.vars[x]
-	return t, ok
+	if b := g.lookup(x); b != nil {
+		return b.t, true
+	}
+	return nil, false
 }
 
 // PrioCtx exposes the priority fragment of Γ.
@@ -537,7 +541,6 @@ func (c *Checker) Expr(g *Env, sig Signature, e ast.Expr) (ast.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		g2 := g.WithVar(e.X, t1)
 		// Alias tracking (the first step of escape-analysis tightening):
 		// a let whose right-hand side is a visible dcl location — or a
 		// variable already aliasing one — binds a tracked alias rather
@@ -545,11 +548,11 @@ func (c *Checker) Expr(g *Env, sig Signature, e ast.Expr) (ast.Type, error) {
 		// through x attribute to the dcl site, so a counter captured only
 		// by closures at statically known priorities keeps its tight
 		// ceiling instead of widening to top.
-		if i := c.aliasSite(g, e.E1); i >= 0 {
-			c.Usage.creditAt(i)
-			g2 = g2.withRefAlias(e.X, i)
+		site := c.aliasSite(g, e.E1)
+		if site >= 0 {
+			c.Usage.creditAt(site)
 		}
-		return c.Expr(g2, sig, e.E2)
+		return c.Expr(g.withAlias(e.X, t1, site), sig, e.E2)
 
 	case ast.Fix: // rule fix
 		if err := c.validType(g, e.T, e); err != nil {
@@ -624,20 +627,19 @@ func (c *Checker) Cmd(g *Env, sig Signature, m ast.Cmd, at prio.Prio) (ast.Type,
 		if ct.P != at {
 			return nil, errf(m, "bind of command at priority %s inside priority %s", ct.P, at)
 		}
-		g2 := g.WithVar(m.X, ct.T)
 		// The command-level let sugar elaborates to
 		// x ← cmd[at]{ret e}; m, so alias tracking must see through that
 		// shape too: a bind of a literal ret of a visible location (or of
 		// an existing alias) binds a tracked alias, not an escape.
+		site := -1
 		if cv, ok := m.E.(ast.CmdVal); ok {
 			if r, ok := cv.M.(ast.Ret); ok {
-				if i := c.aliasSite(g, r.E); i >= 0 {
-					c.Usage.creditAt(i)
-					g2 = g2.withRefAlias(m.X, i)
+				if site = c.aliasSite(g, r.E); site >= 0 {
+					c.Usage.creditAt(site)
 				}
 			}
 		}
-		return c.Cmd(g2, sig, m.M, at)
+		return c.Cmd(g.withAlias(m.X, ct.T, site), sig, m.M, at)
 
 	case ast.Fcreate: // rule Create
 		if err := c.validPrio(g, m.P, m); err != nil {

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -421,5 +422,84 @@ func TestRefUsageShadowing(t *testing.T) {
 	}
 	if len(innerSite.Accesses) != 1 || innerSite.Accesses[0] != low {
 		t.Errorf("inner site accesses %v, want one at low", innerSite.Accesses)
+	}
+}
+
+// letChain is let x1 = 0 in let x2 = x1 in … in xn.
+func letChain(n int) ast.Expr {
+	name := func(i int) string { return "x" + strconv.Itoa(i) }
+	var e ast.Expr = ast.Var{Name: name(n)}
+	for i := n; i >= 1; i-- {
+		var rhs ast.Expr = ast.Nat{N: 0}
+		if i > 1 {
+			rhs = ast.Var{Name: name(i - 1)}
+		}
+		e = ast.Let{X: name(i), E1: rhs, E2: e}
+	}
+	return e
+}
+
+// TestLetChainAllocsLinear: extending Γ is one allocation, so checking a
+// let chain allocates once per binder — 2,000 binders stay under a
+// ceiling about 10% above that, and twice the binders cost at most
+// about twice the allocations.
+func TestLetChainAllocsLinear(t *testing.T) {
+	c, g := checker()
+	allocs := func(n int) float64 {
+		e := letChain(n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := c.Expr(g, Signature{}, e); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a1, a2 := allocs(1000), allocs(2000)
+	t.Logf("let chain: %.0f allocs for 1,000 binders, %.0f for 2,000", a1, a2)
+	if a2 > 2200 {
+		t.Errorf("2,000-binder let chain: %.0f allocs, ceiling 2200", a2)
+	}
+	if a2 > 2.2*a1 {
+		t.Errorf("let chain allocations not linear: %.0f for 1,000 binders, %.0f for 2,000", a1, a2)
+	}
+}
+
+// TestRebindKillsAlias: once x aliases dcl site s, rebinding x to an
+// unrelated value ends the alias — a use of the new x is not a use of s,
+// so s keeps its tight ceiling; a use of the alias itself outside a
+// direct access still widens s to top.
+func TestRebindKillsAlias(t *testing.T) {
+	cmdv := func(m ast.Cmd) ast.Expr { return ast.CmdVal{P: mid, M: m} }
+	level := func(p prio.Prio) (int, bool) {
+		l, ok := map[prio.Prio]int{low: 0, mid: 1, high: 2}[p]
+		return l, ok
+	}
+	for _, tc := range []struct {
+		name string
+		// after runs once x has been bound to the alias and accessed
+		// through it at mid.
+		after ast.Cmd
+		want  int
+	}{
+		{"rebound", ast.Bind{X: "x", E: cmdv(ast.Ret{E: ast.Nat{N: 5}}),
+			M: ast.Ret{E: ast.Pair{L: ast.Var{Name: "x"}, R: ast.Var{Name: "a"}}}}, 1},
+		{"escaped", ast.Ret{E: ast.Pair{L: ast.Var{Name: "x"}, R: ast.Var{Name: "a"}}}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, g := checker()
+			c.Usage = NewRefUsage()
+			m := ast.Dcl{T: ast.NatT{}, S: "s", E: ast.Nat{N: 0},
+				M: ast.Bind{X: "x", E: cmdv(ast.Ret{E: ast.Ref{Loc: "s"}}),
+					M: ast.Bind{X: "a", E: cmdv(ast.Get{E: ast.Var{Name: "x"}}), M: tc.after}}}
+			if _, err := c.Cmd(g, Signature{}, m, mid); err != nil {
+				t.Fatalf("typecheck: %v", err)
+			}
+			site := c.Usage.Sites[0]
+			if len(site.Accesses) != 1 || site.Accesses[0] != mid {
+				t.Errorf("accesses %v, want one at mid through the alias", site.Accesses)
+			}
+			if got := site.MaxAccess(level, 2); got != tc.want {
+				t.Errorf("ceiling %d, want %d (escapes=%v)", got, tc.want, site.Escapes())
+			}
+		})
 	}
 }
