@@ -11,11 +11,11 @@
 //     topological sort (prio.Order.Linearize): a ⪯ b in R implies
 //     level(a) ≤ level(b), so every Touch the static checker accepts is
 //     also accepted by the runtime's dynamic inversion check.
-//   - fcreate[ρ;τ]{m} compiles to icilk.Go at level(ρ); the resulting
+//   - fcreate[ρ;τ]{m} compiles to icilk.Spawn at level(ρ); the resulting
 //     thread handle tid[a] is a first-class value backed by the task's
-//     *icilk.Future — store it, pass it, touch it (the futures-as-
+//     icilk.Handle — store it, pass it, touch it (the futures-as-
 //     handles motif of Figure 1).
-//   - ftouch compiles to Future.Touch, whose dynamic check is the
+//   - ftouch compiles to Handle.Touch, whose dynamic check is the
 //     runtime mirror of the Touch rule's ρ ⪯ ρ′ premise.
 //   - dcl[τ] s := v in m allocates an icilk.Ref[ast.Expr] whose priority
 //     ceiling is derived from the static typing derivation

@@ -115,16 +115,11 @@ func load(fr []value, slot int, name string) value {
 	v := fr[slot]
 	if rc, ok := v.(*recCell); ok {
 		if rc.v == nil {
-			unclosedFix(name)
+			panic(stuckf("fix variable %s used before its definition closed", name))
 		}
 		return rc.v
 	}
 	return v
-}
-
-//go:noinline
-func unclosedFix(name string) {
-	panic(stuckf("fix variable %s used before its definition closed", name))
 }
 
 // stuck panics with a stuck-state report, format applied to the value in
@@ -134,11 +129,6 @@ func unclosedFix(name string) {
 //go:noinline
 func stuck(format string, v value) {
 	panic(stuckf(format, vstr(v)))
-}
-
-//go:noinline
-func unknownForm(kind string, form any) {
-	panic(stuckf("unknown %s form %T", kind, form))
 }
 
 // run executes a task's top-level command over its frame fr, the only
@@ -220,7 +210,7 @@ func (t *texec) command(co *code, fr []value, penv []icilk.Priority) value {
 			return t.cas(r, t.eval(mm.old, fr, penv), t.eval(mm.nw, fr, penv))
 
 		default:
-			unknownForm("command", m)
+			panic(stuckf("unknown command form %T", m))
 		}
 	}
 }
@@ -392,8 +382,7 @@ func (t *texec) eval(e iExpr, fr []value, penv []icilk.Priority) value {
 		}
 		return t.papp(pl, ee.p.resolve(penv))
 	}
-	unknownForm("expression", e)
-	return nil
+	panic(stuckf("unknown expression form %T", e))
 }
 
 // apply is →E: it activates cl's code over a frame holding the argument

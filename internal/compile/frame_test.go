@@ -13,14 +13,10 @@ import (
 	"repro/internal/prio"
 )
 
-// examplePath is an examples/l4i program by name.
-func examplePath(name string) string {
-	return filepath.Join("..", "..", "examples", "l4i", name+".l4i")
-}
-
+// exampleSrc is the source of an examples/l4i program by name.
 func exampleSrc(t testing.TB, name string) string {
 	t.Helper()
-	b, err := os.ReadFile(examplePath(name))
+	b, err := os.ReadFile(filepath.Join("..", "..", "examples", "l4i", name+".l4i"))
 	if err != nil {
 		t.Fatal(err)
 	}
