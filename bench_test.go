@@ -239,7 +239,7 @@ func BenchmarkTypecheck(b *testing.B) {
 }
 
 func BenchmarkRuntimeSpawnTouch(b *testing.B) {
-	rt := icilk.New(icilk.Config{Workers: 4, Levels: 2, Prioritize: true, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: 4, Levels: 2, Prioritize: true})
 	defer rt.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -256,7 +256,7 @@ func BenchmarkRuntimeSpawnTouch(b *testing.B) {
 }
 
 func BenchmarkRuntimeIOFuture(b *testing.B) {
-	rt := icilk.New(icilk.Config{Workers: 2, Levels: 1, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: 2, Levels: 1})
 	defer rt.Shutdown()
 	b.ResetTimer()
 	fut := icilk.Go(rt, nil, 0, "bench", func(c *icilk.Ctx) int {
@@ -288,7 +288,7 @@ func BenchmarkHighPrioStartDelay(b *testing.B) {
 	// and the ticker's timers cannot fire until a spinning worker's
 	// goroutine is preempted, 10 ms.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	rt := icilk.New(icilk.Config{Workers: 2, Levels: 2, Prioritize: true, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: 2, Levels: 2, Prioritize: true})
 	defer rt.Shutdown()
 
 	// The backlog is topped up from a ticker, not by the tasks

@@ -24,10 +24,7 @@ func main() {
 		workload.JobMatMul, workload.JobFib, workload.JobSort, workload.JobSW,
 	}
 	for _, prioritize := range []bool{true, false} {
-		rt := icilk.New(icilk.Config{
-			Workers: 4, Levels: jserver.Levels, Prioritize: prioritize,
-			DisableMetrics: true,
-		})
+		rt := icilk.New(icilk.Config{Workers: 4, Levels: jserver.Levels, Prioritize: prioritize})
 		res := jserver.Run(rt, cfg)
 		rt.Shutdown()
 		mode := "I-Cilk  "

@@ -141,6 +141,12 @@ type Result struct {
 	Sorts      int64
 	Prints     int64
 	Compresses int64
+	// Components holds the compute-time samples of the "event", "send",
+	// "sort", "print", "compress" and "check" components (Figure 14):
+	// one per task, from just before its spawn to the end of its body.
+	// An event task's span is its request's response time, so "event"
+	// holds Responses' samples.
+	Components map[string]*stats.Recorder
 }
 
 // ResponseSummary summarizes the response-time sample.
@@ -212,6 +218,10 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 		prints     atomic.Int64
 		compresses atomic.Int64
 	)
+	components := map[string]*stats.Recorder{"event": &responses}
+	for _, name := range []string{"send", "sort", "print", "compress", "check"} {
+		components[name] = new(stats.Recorder)
+	}
 
 	icilk.Go(rt, nil, PrioMain, "main", func(c *icilk.Ctx) int { return 0 })
 
@@ -229,6 +239,7 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 			case <-stop:
 				return
 			case <-tick.C:
+				spawned := time.Now()
 				icilk.Go(rt, nil, PrioCheck, "check", func(c *icilk.Ctx) int {
 					fired := 0
 					for u := range srv.boxes {
@@ -247,11 +258,12 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 						}
 						box.mu.Unlock(c)
 						for _, e := range pending {
-							srv.compress(c, box, e, &compresses)
+							srv.compress(c, box, e, &compresses, components["compress"])
 							fired++
 						}
 						c.Checkpoint()
 					}
+					components["check"].Record(time.Since(spawned))
 					return fired
 				})
 			}
@@ -279,17 +291,20 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 				// The event loop dispatches every request at top priority.
 				icilk.Go(rt, nil, PrioEvent, "event", func(c *icilk.Ctx) int {
 					box := srv.boxes[user]
+					spawned := time.Now()
 					switch {
 					case kind < 3: // send
 						icilk.Go(rt, c, PrioSend, "send", func(c *icilk.Ctx) int {
 							sends.Add(1)
 							srv.send(c, box, user)
+							components["send"].Record(time.Since(spawned))
 							return 0
 						})
 					case kind < 6: // sort
 						icilk.Go(rt, c, PrioSort, "sort", func(c *icilk.Ctx) int {
 							sorts.Add(1)
 							srv.sortBox(c, box)
+							components["sort"].Record(time.Since(spawned))
 							return 0
 						})
 					default: // print
@@ -297,6 +312,7 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 							func(c *icilk.Ctx, self icilk.Future[int]) int {
 								prints.Add(1)
 								srv.print(c, box, eid, self)
+								components["print"].Record(time.Since(spawned))
 								return 0
 							})
 					}
@@ -319,6 +335,7 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 		Sorts:      sorts.Load(),
 		Prints:     prints.Load(),
 		Compresses: compresses.Load(),
+		Components: components,
 	}
 }
 
@@ -388,8 +405,10 @@ func (s *Server) print(c *icilk.Ctx, box *mailbox, eid int, self icilk.Future[in
 // compress Huffman-compresses one email, coordinating with printing via
 // the slot protocol — a direct transcription of the Section 5.1
 // pseudocode: CAS this task's own handle into the slot, ftouch the
-// previous occupant, then compress if still needed.
-func (s *Server) compress(c *icilk.Ctx, box *mailbox, e *email, count *atomic.Int64) {
+// previous occupant, then compress if still needed. The task counts
+// its compression in count and its compute time in rec.
+func (s *Server) compress(c *icilk.Ctx, box *mailbox, e *email, count *atomic.Int64, rec *stats.Recorder) {
+	spawned := time.Now()
 	icilk.GoSelf(s.rt, c, PrioCompress, "compress",
 		func(c *icilk.Ctx, self icilk.Future[int]) int {
 			if e.id < len(box.slots) {
@@ -405,6 +424,7 @@ func (s *Server) compress(c *icilk.Ctx, box *mailbox, e *email, count *atomic.In
 			}
 			e.mu.Unlock(c)
 			c.Checkpoint()
+			rec.Record(time.Since(spawned))
 			return 0
 		})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/huffman"
 	"repro/internal/icilk"
+	"repro/internal/stats"
 )
 
 func shortCfg(seed int64) Config {
@@ -61,16 +62,21 @@ func TestEmailComponentRecords(t *testing.T) {
 	defer rt.Shutdown()
 	cfg := shortCfg(4)
 	cfg.Duration = 300 * time.Millisecond
-	Run(rt, cfg)
-	recs := rt.Records()
-	seen := map[string]bool{}
-	for _, r := range recs {
-		seen[r.Name] = true
-	}
-	for _, want := range []string{"event", "send", "sort", "print", "compress", "check", "main"} {
-		if !seen[want] {
-			t.Errorf("no task records for component %q", want)
+	res := Run(rt, cfg)
+	for _, name := range []string{"event", "send", "sort", "print", "compress", "check"} {
+		samples := res.Components[name].Samples()
+		if len(samples) == 0 {
+			t.Errorf("no samples for component %q", name)
 		}
+		for _, d := range samples {
+			if d <= 0 {
+				t.Errorf("component %q sample %v, want > 0", name, d)
+				break
+			}
+		}
+	}
+	if len(res.Components) != 6 {
+		t.Errorf("components = %d, want 6", len(res.Components))
 	}
 }
 
@@ -135,7 +141,7 @@ func TestMailboxSlotPrintCompressProtocol(t *testing.T) {
 	<-printGate
 	var compresses atomic.Int64
 	icilk.Go(rt, nil, PrioCheck, "check", func(c *icilk.Ctx) int {
-		srv.compress(c, box, e, &compresses)
+		srv.compress(c, box, e, &compresses, new(stats.Recorder))
 		return 0
 	})
 	if _, err := icilk.Await(printFut, 5*time.Second); err != nil {

@@ -81,6 +81,11 @@ type Result struct {
 	Hits      int64
 	Misses    int64
 	Requests  int64
+	// Components holds the compute-time samples of the "event", "fetch"
+	// and "stats" components (Figure 14): one per task, from just
+	// before its spawn to the end of its body. An event task's span is
+	// its request's response time, so "event" holds Responses' samples.
+	Components map[string]*stats.Recorder
 }
 
 // ResponseSummary summarizes the response-time sample.
@@ -166,9 +171,10 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 	svc := NewService(rt, cfg.FetchLatency, cfg.Seed)
 
 	var (
-		responses stats.Recorder
-		requests  atomic.Int64
+		responses, fetches, logs stats.Recorder
+		requests                 atomic.Int64
 	)
+	components := map[string]*stats.Recorder{"event": &responses, "fetch": &fetches, "stats": &logs}
 
 	// Main component (lowest priority): startup.
 	startup := icilk.Go(rt, nil, PrioMain, "main", func(c *icilk.Ctx) int {
@@ -188,11 +194,13 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 			case <-statsStop:
 				return
 			case <-tick.C:
+				spawned := time.Now()
 				icilk.Go(rt, nil, PrioStats, "stats", func(c *icilk.Ctx) int {
 					// Aggregate counters with a small amount of work.
 					h, m := svc.Hits.Load(c), svc.Misses.Load(c)
 					spin(20 * time.Microsecond)
 					c.Checkpoint()
+					logs.Record(time.Since(spawned))
 					return int(h + m)
 				})
 			}
@@ -223,8 +231,11 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 					}
 					// Delegate the fetch to the lower-priority component;
 					// the event loop is done once the fetch is dispatched.
+					spawned := time.Now()
 					icilk.Go(rt, c, PrioFetch, "fetch", func(c *icilk.Ctx) int {
-						return len(svc.Fetch(rt, c, PrioFetch, url))
+						n := len(svc.Fetch(rt, c, PrioFetch, url))
+						fetches.Record(time.Since(spawned))
+						return n
 					})
 					responses.Record(time.Since(arrival))
 					return 0
@@ -240,15 +251,16 @@ func Run(rt *icilk.Runtime, cfg Config) Result {
 	if _, err := icilk.Await(startup, time.Second); err != nil {
 		// Startup not completing means the runtime is wedged; surface it
 		// through an empty result rather than hanging the harness.
-		return Result{}
+		return Result{Components: components}
 	}
 	_ = rt.WaitIdle(10 * time.Second)
 
 	return Result{
-		Responses: responses.Samples(),
-		Hits:      svc.Hits.Load(nil),
-		Misses:    svc.Misses.Load(nil),
-		Requests:  requests.Load(),
+		Responses:  responses.Samples(),
+		Hits:       svc.Hits.Load(nil),
+		Misses:     svc.Misses.Load(nil),
+		Requests:   requests.Load(),
+		Components: components,
 	}
 }
 

@@ -54,16 +54,21 @@ func TestProxyBaselineMode(t *testing.T) {
 func TestProxyComponentRecords(t *testing.T) {
 	rt := icilk.New(icilk.Config{Workers: 4, Levels: Levels, Prioritize: true})
 	defer rt.Shutdown()
-	Run(rt, shortCfg(3))
-	recs := rt.Records()
-	seen := map[string]bool{}
-	for _, r := range recs {
-		seen[r.Name] = true
-	}
-	for _, want := range []string{"event", "fetch", "stats", "main"} {
-		if !seen[want] {
-			t.Errorf("no task records for component %q", want)
+	res := Run(rt, shortCfg(3))
+	for _, name := range []string{"event", "fetch", "stats"} {
+		samples := res.Components[name].Samples()
+		if len(samples) == 0 {
+			t.Errorf("no samples for component %q", name)
 		}
+		for _, d := range samples {
+			if d <= 0 {
+				t.Errorf("component %q sample %v, want > 0", name, d)
+				break
+			}
+		}
+	}
+	if len(res.Components) != 3 {
+		t.Errorf("components = %d, want 3", len(res.Components))
 	}
 }
 

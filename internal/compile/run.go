@@ -126,15 +126,13 @@ func putRuntime(cfg icilk.Config, rt *icilk.Runtime) {
 }
 
 // runtimeConfig is the runtime a run with cfg executes on, and its key
-// in idleRuntimes. Nothing reads a compiled run's Records(), so metrics
-// are off.
+// in idleRuntimes.
 func (p *Prog) runtimeConfig(cfg RunConfig) icilk.Config {
 	return icilk.Config{
 		Workers:        cfg.Workers,
 		Levels:         p.Levels(),
 		Prioritize:     !cfg.Baseline,
 		DisablePooling: cfg.DisablePooling,
-		DisableMetrics: true,
 	}
 }
 

@@ -264,21 +264,6 @@ type Fig14Component struct {
 	RatioP95 float64
 }
 
-// componentTimes extracts per-component durations from runtime records.
-func componentTimes(recs []icilk.TaskRecord, names []string) map[string][]time.Duration {
-	out := map[string][]time.Duration{}
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	for _, r := range recs {
-		if want[r.Name] {
-			out[r.Name] = append(out[r.Name], r.Response())
-		}
-	}
-	return out
-}
-
 // appComponents lists the measured components per app, highest priority
 // first (the bar order of Figure 14).
 var appComponents = map[string][]struct {
@@ -305,18 +290,13 @@ func Fig14ProxyEmail(cfg EvalConfig) []Fig14Row {
 	cfg = cfg.withDefaults()
 	var rows []Fig14Row
 	for _, app := range []string{"proxy", "email"} {
-		comps := appComponents[app]
-		names := make([]string, len(comps))
-		for i, c := range comps {
-			names[i] = c.Name
-		}
 		for _, conns := range cfg.Connections {
-			ic := runAppComponents(app, cfg, conns, true, names)
-			bl := runAppComponents(app, cfg, conns, false, names)
+			ic := runAppComponents(app, cfg, conns, true)
+			bl := runAppComponents(app, cfg, conns, false)
 			row := Fig14Row{App: app, Load: fmt.Sprintf("%d conns", conns)}
-			for _, comp := range comps {
-				icS := stats.Summarize(ic[comp.Name])
-				blS := stats.Summarize(bl[comp.Name])
+			for _, comp := range appComponents[app] {
+				icS := ic[comp.Name].Summary()
+				blS := bl[comp.Name].Summary()
 				row.Components = append(row.Components, Fig14Component{
 					Name:     comp.Name,
 					Prio:     comp.Prio,
@@ -332,22 +312,22 @@ func Fig14ProxyEmail(cfg EvalConfig) []Fig14Row {
 	return rows
 }
 
-func runAppComponents(app string, cfg EvalConfig, conns int, prioritize bool, names []string) map[string][]time.Duration {
+// runAppComponents runs one app once and returns its per-component
+// compute-time samples, keyed by the names in appComponents.
+func runAppComponents(app string, cfg EvalConfig, conns int, prioritize bool) map[string]*stats.Recorder {
 	switch app {
 	case "proxy":
 		rt := icilk.New(icilk.Config{
 			Workers: cfg.Workers, Levels: proxy.Levels, Prioritize: prioritize,
 		})
 		defer rt.Shutdown()
-		proxy.Run(rt, proxy.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed})
-		return componentTimes(rt.Records(), names)
+		return proxy.Run(rt, proxy.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed}).Components
 	case "email":
 		rt := icilk.New(icilk.Config{
 			Workers: cfg.Workers, Levels: email.Levels, Prioritize: prioritize,
 		})
 		defer rt.Shutdown()
-		email.Run(rt, email.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed})
-		return componentTimes(rt.Records(), names)
+		return email.Run(rt, email.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed}).Components
 	}
 	panic("experiments: unknown app " + app)
 }
@@ -374,10 +354,7 @@ func Fig14JServer(cfg EvalConfig) []Fig14Row {
 	var rows []Fig14Row
 	for _, load := range JServerLoads {
 		run := func(prioritize bool) jserver.Result {
-			rt := icilk.New(icilk.Config{
-				Workers: cfg.Workers, Levels: jserver.Levels, Prioritize: prioritize,
-				DisableMetrics: true,
-			})
+			rt := icilk.New(icilk.Config{Workers: cfg.Workers, Levels: jserver.Levels, Prioritize: prioritize})
 			defer rt.Shutdown()
 			return jserver.Run(rt, jserver.Config{
 				MeanArrival: load.MeanArrival,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -89,13 +90,28 @@ func TestFig14ProxyEmailProducesRows(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	for _, row := range rows {
-		if len(row.Components) == 0 {
-			t.Errorf("%s: no components", row.App)
+	wantComponents := map[string][]string{
+		"proxy": {"event", "fetch", "stats"},
+		"email": {"event", "send", "sort", "print", "compress", "check"},
+	}
+	for i, app := range []string{"proxy", "email"} {
+		row := rows[i]
+		if row.App != app {
+			t.Fatalf("row %d is %s, want %s", i, row.App, app)
+		}
+		var names []string
+		for _, comp := range row.Components {
+			names = append(names, comp.Name)
+		}
+		if !slices.Equal(names, wantComponents[app]) {
+			t.Errorf("%s components = %v, want %v", app, names, wantComponents[app])
 		}
 		for _, comp := range row.Components {
 			if comp.ICilk.Count == 0 {
-				t.Errorf("%s/%s: no I-Cilk samples", row.App, comp.Name)
+				t.Errorf("%s/%s: no I-Cilk samples", app, comp.Name)
+			}
+			if comp.Baseline.Count == 0 {
+				t.Errorf("%s/%s: no baseline samples", app, comp.Name)
 			}
 		}
 	}

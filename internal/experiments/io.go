@@ -117,15 +117,10 @@ func IOBench(cfg EvalConfig) IOResult {
 // while the task runs, the worker executing it is the only goroutine
 // allocating — the process-wide Mallocs delta is the loop's.
 func ioMeasure(pooled bool, iters int, bench func(c *icilk.Ctx, n int)) (float64, float64, icilk.SchedStats) {
-	// DisableMetrics turns off the per-task record log (time stamps plus
-	// a bounded append), the same configuration the lock experiment's
-	// fast paths use; the pool and scheduler event counters are plain
-	// atomics and keep counting.
 	rt := icilk.New(icilk.Config{
 		Workers:        1,
 		Levels:         1,
 		Prioritize:     false,
-		DisableMetrics: true,
 		DisablePooling: !pooled,
 	})
 	defer rt.Shutdown()

@@ -100,7 +100,7 @@ func LockFast(cfg EvalConfig) LockResult {
 // single-worker runtime — no contention, so every op takes its fast
 // path (verifiably: an uncontended run keeps MutexParks at zero).
 func measureFastPaths() LockFastPath {
-	rt := icilk.New(icilk.Config{Workers: 1, Levels: 1, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: 1, Levels: 1})
 	defer rt.Shutdown()
 
 	var out LockFastPath
@@ -210,7 +210,7 @@ func measureReadScaling(w int, dur time.Duration) RWScalePoint {
 }
 
 func readMostlyThroughput(workers int, dur time.Duration, rwlock bool) float64 {
-	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1})
 	defer rt.Shutdown()
 
 	table := map[int]int{}

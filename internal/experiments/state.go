@@ -63,7 +63,6 @@ func stateRun(cfg EvalConfig, inherit bool) StatePoint {
 		Levels:             2,
 		Prioritize:         true,
 		DisableInheritance: !inherit,
-		DisableMetrics:     true,
 	})
 	defer rt.Shutdown()
 	m := icilk.NewMutex(rt, 1, "state.bench")
@@ -206,7 +205,6 @@ func chainRun(cfg EvalConfig, inherit bool) ChainPoint {
 		Levels:             2,
 		Prioritize:         true,
 		DisableInheritance: !inherit,
-		DisableMetrics:     true,
 	})
 	defer rt.Shutdown()
 	A := icilk.NewMutex(rt, 1, "chain.A")
@@ -371,7 +369,7 @@ func shardedThroughput(workers, nshards int, dur time.Duration) float64 {
 	if dur > 150*time.Millisecond {
 		dur = 150 * time.Millisecond // per shard-count cell
 	}
-	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: workers, Levels: 1})
 	defer rt.Shutdown()
 
 	type shard struct {

@@ -70,30 +70,3 @@ func (p Promise[T]) FailAfter(d time.Duration) (cancel func()) {
 	t := time.AfterFunc(d, func() { p.TryFail(derr) })
 	return func() { t.Stop() }
 }
-
-// WithTimeout runs fn as a task at priority prio and returns a future
-// that resolves with fn's value, or fails with a *DeadlineError if d
-// elapses first. The timer and the task race through the promise's
-// first-writer-wins resolution; whichever loses is a no-op. On timeout
-// the task is NOT preempted — it runs to completion and its value is
-// discarded — so fn should be work whose result merely stops mattering
-// after the deadline, not work that must be stopped. A fn that panics
-// counts as neither: the future then fails only when the deadline
-// fires. With a nil Ctx the task and promise are created from outside
-// task context (pool stripe 0), as with Go and NewPromise.
-func WithTimeout[T any](rt *Runtime, c *Ctx, prio Priority, d time.Duration, name string, fn func(*Ctx) T) Future[T] {
-	var pr Promise[T]
-	if c != nil {
-		pr = NewPromiseIn[T](c, prio)
-	} else {
-		pr = NewPromise[T](rt, prio)
-	}
-	cancel := pr.FailAfter(d)
-	Go(rt, c, prio, name, func(c *Ctx) int {
-		if pr.TryComplete(fn(c)) {
-			cancel()
-		}
-		return 0
-	})
-	return pr.Future()
-}

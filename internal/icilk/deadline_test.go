@@ -108,31 +108,3 @@ func TestFailAfterLateFiringIsHarmless(t *testing.T) {
 		t.Errorf("outstanding = %d after drain, want 0", n)
 	}
 }
-
-func TestWithTimeoutCompletes(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 1})
-	f := WithTimeout(rt, nil, 0, time.Hour, "fast", func(*Ctx) int { return 9 })
-	if v, err := Await(f, 5*time.Second); err != nil || v != 9 {
-		t.Fatalf("WithTimeout = (%d, %v), want (9, nil)", v, err)
-	}
-}
-
-func TestWithTimeoutExpires(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 1})
-	release := make(chan struct{})
-	f := WithTimeout(rt, nil, 0, 2*time.Millisecond, "slow", func(*Ctx) int {
-		<-release
-		return 9
-	})
-	_, err := Await(f, 5*time.Second)
-	close(release) // let the straggler finish and discard its value
-	if !IsDeadline(err) {
-		t.Fatalf("WithTimeout past its deadline failed with %v, want DeadlineError", err)
-	}
-	if err := rt.WaitIdle(5 * time.Second); err != nil {
-		t.Fatalf("runtime did not drain after straggler: %v", err)
-	}
-	if n := rt.Outstanding(); n != 0 {
-		t.Errorf("outstanding = %d after drain, want 0", n)
-	}
-}

@@ -6,12 +6,12 @@ import (
 	"strings"
 )
 
-// Deadlock diagnostics (Config.DetectDeadlocks). A Mutex or RWMutex
-// knows its (write-side) holder, and a task about to park on one
-// publishes which lock it is blocked on — unconditionally, since
-// transitive priority inheritance (propagateBoost in waitq.go) chains
-// boosts along the same edges; DetectDeadlocks only gates the cycle
-// walk below. Walking those two edge kinds —
+// Deadlock diagnostics (Config.Debug). A Mutex or RWMutex knows its
+// (write-side) holder, and a task about to park on one publishes which
+// lock it is blocked on — unconditionally, since transitive priority
+// inheritance (propagateBoost in waitq.go) chains boosts along the same
+// edges; Debug only gates the cycle walk below. Walking those two edge
+// kinds —
 // task —blocked-on→ lock —held-by→ task — from the holder of the lock a
 // waiter is about to park behind turns a silent circular wait into a
 // panic that prints the cycle. The walk reads only atomics (no lock

@@ -17,7 +17,7 @@ import (
 // the test only Awaits the futures briefly and accepts either one (or
 // both) failing with the error.
 func TestDeadlockDetected(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, DetectDeadlocks: true})
+	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 
 	A := NewMutex(rt, 1, "A")
@@ -77,7 +77,7 @@ func TestDeadlockDetected(t *testing.T) {
 // TestDeadlockRWMutexWriteCycle is the same shape through RWMutex write
 // holders: the walk follows wowner exactly like a Mutex owner.
 func TestDeadlockRWMutexWriteCycle(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, DetectDeadlocks: true})
+	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 
 	A := NewRWMutex(rt, 1, 1, "rwA")
@@ -131,7 +131,7 @@ func TestDeadlockRWMutexWriteCycle(t *testing.T) {
 // detector on: N tasks hammering one Mutex across a park-inducing handoff
 // must all complete without a spurious DeadlockError.
 func TestNoFalseDeadlock(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, DetectDeadlocks: true})
+	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 
 	m := NewMutex(rt, 1, "only")

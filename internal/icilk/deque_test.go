@@ -292,14 +292,17 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers != 4 || c.Levels != 2 || c.Gamma != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if !c.checkInversions || !c.collectMetrics {
-		t.Error("checks and metrics should default on")
+	if !c.checkInversions || !c.inherit || !c.pooling {
+		t.Error("inversion checks, inheritance and pooling should default on")
 	}
 	if c.LockedDeques {
 		t.Error("lock-free deques should be the default")
 	}
-	c2 := Config{DisableInversionCheck: true, DisableMetrics: true}.withDefaults()
-	if c2.checkInversions || c2.collectMetrics {
+	if c.Debug {
+		t.Error("debug checks should default off")
+	}
+	c2 := Config{DisableInversionCheck: true, DisableInheritance: true, DisablePooling: true}.withDefaults()
+	if c2.checkInversions || c2.inherit || c2.pooling {
 		t.Error("disable flags should turn features off")
 	}
 }

@@ -42,13 +42,19 @@
 // A lock is a state word plus a wait queue. Mutex and RWMutex each keep
 // their own word, fast paths and grant policy; what a contended acquire
 // does — publish the blocked-on edge, walk it for a deadlock
-// (Config.DetectDeadlocks), lend the holder its priority, queue by
-// priority, park — and what a hand-off does on the other side exist
+// (Config.Debug), lend the holder its priority, queue by priority,
+// park — and what a hand-off does on the other side exist
 // once, in the waitq both embed (waitq.go). A grant retracts the
 // grantee's edge before publishing it as holder, so a task is never
 // owner of the lock it is recorded as waiting on; a task that panics
 // holding locks releases them through the same hand-off before its
 // future fails.
+//
+// Config.Debug is the one debug switch: it turns on the deadlock walk,
+// the lock-order recorder (LockOrderViolations reports AB/BA orderings
+// even on runs that never deadlocked) and the stale-handle checks on
+// recycled futures. Tests run with it on and assert an empty
+// LockOrderViolations report from their cleanup.
 //
 // # External IO
 //

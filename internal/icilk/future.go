@@ -32,7 +32,7 @@ type future struct {
 
 	// gen is the recycling epoch: bumped by putFuture before the cell
 	// is reset. Handles capture the stamp at mint time; under
-	// Config.DebugPooling a mismatch on touch fails loudly.
+	// Config.Debug a mismatch on touch fails loudly.
 	gen atomic.Uint64
 
 	// owner is the task computing this future (nil for IO futures). The
@@ -147,11 +147,11 @@ func (f *future) tryFinish(v any, err error, gen *uint64) bool {
 // future, consuming one hop of its budget. migrated=false means the
 // caller requeues the waiter itself: with a nil error when the inner
 // future is already done (the resumed toucher walks the rest
-// synchronously), with a StaleHandleError when DebugPooling caught the
+// synchronously), with a StaleHandleError when Config.Debug caught the
 // carrier pointing at a recycled future.
 func (t *task) migrateTo(fc futureCarrier) (migrated bool, stale error) {
 	inner, gen := fc.carriedFuture()
-	if t.rt.cfg.DebugPooling && gen != inner.gen.Load() {
+	if t.rt.cfg.Debug && gen != inner.gen.Load() {
 		return false, &StaleHandleError{Minted: gen, Current: inner.gen.Load()}
 	}
 	inner.mu.Lock()
@@ -200,7 +200,7 @@ func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
 		budget--
 		rt.stats.forwards.Add(1)
 		inner, gen := fc.carriedFuture()
-		if rt.cfg.DebugPooling && gen != inner.gen.Load() {
+		if rt.cfg.Debug && gen != inner.gen.Load() {
 			panic(&StaleHandleError{Minted: gen, Current: inner.gen.Load()})
 		}
 		cur = inner
@@ -350,9 +350,9 @@ func (f Future[T]) Valid() bool { return f.f != nil }
 func (f Future[T]) Priority() Priority { return f.f.prio }
 
 // checkGen fails a touch through a handle whose future was recycled —
-// only under Config.DebugPooling, where release misuse must be loud.
+// only under Config.Debug, where release misuse must be loud.
 func checkGen(c *Ctx, f *future, gen uint64) {
-	if c != nil && c.t.rt.cfg.DebugPooling {
+	if c != nil && c.t.rt.cfg.Debug {
 		if cur := f.gen.Load(); cur != gen {
 			panic(&StaleHandleError{Minted: gen, Current: cur})
 		}
@@ -373,7 +373,7 @@ func (f Future[T]) Touch(c *Ctx) T {
 // soon as the value is returned. Callers on request-scoped paths (one
 // producer, one consumer, nothing stores the handle) use it to make the
 // steady state allocation-free; any later touch through a stale handle
-// is undefined unless Config.DebugPooling is set, in which case it
+// is undefined unless Config.Debug is set, in which case it
 // panics with a StaleHandleError.
 func (f Future[T]) TouchRelease(c *Ctx) T {
 	checkGen(c, f.f, f.gen)

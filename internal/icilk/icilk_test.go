@@ -2,16 +2,24 @@ package icilk
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// testRuntime starts a runtime and registers cleanup.
+// testRuntime starts a runtime and registers cleanup, which fails the
+// test if the lock-order recorder (on under Config.Debug) saw any
+// violation. Tests that expect violations use New directly.
 func testRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
 	rt := New(cfg)
-	t.Cleanup(rt.Shutdown)
+	t.Cleanup(func() {
+		if v := rt.LockOrderViolations(); len(v) != 0 {
+			t.Errorf("lock-order violations recorded:\n  %s", strings.Join(v, "\n  "))
+		}
+		rt.Shutdown()
+	})
 	return rt
 }
 
@@ -284,32 +292,6 @@ func busyFor(d time.Duration) {
 		}
 	}
 	_ = x
-}
-
-func TestMetricsRecorded(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
-	fut := Go(rt, nil, 1, "measured", func(*Ctx) int {
-		busyFor(time.Millisecond)
-		return 0
-	})
-	if _, err := Await(fut, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	recs := rt.Records()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Name != "measured" || r.Prio != 1 {
-		t.Errorf("record = %+v", r)
-	}
-	if r.Response() <= 0 || r.Queued() < 0 {
-		t.Errorf("timings wrong: response %v queued %v", r.Response(), r.Queued())
-	}
-	rt.ResetMetrics()
-	if len(rt.Records()) != 0 {
-		t.Error("ResetMetrics did not clear records")
-	}
 }
 
 func TestShutdownIdempotent(t *testing.T) {

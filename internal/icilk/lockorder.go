@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Lock-order recorder (Config.RecordLockOrder). The deadlock walk
+// Lock-order recorder (Config.Debug). The deadlock walk
 // (deadlock.go) reports a circular wait at the moment it closes; this
 // recorder reports the ORDERING hazard even on runs where the
 // interleaving got lucky and no wait ever closed. Every acquisition —
@@ -43,7 +43,7 @@ type lockOrderGraph struct {
 // recordAcquire notes that t acquired l while holding everything in
 // t.ordHeld, adding one graph edge per held lock, then marks l held.
 // Called from the acquiring task's own context on every successful
-// acquisition path (callers gate on cfg.RecordLockOrder).
+// acquisition path (callers gate on cfg.Debug).
 func (rt *Runtime) recordAcquire(t *task, l *waitq) {
 	g := &rt.lockOrder
 	g.mu.Lock()
@@ -79,7 +79,7 @@ func (rt *Runtime) recordRelease(t *task, l *waitq) {
 // whether or not any run ever deadlocked on it. The result is
 // deterministic for a given set of recorded edges: components and
 // their members are sorted by lock label. Empty without
-// Config.RecordLockOrder, or when every observed nesting is consistent
+// Config.Debug, or when every observed nesting is consistent
 // with one global order.
 func (rt *Runtime) LockOrderViolations() []string {
 	g := &rt.lockOrder
@@ -106,9 +106,9 @@ func (rt *Runtime) LockOrderViolations() []string {
 	return out
 }
 
-// sccs returns the graph's strongly connected components (Tarjan,
-// iterative via an explicit recursion would be overkill: lock graphs
-// are tiny, so the recursive form is fine). Caller holds g.mu.
+// sccs returns the graph's strongly connected components (recursive
+// Tarjan: lock graphs are tiny, so an iterative form with an explicit
+// stack would buy nothing). Caller holds g.mu.
 func (g *lockOrderGraph) sccs() [][]*waitq {
 	index := make(map[*waitq]int, len(g.nodes))
 	low := make(map[*waitq]int, len(g.nodes))

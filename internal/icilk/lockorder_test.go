@@ -1,7 +1,6 @@
 package icilk
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"strings"
@@ -15,7 +14,7 @@ import (
 // the recorder still flags the AB/BA ordering, because an adversarial
 // schedule could interleave them into a real circular wait.
 func TestLockOrderABBAFlaggedOnLuckyRun(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, RecordLockOrder: true})
+	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 	A := NewMutex(rt, 1, "ordA")
 	B := NewMutex(rt, 1, "ordB")
@@ -57,12 +56,9 @@ func TestLockOrderABBAFlaggedOnLuckyRun(t *testing.T) {
 // TestLockOrderConsistentNestingSilent is the no-false-positive half:
 // concurrent tasks nest three Mutexes and an RWMutex (both modes) in
 // one consistent global order, including TryLock and re-nested pairs;
-// the recorder must stay silent, and panic-on-close turns the deferred
-// Shutdown into the assertion.
+// the recorder must stay silent, which testRuntime's cleanup asserts.
 func TestLockOrderConsistentNestingSilent(t *testing.T) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true,
-		RecordLockOrder: true, PanicOnLockOrderViolation: true})
-	defer rt.Shutdown()
+	rt := testRuntime(t, Config{Workers: 4, Levels: 2, Prioritize: true, Debug: true})
 	rw := NewRWMutex(rt, 1, 1, "ordRW")
 	A := NewMutex(rt, 1, "ordA")
 	B := NewMutex(rt, 1, "ordB")
@@ -104,9 +100,6 @@ func TestLockOrderConsistentNestingSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v := rt.LockOrderViolations(); len(v) != 0 {
-		t.Errorf("consistent nesting produced violations: %v", v)
-	}
 }
 
 // TestLockOrderReadReacquireFlagged: a task RLocking a lock it already
@@ -114,7 +107,7 @@ func TestLockOrderConsistentNestingSilent(t *testing.T) {
 // deadlocks the moment a writer queues between the two acquires. The
 // recorder reports it as a self-loop.
 func TestLockOrderReadReacquireFlagged(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, RecordLockOrder: true})
+	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 	rw := NewRWMutex(rt, 1, 1, "ordRR")
 	f := Go(rt, nil, 0, "rr", func(c *Ctx) int {
@@ -131,41 +124,6 @@ func TestLockOrderReadReacquireFlagged(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], "reacquire") || !strings.Contains(v[0], `"ordRR"`) {
 		t.Errorf("violations = %v, want one reacquire report naming ordRR", v)
 	}
-}
-
-// TestPanicOnLockOrderViolationAtShutdown pins the panic-on-close
-// option: Shutdown on a runtime that recorded an AB/BA cycle panics
-// with the report, so a stress test asserts order-discipline absence by
-// merely completing.
-func TestPanicOnLockOrderViolationAtShutdown(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true,
-		RecordLockOrder: true, PanicOnLockOrderViolation: true})
-	A := NewMutex(rt, 1, "pocA")
-	B := NewMutex(rt, 1, "pocB")
-	for _, order := range [][2]*Mutex{{A, B}, {B, A}} {
-		order := order
-		f := Go(rt, nil, 0, "pair", func(c *Ctx) int {
-			order[0].Lock(c)
-			order[1].Lock(c)
-			order[1].Unlock(c)
-			order[0].Unlock(c)
-			return 0
-		})
-		if _, err := Await(f, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Shutdown did not panic despite a recorded AB/BA cycle")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "pocA") || !strings.Contains(msg, "pocB") {
-			t.Errorf("panic %q does not name both locks", msg)
-		}
-	}()
-	rt.Shutdown()
 }
 
 // stressLocks builds the fixed partial order the randomized stress
@@ -210,15 +168,13 @@ func stressRelease(c *Ctx, l interface{ lockLabel() string }, read bool) {
 
 // TestLockOrderPartialOrderStressSilent: many tasks acquire random lock
 // PAIRS drawn from the fixed partial order, always low rank before high
-// rank — the discipline that provably cannot deadlock. With both debug
-// flags on, the deadlock walk must never fire (no cycle ever forms) and
-// the recorder must stay silent (every observed edge points up-rank);
-// panic-on-close makes the deferred Shutdown the final assertion. This
-// is the -race workout for the recorder's hot-path hooks.
+// rank — the discipline that provably cannot deadlock. With Debug on,
+// the deadlock walk must never fire (no cycle ever forms) and the
+// recorder must stay silent (every observed edge points up-rank), which
+// testRuntime's cleanup asserts. This is the -race workout for the
+// recorder's hot-path hooks.
 func TestLockOrderPartialOrderStressSilent(t *testing.T) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true,
-		DetectDeadlocks: true, RecordLockOrder: true, PanicOnLockOrderViolation: true})
-	defer rt.Shutdown()
+	rt := testRuntime(t, Config{Workers: 4, Levels: 2, Prioritize: true, Debug: true})
 	locks := stressLocks(rt)
 
 	const tasks, iters = 16, 40
@@ -246,9 +202,6 @@ func TestLockOrderPartialOrderStressSilent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v := rt.LockOrderViolations(); len(v) != 0 {
-		t.Errorf("partial-order stress produced violations: %v", v)
-	}
 }
 
 // TestLockOrderShuffledStressFires is the firing twin: the same pair
@@ -258,8 +211,7 @@ func TestLockOrderPartialOrderStressSilent(t *testing.T) {
 // cycle regardless of TryLock luck. The recorder must report at least
 // one order cycle.
 func TestLockOrderShuffledStressFires(t *testing.T) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true,
-		DetectDeadlocks: true, RecordLockOrder: true})
+	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true, Debug: true})
 	defer rt.Shutdown()
 	locks := stressLocks(rt)
 
@@ -326,16 +278,16 @@ func TestLockOrderShuffledStressFires(t *testing.T) {
 }
 
 // TestForcedABBAOrderingFailsBuild is CI's tamper negative-check: with
-// ICILK_FORCE_ABBA=1 it records a forced AB/BA ordering and lets the
-// panic-on-close fire UN-recovered, so `go test` exits nonzero — the CI
-// step asserts exactly that, proving the recorder + panic option can
-// actually fail a build. Skipped in normal runs.
+// ICILK_FORCE_ABBA=1 it records a forced AB/BA ordering on a
+// testRuntime, whose cleanup then fails the test, so `go test` exits
+// nonzero — the CI step asserts exactly that, proving the recorder and
+// the cleanup assertion can actually fail a build. Skipped in normal
+// runs.
 func TestForcedABBAOrderingFailsBuild(t *testing.T) {
 	if os.Getenv("ICILK_FORCE_ABBA") == "" {
-		t.Skip("tamper check only: set ICILK_FORCE_ABBA=1 to record a forced AB/BA ordering and panic on Shutdown")
+		t.Skip("tamper check only: set ICILK_FORCE_ABBA=1 to record a forced AB/BA ordering and fail at cleanup")
 	}
-	rt := New(Config{Workers: 2, Levels: 2, Prioritize: true,
-		RecordLockOrder: true, PanicOnLockOrderViolation: true})
+	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true, Debug: true})
 	A := NewMutex(rt, 1, "forcedA")
 	B := NewMutex(rt, 1, "forcedB")
 	for _, order := range [][2]*Mutex{{A, B}, {B, A}} {
@@ -351,5 +303,4 @@ func TestForcedABBAOrderingFailsBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rt.Shutdown() // panics; deliberately not recovered
 }

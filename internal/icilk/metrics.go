@@ -3,69 +3,8 @@ package icilk
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// TaskRecord is one completed task's timing, used by the evaluation
-// harness to compute per-priority response and compute times (Figures 13
-// and 14 of the paper measure exactly these).
-type TaskRecord struct {
-	Name     string
-	Prio     Priority
-	Created  time.Time
-	FirstRun time.Time
-	Done     time.Time
-}
-
-// Response is the elapsed time from creation to completion — the paper's
-// per-thread duration measurement.
-func (r TaskRecord) Response() time.Duration { return r.Done.Sub(r.Created) }
-
-// Queued is the time spent waiting before first execution.
-func (r TaskRecord) Queued() time.Duration { return r.FirstRun.Sub(r.Created) }
-
-// metrics accumulates task records.
-type metrics struct {
-	mu      sync.Mutex
-	records []TaskRecord
-}
-
-const maxRecords = 1 << 20 // drop beyond this to bound memory
-
-func (rt *Runtime) recordTask(t *task) {
-	if !rt.cfg.collectMetrics {
-		return
-	}
-	rt.metrics.mu.Lock()
-	if len(rt.metrics.records) < maxRecords {
-		rt.metrics.records = append(rt.metrics.records, TaskRecord{
-			Name:     t.name,
-			Prio:     t.prio,
-			Created:  t.created,
-			FirstRun: t.firstRun,
-			Done:     t.done,
-		})
-	}
-	rt.metrics.mu.Unlock()
-}
-
-// Records returns a copy of all completed-task records.
-func (rt *Runtime) Records() []TaskRecord {
-	rt.metrics.mu.Lock()
-	defer rt.metrics.mu.Unlock()
-	out := make([]TaskRecord, len(rt.metrics.records))
-	copy(out, rt.metrics.records)
-	return out
-}
-
-// ResetMetrics discards accumulated records (e.g. after warmup).
-func (rt *Runtime) ResetMetrics() {
-	rt.metrics.mu.Lock()
-	rt.metrics.records = rt.metrics.records[:0]
-	rt.metrics.mu.Unlock()
-}
 
 // counter is a cache-line-padded atomic counter: the scheduler's hot
 // paths increment different counters from different workers, and
@@ -111,7 +50,7 @@ type schedCounters struct {
 // fiber, a park is one suspended goroutine awaiting a wakeup, and a
 // resume is one slot grant to a parked fiber.
 type SchedStats struct {
-	// Spawns counts Go/GoSelf calls.
+	// Spawns counts Go, GoSelf and Spawn calls.
 	Spawns int64
 	// InlineRuns counts tasks that completed without ever blocking —
 	// they ran as plain closures on a worker's goroutine from start to

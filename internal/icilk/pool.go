@@ -27,7 +27,7 @@ import "sync"
 // runtime cannot know how many first-class handles to a future exist,
 // so the caller asserts "this was the last touch". Each recycle bumps
 // the future's generation stamp; handles capture the stamp at creation,
-// and with Config.DebugPooling set, a stale handle touching a recycled
+// and with Config.Debug set, a stale handle touching a recycled
 // future fails loudly with a StaleHandleError instead of silently
 // reading the next occupant's value.
 type poolStripe struct {
@@ -147,7 +147,7 @@ func (rt *Runtime) putFuture(g *gctx, f *future) {
 
 // StaleHandleError reports a use of a Future/Handle after the future it
 // referenced was recycled by TouchRelease — detected only under
-// Config.DebugPooling, which is what makes release misuse fail loudly
+// Config.Debug, which is what makes release misuse fail loudly
 // in tests instead of corrupting a reused future in production.
 type StaleHandleError struct {
 	// Minted and Current are the generation stamps of the handle and of

@@ -74,12 +74,12 @@ func TestPoolChurnStress(t *testing.T) {
 }
 
 // TestStaleHandleAfterRecycle asserts the generation-stamp contract:
-// with DebugPooling set, touching a handle after TouchRelease recycled
+// with Config.Debug set, touching a handle after TouchRelease recycled
 // its future panics with a StaleHandleError (which the runtime turns
 // into the touching task's failure) instead of silently reading the
 // next occupant's value.
 func TestStaleHandleAfterRecycle(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 1, DebugPooling: true})
+	rt := New(Config{Workers: 2, Levels: 1, Debug: true})
 	defer rt.Shutdown()
 
 	res := Go(rt, nil, 0, "stale-toucher", func(c *Ctx) int {

@@ -55,11 +55,11 @@ func (p Promise[T]) Future() Future[T] { return Future[T]{f: p.f, gen: p.gen} }
 
 // checkGen fails a resolution through a promise whose future was
 // recycled (the toucher released it and the cell moved on to another
-// incarnation) — only under Config.DebugPooling, mirroring the handle-
+// incarnation) — only under Config.Debug, mirroring the handle-
 // side check: without it a late Complete would silently resolve the
 // pooled cell or another request's incarnation instead of panicking.
 func (p Promise[T]) checkGen() {
-	if p.rt.cfg.DebugPooling {
+	if p.rt.cfg.Debug {
 		if cur := p.f.gen.Load(); cur != p.gen {
 			panic(&StaleHandleError{Minted: p.gen, Current: cur})
 		}

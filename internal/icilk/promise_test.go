@@ -88,12 +88,12 @@ func TestPromiseDoubleResolvePanics(t *testing.T) {
 }
 
 // TestStalePromiseResolveDebug pins the completer-side generation
-// check: with DebugPooling set, Complete on a promise whose future was
+// check: with Config.Debug set, Complete on a promise whose future was
 // already recycled by TouchRelease panics with a StaleHandleError
 // instead of silently resolving the pooled cell (whose done flag was
 // reset, so the double-resolution guard alone can no longer fire).
 func TestStalePromiseResolveDebug(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 1, DebugPooling: true})
+	rt := New(Config{Workers: 2, Levels: 1, Debug: true})
 	defer rt.Shutdown()
 
 	res := Go(rt, nil, 0, "stale-completer", func(c *Ctx) int {

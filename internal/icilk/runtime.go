@@ -2,7 +2,6 @@ package icilk
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,51 +37,40 @@ type Config struct {
 	// DisableInversionCheck turns off the dynamic priority-inversion
 	// check on Touch and the ceiling check on Ref/Mutex/RWMutex.
 	DisableInversionCheck bool
-	// DisableMetrics turns off per-task timing records.
-	DisableMetrics bool
 	// DisableInheritance turns off priority inheritance on Mutex and
 	// RWMutex — a holder blocked ahead of a higher-priority waiter is
 	// otherwise re-leveled to the waiter's priority until it releases
 	// the lock (the state benchmark's ablation).
 	DisableInheritance bool
-	// DetectDeadlocks is a debug flag: before a task parks on a held
-	// Mutex or RWMutex, walk the blocked-on edges from the holder and
-	// panic with the printed cycle if the chain leads back to the
-	// parking task — a circular wait becomes a DeadlockError instead of
-	// a silent hang. Off by default: the walk costs a pointer chase per
-	// contended acquire and is best-effort under concurrent hand-offs.
-	DetectDeadlocks bool
-	// RecordLockOrder is a debug flag: every Lock/RLock/TryLock
-	// acquisition records the acquiring task's held-lock set into a
-	// per-runtime directed graph of hold→acquire pairs, and
-	// LockOrderViolations reports cycles — AB/BA orderings that an
-	// adversarial schedule could deadlock, flagged even on runs whose
-	// interleaving got lucky. Off by default: every acquisition pays a
-	// graph append under one internal mutex, which serializes the lock
-	// fast paths (see lockorder.go).
-	RecordLockOrder bool
-	// PanicOnLockOrderViolation makes Shutdown panic with the full
-	// violation report when the recorder captured any — so a stress test
-	// asserts order-discipline absence by merely completing. Requires
-	// RecordLockOrder.
-	PanicOnLockOrderViolation bool
 	// DisablePooling turns off the worker-striped task/future free
 	// lists (pool.go) — the ablation knob for measuring what the
 	// per-request allocations cost. With pooling off every getTask/
 	// getFuture is a heap allocation and a SchedStats.PoolMisses count.
 	DisablePooling bool
-	// DebugPooling makes recycling misuse loud: every touch through a
-	// Future/Handle checks the handle's mint-time generation stamp
-	// against the future's current one and panics with a
-	// StaleHandleError on mismatch (a handle used after TouchRelease
-	// recycled its future). Off by default — the check is cheap but the
-	// contract (TouchRelease callers own the last reference) is the
-	// production invariant, and tests are where it should fail.
-	DebugPooling bool
+	// Debug turns on the runtime's debug checks, each of which turns a
+	// silent failure into a loud one at a cost production runs should
+	// not pay:
+	//   - before a task parks on a held Mutex or RWMutex, walk the
+	//     blocked-on edges from the holder and panic with a DeadlockError
+	//     if the chain leads back to the parking task (a pointer chase per
+	//     contended acquire, best-effort under concurrent hand-offs);
+	//   - every Lock/RLock/TryLock records the acquiring task's held-lock
+	//     set into a per-runtime graph of hold→acquire pairs, and
+	//     LockOrderViolations reports its cycles — AB/BA orderings an
+	//     adversarial schedule could deadlock, flagged even on runs whose
+	//     interleaving got lucky (a graph append under one mutex per
+	//     acquisition, which serializes the lock fast paths);
+	//   - every touch through a Future/Handle and every promise
+	//     completion checks the handle's mint-time generation stamp and
+	//     panics with a StaleHandleError on mismatch (a handle used after
+	//     TouchRelease recycled its future).
+	// Tests turn it on and assert an empty LockOrderViolations report
+	// when they finish.
+	Debug bool
 
-	// The derived positive forms of the four Disable flags, set by
+	// The derived positive forms of the three Disable flags, set by
 	// withDefaults so the zero Config enables every feature.
-	checkInversions, collectMetrics, inherit, pooling bool
+	checkInversions, inherit, pooling bool
 }
 
 func (c Config) withDefaults() Config {
@@ -102,7 +90,6 @@ func (c Config) withDefaults() Config {
 		c.UtilThreshold = 0.9
 	}
 	c.checkInversions = !c.DisableInversionCheck
-	c.collectMetrics = !c.DisableMetrics
 	c.inherit = !c.DisableInheritance
 	c.pooling = !c.DisablePooling
 	return c
@@ -184,7 +171,6 @@ type Runtime struct {
 	idleMu sync.Mutex
 	idleCh chan struct{}
 
-	metrics   metrics
 	stats     schedCounters
 	lockOrder lockOrderGraph
 
@@ -244,11 +230,6 @@ func (rt *Runtime) Shutdown() {
 	rt.parkCond.Broadcast()
 	rt.parkMu.Unlock()
 	rt.wg.Wait()
-	if rt.cfg.RecordLockOrder && rt.cfg.PanicOnLockOrderViolation {
-		if v := rt.LockOrderViolations(); len(v) > 0 {
-			panic("icilk: lock-order violations recorded:\n  " + strings.Join(v, "\n  "))
-		}
-	}
 }
 
 // WaitIdle blocks until no spawned tasks remain outstanding or the
@@ -424,9 +405,6 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 			t.boost.Store(b)
 			t.floor = Priority(b)
 		}
-	}
-	if rt.cfg.collectMetrics {
-		t.created = time.Now()
 	}
 	rt.outstanding.Add(1)
 	rt.stats.spawns.Add(1)

@@ -93,7 +93,7 @@ func TestShardedMapShardCount(t *testing.T) {
 // its arguments allocates nothing once the key exists — the callback
 // closure stays on the caller's stack.
 func TestShardedMapZeroAllocs(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 1, Levels: 1, DisableMetrics: true})
+	rt := testRuntime(t, Config{Workers: 1, Levels: 1})
 	sm := NewShardedMap[int](rt, 0, 0, "sm")
 	var allocs float64
 	f := Go(rt, nil, 0, "allocs", func(c *Ctx) int {

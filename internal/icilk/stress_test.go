@@ -120,7 +120,7 @@ func runDifferentialWorkload(t *testing.T, cfg Config) map[int]bool {
 // complete exactly once under both, so a lost or duplicated task in
 // either implementation shows up as a set difference.
 func TestDifferentialDeques(t *testing.T) {
-	base := Config{Workers: 4, Levels: 2, Prioritize: true, DisableMetrics: true}
+	base := Config{Workers: 4, Levels: 2, Prioritize: true}
 	lockfree := runDifferentialWorkload(t, base)
 	locked := base
 	locked.LockedDeques = true
@@ -169,7 +169,7 @@ func TestSchedStatsCounters(t *testing.T) {
 // TestInlineFastPathNoGoroutines checks the tentpole claim directly: a
 // spawn/touch chain that never blocks must not promote anything.
 func TestInlineFastPathNoGoroutines(t *testing.T) {
-	rt := New(Config{Workers: 1, Levels: 1, DisableMetrics: true})
+	rt := New(Config{Workers: 1, Levels: 1})
 	defer rt.Shutdown()
 	fut := Go(rt, nil, 0, "root", func(c *Ctx) int {
 		sum := 0
@@ -197,7 +197,7 @@ func TestInlineFastPathNoGoroutines(t *testing.T) {
 // BenchmarkRuntimeSpawnTouch measures the same shape through the public
 // module surface.)
 func BenchmarkSpawnTouch(b *testing.B) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true, DisableMetrics: true})
+	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true})
 	defer rt.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -216,8 +216,7 @@ func BenchmarkSpawnTouch(b *testing.B) {
 // BenchmarkSpawnTouchLockedDeques is the same benchmark on the mutex
 // deques, isolating the deque layer's contribution.
 func BenchmarkSpawnTouchLockedDeques(b *testing.B) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true,
-		DisableMetrics: true, LockedDeques: true})
+	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true, LockedDeques: true})
 	defer rt.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -236,7 +235,7 @@ func BenchmarkSpawnTouchLockedDeques(b *testing.B) {
 // BenchmarkParkResume measures the promote/park/resume slow path: every
 // iteration touches an already-pending IO future, forcing a park.
 func BenchmarkParkResume(b *testing.B) {
-	rt := New(Config{Workers: 2, Levels: 1, DisableMetrics: true})
+	rt := New(Config{Workers: 2, Levels: 1})
 	defer rt.Shutdown()
 	b.ResetTimer()
 	fut := Go(rt, nil, 0, "bench", func(c *Ctx) int {

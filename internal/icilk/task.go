@@ -3,7 +3,6 @@ package icilk
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // Priority is a runtime priority level. Larger values are more urgent.
@@ -36,10 +35,6 @@ type task struct {
 	// synchronization publishes it.
 	g *gctx
 
-	created  time.Time
-	firstRun time.Time
-	done     time.Time
-
 	// ctx is the task's execution context, embedded so the steady-state
 	// spawn/run/recycle cycle allocates nothing. Rebuilt by execTask on
 	// every incarnation; a *Ctx retained past the task's end was always
@@ -51,7 +46,7 @@ type task struct {
 	blockedOn *future
 
 	// waitingOn is the blocked-on edge: the lock this task is queued on,
-	// which both the deadlock cycle walk (Config.DetectDeadlocks) and
+	// which both the deadlock cycle walk (Config.Debug) and
 	// transitive priority inheritance (propagateBoost) traverse without
 	// taking any lock. Written only under that lock's waitq.mu: set by the
 	// task itself before it becomes visible on the waiter list, cleared
@@ -93,10 +88,10 @@ type task struct {
 	// the task's own context.
 	floor Priority
 
-	// ordHeld is the lock-order recorder's held set (Config.
-	// RecordLockOrder): every lock this task holds in ANY mode, read
-	// holds included — unlike held, which only write-side boost
-	// recomputation needs. Task-private, like held.
+	// ordHeld is the lock-order recorder's held set (Config.Debug):
+	// every lock this task holds in ANY mode, read holds included —
+	// unlike held, which only write-side boost recomputation needs.
+	// Task-private, like held.
 	ordHeld []*waitq
 
 	// waitPrio is the task's effective priority at the moment it was
@@ -360,8 +355,10 @@ type PriorityInversionError struct {
 	Toucher Priority
 	Touched Priority
 	// Primitive and Name identify the violated object for state
-	// ceilings: Primitive is "ref" or "mutex" and Name the value given
-	// at construction. Both are empty for future touches.
+	// ceilings: Primitive is "ref", "counter", "mutex", "rwmutex(read)"
+	// or "rwmutex(write)", and Name is the name a Mutex or RWMutex was
+	// constructed with (empty for refs and counters). Both are empty
+	// for future touches.
 	Primitive string
 	Name      string
 }
@@ -386,15 +383,8 @@ func (e *PriorityInversionError) Error() string {
 func (rt *Runtime) execTask(g *gctx, t *task) {
 	t.ctx = Ctx{t: t, g: g}
 	c := &t.ctx
-	if rt.cfg.collectMetrics {
-		t.firstRun = time.Now()
-	}
 	defer func() {
 		if r := recover(); r != nil {
-			if rt.cfg.collectMetrics {
-				t.done = time.Now()
-			}
-			rt.recordTask(t)
 			t.releaseHeld(c)
 			if err, ok := r.(error); ok {
 				t.fut.fail(fmt.Errorf("icilk: task %q panicked: %w", t.name, err))
@@ -411,10 +401,6 @@ func (rt *Runtime) execTask(g *gctx, t *task) {
 		// path: no goroutine, no channel operations, no promotion.
 		rt.stats.inlineRuns.Add(1)
 	}
-	if rt.cfg.collectMetrics {
-		t.done = time.Now()
-	}
-	rt.recordTask(t)
 	t.fut.complete(v)
 	rt.taskDone()
 	if inline && rt.cfg.pooling {

@@ -118,13 +118,13 @@ func (q *waitq) released(t *task) {
 // recordAcquire and recordRelease are the lock-order recorder's gate,
 // and all the bookkeeping a read hold has.
 func (q *waitq) recordAcquire(t *task) {
-	if t.rt.cfg.RecordLockOrder {
+	if t.rt.cfg.Debug {
 		t.rt.recordAcquire(t, q)
 	}
 }
 
 func (q *waitq) recordRelease(t *task) {
-	if t.rt.cfg.RecordLockOrder {
+	if t.rt.cfg.Debug {
 		t.rt.recordRelease(t, q)
 	}
 }
@@ -134,14 +134,14 @@ func (q *waitq) recordRelease(t *task) {
 // The caller holds q.mu, has pinned releases to the slow path through
 // its state word, and passes the exclusive holder it waits behind (nil
 // behind anonymous readers); block releases q.mu. With
-// Config.DetectDeadlocks a cycle closing at this task is returned
+// Config.Debug a cycle closing at this task is returned
 // instead of parking, with the task not queued and its edge retracted.
 func (q *waitq) block(c *Ctx, which int, holder *task, parks *counter) *DeadlockError {
 	g, t, rt := c.g, c.t, q.rt
 	// The edge is published unconditionally: propagateBoost traverses it
 	// with deadlock detection off.
 	t.blockEdge(q)
-	if rt.cfg.DetectDeadlocks && holder != nil {
+	if rt.cfg.Debug && holder != nil {
 		if cyc := checkDeadlock(t, q, holder); cyc != nil {
 			t.waitingOn.Store(nil)
 			q.mu.Unlock()

@@ -19,7 +19,7 @@ import (
 func TestLockOrderReportNamesServeShards(t *testing.T) {
 	// Deliberately NOT testServer: its teardown asserts zero violations,
 	// and this test records one on purpose.
-	s, err := Start(Config{RecordLockOrder: true})
+	s, err := Start(Config{Debug: true})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // testServer starts a server with small job kernels on a free port.
-// Every test server runs with the deadlock walk and the lock-order
-// recorder on, and asserts at teardown that the serve layer's whole
+// Every test server runs with Debug on (the deadlock walk, the
+// lock-order recorder and the stale-handle checks), and asserts at teardown that the serve layer's whole
 // lock population (shard locks, app-internal locks) was nested
 // consistently: a zero-violation report proves deadlock ABSENCE for
 // the orders this run exercised, even where the interleaving got lucky.
@@ -25,8 +25,7 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.Jobs == (jserver.Config{}) {
 		cfg.Jobs = jserver.Config{MatMulN: 32, FibN: 18, SortN: 20_000, SWN: 192}
 	}
-	cfg.DetectDeadlocks = true
-	cfg.RecordLockOrder = true
+	cfg.Debug = true
 	s, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)

@@ -148,13 +148,13 @@ type Config struct {
 	// Seed makes the simulated backends (proxy origin, email devices)
 	// reproducible.
 	Seed int64
-	// DetectDeadlocks and RecordLockOrder pass the icilk debug flags
-	// through to the embedded runtime: the deadlock cycle walk on every
-	// contended acquire, and the hold→acquire lock-order recorder whose
-	// LockOrderViolations report the serve tests assert empty. Both are
-	// for tests and debug builds, not production serving.
-	DetectDeadlocks bool
-	RecordLockOrder bool
+	// Debug passes icilk.Config.Debug through to the embedded runtime:
+	// the deadlock cycle walk on every contended acquire, the
+	// hold→acquire lock-order recorder whose LockOrderViolations report
+	// the serve tests assert empty, and the stale-handle checks on
+	// recycled futures. It is for tests and debug builds, not
+	// production serving.
+	Debug bool
 
 	// Deadlines maps admission class → per-request deadline budget,
 	// measured from admission (so queueing delay counts). A request
@@ -368,15 +368,10 @@ func Start(cfg Config) (*Server, error) {
 	}
 	validateAdmission()
 	rt := icilk.New(icilk.Config{
-		Workers:         cfg.Workers,
-		Levels:          Levels,
-		Prioritize:      !cfg.Baseline,
-		DetectDeadlocks: cfg.DetectDeadlocks,
-		RecordLockOrder: cfg.RecordLockOrder,
-		// Nothing in serve reads Records(): the per-task record log is
-		// the evaluation harness's, and left on it costs every task three
-		// time stamps and an append under one global mutex.
-		DisableMetrics: true,
+		Workers:    cfg.Workers,
+		Levels:     Levels,
+		Prioritize: !cfg.Baseline,
+		Debug:      cfg.Debug,
 	})
 	// Every class the router can admit gets its counters up front; the
 	// map is immutable after Start, so every request reads it without a

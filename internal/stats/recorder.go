@@ -7,8 +7,8 @@ import (
 
 // Recorder accumulates duration samples from concurrently running
 // goroutines — the shared latency-collection helper the case-study
-// harnesses (proxy, email) use for their response-time samples. The
-// zero value is ready to use.
+// harnesses (proxy, email) use for their response-time and
+// per-component compute-time samples. The zero value is ready to use.
 type Recorder struct {
 	mu      sync.Mutex
 	samples []time.Duration

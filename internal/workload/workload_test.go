@@ -12,7 +12,7 @@ import (
 
 func runtimeFor(t *testing.T) *icilk.Runtime {
 	t.Helper()
-	rt := icilk.New(icilk.Config{Workers: 4, Levels: 1, DisableMetrics: true})
+	rt := icilk.New(icilk.Config{Workers: 4, Levels: 1})
 	t.Cleanup(rt.Shutdown)
 	return rt
 }
