@@ -1,6 +1,6 @@
 // Package repro_test holds the top-level benchmark harness: one benchmark
 // per table and figure of the paper's evaluation (Table 1, Figure 13,
-// Figure 14), the ablations DESIGN.md calls out, and microbenchmarks of
+// Figure 14), the scheduler-parameter ablations, and microbenchmarks of
 // the substrate. Run with:
 //
 //	go test -bench=. -benchmem

@@ -1,13 +1,20 @@
-// Command icilk-bench regenerates the paper's evaluation (Section 5):
+// Command icilk-bench regenerates the paper's evaluation (Section 5)
+// and the runtime's own measurements, one experiment at a time:
 //
-//	icilk-bench -experiment table1      # Table 1: type-system overhead
+//	icilk-bench -experiment table1     # Table 1: type-system overhead
 //	icilk-bench -experiment fig13      # Figure 13: responsiveness ratios
 //	icilk-bench -experiment fig14      # Figure 14: compute-time ratios
 //	icilk-bench -experiment jserver    # Figure 14, jserver panel
 //	icilk-bench -experiment ablations  # quantum / γ / threshold sweeps
 //	icilk-bench -experiment sched      # scheduler suspend/resume counters
 //	icilk-bench -experiment state      # Ref/Mutex priority-inheritance contention
+//	icilk-bench -experiment lock       # lock fast paths vs raw baselines
+//	icilk-bench -experiment l4i        # λ4i corpus: simulator vs compiled
+//	icilk-bench -experiment io         # future tax, forwarding touch
+//	icilk-bench -experiment overload   # goodput/p99 under shedding and deadlines
 //	icilk-bench -experiment all
+//
+// -h prints the same catalogue with the flags each experiment reads.
 //
 // Passing -json additionally writes each experiment's result to
 // BENCH_<experiment>.json in the current directory, recording the perf
@@ -16,7 +23,7 @@
 // Ratios are baseline (Cilk-F) time over I-Cilk time: higher means the
 // prioritized scheduler wins. Expect the paper's shape, not its absolute
 // microseconds — the substrate is a user-level runtime, not a 40-thread
-// Xeon (see DESIGN.md).
+// Xeon.
 package main
 
 import (
@@ -192,7 +199,7 @@ func main() {
 func table1(iters int) any {
 	fmt.Println("=== Table 1: static overhead of the priority type system ===")
 	fmt.Println("(λ4i model checking time and elaborated-program size; the paper")
-	fmt.Println(" measured clang compile time and binary size — see DESIGN.md)")
+	fmt.Println(" measured clang compile time and binary size)")
 	rows, err := experiments.Table1(iters)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "icilk-bench:", err)

@@ -10,8 +10,7 @@
 //	PrioMain   — startup/shutdown
 //
 // The priority specification favors response time for client requests.
-// Network I/O is simulated by internal/simio (see DESIGN.md for the
-// substitution rationale).
+// Network I/O is simulated by internal/simio.
 package proxy
 
 import (

@@ -2,7 +2,7 @@
 // evaluation (Section 5): Table 1 (static overhead of the priority type
 // system), Figure 13 (responsiveness ratios for proxy and email), and
 // Figure 14 (per-level compute-time ratios for proxy, email, and
-// jserver), plus the ablations DESIGN.md calls out (quantum, γ,
+// jserver), plus ablations of the scheduler parameters (quantum, γ,
 // utilization threshold). The same entry points back cmd/icilk-bench and
 // the root-level benchmarks.
 package experiments
@@ -83,7 +83,7 @@ func RunProgram(name, variant string) error {
 // Table1Row is one row of Table 1: the static cost of the priority
 // machinery for one case study. Time is the parse+typecheck cost;
 // Size is the elaborated program's printed size (our stand-in for binary
-// size; see DESIGN.md for the substitution).
+// size).
 type Table1Row struct {
 	App          string
 	TimeNoPrio   time.Duration

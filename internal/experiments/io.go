@@ -50,7 +50,8 @@ type IOFastPath struct {
 // plain touch forces (park, wake, touch the next, park again).
 type IOForward struct {
 	Hops int `json:"hops"`
-	// ForwardChainNs is ns per chain resolved via TouchThrough.
+	// ForwardChainNs is ns per chain resolved via TouchThroughN with a
+	// budget of exactly the chain's Hops-1 forwarding hops.
 	ForwardChainNs float64 `json:"forward_chain_ns"`
 	// ReparkChainNs is ns per chain resolved by touching hop by hop.
 	ReparkChainNs float64 `json:"repark_chain_ns"`
@@ -232,7 +233,7 @@ func forwardingRounds(forward bool) (nsPerChain float64, parksPerRound int64, fo
 		start := time.Now()
 		fut := icilk.Go(rt, nil, 0, "chain-toucher", func(c *icilk.Ctx) int {
 			if forward {
-				return head.TouchThrough(c).(int)
+				return head.TouchThroughN(c, ioForwardHops-1).(int)
 			}
 			v := head.Touch(c)
 			for {

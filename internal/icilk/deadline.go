@@ -1,7 +1,6 @@
 package icilk
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -19,12 +18,6 @@ type DeadlineError struct {
 
 func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("icilk: future (priority %d) missed its %v deadline", e.Prio, e.After)
-}
-
-// IsDeadline reports whether err is (or wraps) a DeadlineError.
-func IsDeadline(err error) bool {
-	var de *DeadlineError
-	return errors.As(err, &de)
 }
 
 // tryResolve is the shared body of the Try* resolutions: resolve this

@@ -17,11 +17,11 @@ func TestFailAfterFailsTouchers(t *testing.T) {
 	if err == nil {
 		t.Fatal("touch of a deadline-failed future returned a value")
 	}
-	if !IsDeadline(err) {
+	var de *DeadlineError
+	if !errors.As(err, &de) {
 		t.Fatalf("toucher failed with %v, want a DeadlineError", err)
 	}
-	var de *DeadlineError
-	if errors.As(err, &de) && de.After != 2*time.Millisecond {
+	if de.After != 2*time.Millisecond {
 		t.Errorf("DeadlineError.After = %v, want 2ms", de.After)
 	}
 	if err := rt.WaitIdle(5 * time.Second); err != nil {

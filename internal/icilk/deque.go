@@ -1,80 +1,6 @@
 package icilk
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// taskDeque is a double-ended work queue. The slot-holding goroutine of
-// the owning worker pushes and pops at the bottom; thieves steal from the
-// top, giving the usual work-stealing locality properties. Two
-// implementations exist: the lock-free Chase-Lev ring buffer (clDeque,
-// the default) and the mutex-guarded slice (lockedDeque, kept behind
-// Config.LockedDeques for differential testing and debugging).
-type taskDeque interface {
-	// pushBottom adds a task at the owner's end. Owner only.
-	pushBottom(t *task)
-	// popBottom removes the most recently pushed task, or nil. Owner only.
-	popBottom() *task
-	// stealTop removes the oldest task, or nil. Any goroutine.
-	stealTop() *task
-	// size reports the current length (racy snapshot, used for heuristics).
-	size() int
-}
-
-// newTaskDeque picks the deque implementation for a config.
-func newTaskDeque(cfg Config) taskDeque {
-	if cfg.LockedDeques {
-		return &lockedDeque{}
-	}
-	return newCLDeque()
-}
-
-// lockedDeque is the mutex-guarded reference implementation. It is
-// obviously correct under the race detector and serves as the oracle for
-// the differential tests against clDeque.
-type lockedDeque struct {
-	mu    sync.Mutex
-	items []*task
-}
-
-func (d *lockedDeque) pushBottom(t *task) {
-	d.mu.Lock()
-	d.items = append(d.items, t)
-	d.mu.Unlock()
-}
-
-func (d *lockedDeque) popBottom() *task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return nil
-	}
-	t := d.items[n-1]
-	d.items[n-1] = nil
-	d.items = d.items[:n-1]
-	return t
-}
-
-func (d *lockedDeque) stealTop() *task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return nil
-	}
-	t := d.items[0]
-	copy(d.items, d.items[1:])
-	d.items[len(d.items)-1] = nil
-	d.items = d.items[:len(d.items)-1]
-	return t
-}
-
-func (d *lockedDeque) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items)
-}
+import "sync/atomic"
 
 // injectQueue is a lock-free multi-producer multi-consumer FIFO
 // (Michael & Scott, PODC '96) used for each level's injection queue:

@@ -7,14 +7,70 @@ import (
 
 func mkTask(i int) *task { return &task{name: string(rune('a' + i%26))} }
 
-// eachDeque runs a subtest against both deque implementations.
-func eachDeque(t *testing.T, f func(t *testing.T, d taskDeque)) {
+// workDeque is the deque contract the unit tests check: the owner
+// pushes and pops at the bottom, thieves steal from the top, and size is
+// a racy snapshot.
+type workDeque interface {
+	pushBottom(t *task)
+	popBottom() *task
+	stealTop() *task
+	size() int
+}
+
+// lockedDeque is a mutex-guarded slice deque: obviously correct under
+// the race detector, and the oracle the Chase-Lev deque is tested
+// beside.
+type lockedDeque struct {
+	mu    sync.Mutex
+	items []*task
+}
+
+func (d *lockedDeque) pushBottom(t *task) {
+	d.mu.Lock()
+	d.items = append(d.items, t)
+	d.mu.Unlock()
+}
+
+func (d *lockedDeque) popBottom() *task {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.items)
+	if n == 0 {
+		return nil
+	}
+	t := d.items[n-1]
+	d.items[n-1] = nil
+	d.items = d.items[:n-1]
+	return t
+}
+
+func (d *lockedDeque) stealTop() *task {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.items) == 0 {
+		return nil
+	}
+	t := d.items[0]
+	copy(d.items, d.items[1:])
+	d.items[len(d.items)-1] = nil
+	d.items = d.items[:len(d.items)-1]
+	return t
+}
+
+func (d *lockedDeque) size() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.items)
+}
+
+// eachDeque runs a subtest against the Chase-Lev deque and its oracle.
+func eachDeque(t *testing.T, f func(t *testing.T, d workDeque)) {
 	t.Run("locked", func(t *testing.T) { f(t, &lockedDeque{}) })
 	t.Run("chaselev", func(t *testing.T) { f(t, newCLDeque()) })
 }
 
 func TestDequeLIFOOwner(t *testing.T) {
-	eachDeque(t, func(t *testing.T, d taskDeque) {
+	eachDeque(t, func(t *testing.T, d workDeque) {
 		t1, t2, t3 := mkTask(1), mkTask(2), mkTask(3)
 		d.pushBottom(t1)
 		d.pushBottom(t2)
@@ -32,7 +88,7 @@ func TestDequeLIFOOwner(t *testing.T) {
 }
 
 func TestDequeFIFOThief(t *testing.T) {
-	eachDeque(t, func(t *testing.T, d taskDeque) {
+	eachDeque(t, func(t *testing.T, d workDeque) {
 		t1, t2 := mkTask(1), mkTask(2)
 		d.pushBottom(t1)
 		d.pushBottom(t2)
@@ -49,7 +105,7 @@ func TestDequeFIFOThief(t *testing.T) {
 }
 
 func TestDequeConcurrentStealers(t *testing.T) {
-	eachDeque(t, func(t *testing.T, d taskDeque) {
+	eachDeque(t, func(t *testing.T, d workDeque) {
 		const n = 1000
 		for i := 0; i < n; i++ {
 			d.pushBottom(mkTask(i))
@@ -83,7 +139,7 @@ func TestDequeConcurrentStealers(t *testing.T) {
 // concurrent thieves and checks that every task is consumed exactly once
 // — the Chase-Lev single-item CAS race in particular.
 func TestDequeOwnerVersusThieves(t *testing.T) {
-	eachDeque(t, func(t *testing.T, d taskDeque) {
+	eachDeque(t, func(t *testing.T, d workDeque) {
 		const n = 20000
 		tasks := make([]*task, n)
 		for i := range tasks {
@@ -233,25 +289,23 @@ func TestInjectQueueConcurrent(t *testing.T) {
 func TestLevelPending(t *testing.T) {
 	// Build the level directly: pushing inert tasks into a live
 	// runtime's queues would hand them to real workers.
-	for _, locked := range []bool{false, true} {
-		L := &level{inject: newInjectQueue()}
-		for i := 0; i < 2; i++ {
-			L.deques = append(L.deques, newTaskDeque(Config{LockedDeques: locked}))
-		}
-		if L.pending() {
-			t.Error("fresh level should not be pending")
-		}
-		L.inject.push(mkTask(0))
-		if !L.pending() {
-			t.Error("level with injected work should be pending")
-		}
-		L.inject.pop()
-		L.deques[1].pushBottom(mkTask(1))
-		if !L.pending() {
-			t.Error("level with deque work should be pending")
-		}
-		L.deques[1].popBottom()
+	L := &level{inject: newInjectQueue()}
+	for i := 0; i < 2; i++ {
+		L.deques = append(L.deques, newCLDeque())
 	}
+	if L.pending() {
+		t.Error("fresh level should not be pending")
+	}
+	L.inject.push(mkTask(0))
+	if !L.pending() {
+		t.Error("level with injected work should be pending")
+	}
+	L.inject.pop()
+	L.deques[1].pushBottom(mkTask(1))
+	if !L.pending() {
+		t.Error("level with deque work should be pending")
+	}
+	L.deques[1].popBottom()
 }
 
 func TestEffLevel(t *testing.T) {
@@ -292,17 +346,14 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers != 4 || c.Levels != 2 || c.Gamma != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if !c.checkInversions || !c.inherit || !c.pooling {
-		t.Error("inversion checks, inheritance and pooling should default on")
-	}
-	if c.LockedDeques {
-		t.Error("lock-free deques should be the default")
+	if !c.inherit || !c.pooling {
+		t.Error("inheritance and pooling should default on")
 	}
 	if c.Debug {
 		t.Error("debug checks should default off")
 	}
-	c2 := Config{DisableInversionCheck: true, DisableInheritance: true, DisablePooling: true}.withDefaults()
-	if c2.checkInversions || c2.inherit || c2.pooling {
+	c2 := Config{DisableInheritance: true, DisablePooling: true}.withDefaults()
+	if c2.inherit || c2.pooling {
 		t.Error("disable flags should turn features off")
 	}
 }

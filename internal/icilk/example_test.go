@@ -54,10 +54,10 @@ func ExampleIO() {
 	// Output: payload
 }
 
-// ExampleFuture_TryTouch polls a future without blocking: useful from
-// code that must not park (and, because a poll cannot invert priorities,
-// TryTouch skips the priority check).
-func ExampleFuture_TryTouch() {
+// ExampleFuture_Done polls a future without blocking: useful from code
+// that must not park (and, because a poll cannot invert priorities, Done
+// skips the priority check).
+func ExampleFuture_Done() {
 	rt := icilk.New(icilk.Config{Workers: 2, Levels: 2, Prioritize: true})
 	defer rt.Shutdown()
 
@@ -66,9 +66,8 @@ func ExampleFuture_TryTouch() {
 		fmt.Println("await:", err)
 		return
 	}
-	v, ok := f.TryTouch()
-	fmt.Println(v, ok)
-	// Output: done true
+	fmt.Println(f.Done())
+	// Output: true
 }
 
 // ExampleRuntime_WaitIdle drains the runtime: WaitIdle blocks (on a

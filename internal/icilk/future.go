@@ -46,9 +46,9 @@ type future struct {
 	doneCh chan struct{}
 }
 
-// maxForwardHops bounds a forwarding walk. A chain this deep is a cycle
-// of handles (or indistinguishable from one): TouchThrough panics with
-// a ForwardCycleError instead of spinning.
+// maxForwardHops bounds a forwarding walk: TouchThroughN clamps its
+// budget to it, so a cycle of handles ends the walk at a carrier instead
+// of spinning.
 const maxForwardHops = 64
 
 // futureCarrier is the forwarding hook: a completion value that carries
@@ -69,7 +69,7 @@ func (f *future) fail(err error) { f.finish(nil, err) }
 // finish resolves the future and requeues every parked waiter.
 //
 // Forwarding happens here for parked waiters: a waiter that parked via
-// TouchThrough (fwdBudget > 0) whose value turns out to be a carrier of
+// TouchThroughN (fwdBudget > 0) whose value turns out to be a carrier of
 // a still-pending inner future is migrated onto that inner future's
 // waiter list instead of being woken — the waiter stays parked, pays no
 // wake/re-park round trip, and resumes only when the chain bottoms out.
@@ -178,11 +178,10 @@ func (f *future) touch(c *Ctx) any {
 // touchChain is the forwarding touch: resolve f, and while the value is
 // itself a future carrier and budget remains, hop to the inner future —
 // synchronously when it is already done, by parked-waiter migration
-// (see finish) when it is not. With cycleErr set, exhausting the budget
-// while the value is still a carrier panics with a ForwardCycleError;
-// otherwise the carrier value is returned as-is (the compiled backend's
-// bounded fusion wants exactly-N touches, not all-the-way resolution).
-func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
+// (see finish) when it is not. A value that is still a carrier when the
+// budget runs out is returned as-is (the compiled backend's bounded
+// fusion wants exactly-N touches, not all-the-way resolution).
+func (f *future) touchChain(c *Ctx, budget int) any {
 	rt := c.t.rt
 	cur := f
 	for {
@@ -192,9 +191,6 @@ func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
 			return v
 		}
 		if budget <= 0 {
-			if cycleErr {
-				panic(&ForwardCycleError{Hops: maxForwardHops})
-			}
 			return v
 		}
 		budget--
@@ -227,7 +223,7 @@ func (f *future) touchChain(c *Ctx, budget int, cycleErr bool) any {
 func (f *future) touchOne(c *Ctx, budget *int) any {
 	t := c.t
 	rt := t.rt
-	if rt.cfg.checkInversions && t.prio > f.prio {
+	if t.prio > f.prio {
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: f.prio})
 	}
 	if f.done.Load() {
@@ -320,17 +316,9 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 	return v
 }
 
-// poll reports completion without blocking. Failed futures report as not
-// done to pollers; the error surfaces only on Touch.
-func (f *future) poll() (any, bool) {
-	if !f.done.Load() {
-		return nil, false
-	}
-	if f.err != nil {
-		return nil, false
-	}
-	return f.val, true
-}
+// poll reports successful completion without blocking. A failed future
+// reports as not done; the error surfaces only on Touch.
+func (f *future) poll() bool { return f.done.Load() && f.err == nil }
 
 // Future is a handle to an asynchronous computation of type T running at
 // a fixed priority — the τ thread[ρ] of λ4i. It is a small value (one
@@ -361,8 +349,7 @@ func checkGen(c *Ctx, f *future, gen uint64) {
 
 // Touch waits for the future and returns its value. Touching a future of
 // strictly lower priority than the running task panics with a
-// PriorityInversionError when the runtime's inversion checking is enabled
-// (the dynamic analogue of the λ4i Touch rule).
+// PriorityInversionError (the dynamic analogue of the λ4i Touch rule).
 func (f Future[T]) Touch(c *Ctx) T {
 	checkGen(c, f.f, f.gen)
 	return f.f.touch(c).(T)
@@ -382,23 +369,10 @@ func (f Future[T]) TouchRelease(c *Ctx) T {
 	return v
 }
 
-// TryTouch returns the value if the future has completed, without
+// Done reports whether the future has completed successfully, without
 // blocking and without priority checking (a non-blocking poll cannot
 // invert priorities).
-func (f Future[T]) TryTouch() (T, bool) {
-	v, ok := f.f.poll()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	return v.(T), true
-}
-
-// Done reports whether the future has completed.
-func (f Future[T]) Done() bool {
-	_, ok := f.f.poll()
-	return ok
-}
+func (f Future[T]) Done() bool { return f.f.poll() }
 
 // Untyped returns the untyped handle, used by data structures that store
 // futures of mixed types (e.g. the email app's per-email slots).
@@ -406,7 +380,7 @@ func (f Future[T]) Untyped() *Handle { return &Handle{f: f.f, gen: f.gen} }
 
 // Handle is an untyped future handle: first-class, storable in shared
 // state, and touchable — the thread handles of λ4i. A completion value
-// that embeds a Handle is a forwarding carrier: TouchThrough resolves
+// that embeds a Handle is a forwarding carrier: TouchThroughN resolves
 // through it, and finish migrates parked forwarding waiters along it.
 type Handle struct {
 	f   *future
@@ -431,23 +405,17 @@ func (h *Handle) Touch(c *Ctx) any {
 	return h.f.touch(c)
 }
 
-// TouchThrough waits for the underlying future and, while the value is
-// itself a future carrier (a Handle or any value embedding one),
-// resolves through the chain: hops to already-done inner futures cost a
-// pointer chase each, and a chain that completes progressively while
-// the toucher is parked migrates the parked task link by link instead
-// of waking it to re-park (SchedStats.ForwardedTouches counts hops).
-// A chain longer than maxForwardHops — a cycle of handles — panics
-// with a ForwardCycleError rather than spinning.
-func (h *Handle) TouchThrough(c *Ctx) any {
-	checkGen(c, h.f, h.gen)
-	return h.f.touchChain(c, maxForwardHops, true)
-}
-
-// TouchThroughN is TouchThrough with an explicit hop budget: at most n
-// forwarding hops are taken, and a value that is still a carrier when
-// the budget runs out is returned as-is. The compiled λ4i backend uses
-// n=1 to fuse `bind x = ftouch e in ftouch x` into one park.
+// TouchThroughN waits for the underlying future and, while the value is
+// itself a future carrier (a Handle or any value embedding one) and hops
+// remain, resolves through the chain: hops to already-done inner futures
+// cost a pointer chase each, and a chain that completes progressively
+// while the toucher is parked migrates the parked task link by link
+// instead of waking it to re-park (SchedStats.ForwardedTouches counts
+// hops). At most n hops are taken, n clamped to maxForwardHops, and a
+// value that is still a carrier when the budget runs out — the end of a
+// chain longer than n, or a cycle of handles — is returned as-is. The
+// compiled λ4i backend uses n=1 to fuse `bind x = ftouch e in ftouch x`
+// into one park.
 func (h *Handle) TouchThroughN(c *Ctx, n int) any {
 	checkGen(c, h.f, h.gen)
 	if n < 0 {
@@ -456,7 +424,7 @@ func (h *Handle) TouchThroughN(c *Ctx, n int) any {
 	if n > maxForwardHops {
 		n = maxForwardHops
 	}
-	return h.f.touchChain(c, n, false)
+	return h.f.touchChain(c, n)
 }
 
 // TouchRelease is Touch plus recycling, as in Future.TouchRelease.
@@ -467,20 +435,8 @@ func (h *Handle) TouchRelease(c *Ctx) any {
 	return v
 }
 
-// Done reports whether the underlying future completed.
-func (h *Handle) Done() bool {
-	_, ok := h.f.poll()
-	return ok
-}
-
-// ForwardCycleError reports a forwarding walk that exceeded
-// maxForwardHops — a cycle of future handles (each completed with a
-// handle to the next) or a chain indistinguishable from one.
-type ForwardCycleError struct{ Hops int }
-
-func (e *ForwardCycleError) Error() string {
-	return fmt.Sprintf("icilk: forwarding touch exceeded %d hops (cycle of future handles?)", e.Hops)
-}
+// Done reports whether the underlying future completed successfully.
+func (h *Handle) Done() bool { return h.f.poll() }
 
 // Await blocks the calling goroutine (not a task — external code such as
 // test harnesses and client simulators) until the future completes or the

@@ -128,21 +128,6 @@ func TestPriorityInversionDetected(t *testing.T) {
 	}
 }
 
-func TestInversionCheckDisabled(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true, DisableInversionCheck: true})
-	fut := Go(rt, nil, 1, "high", func(c *Ctx) int {
-		low := Go(rt, c, 0, "low", func(*Ctx) int { return 5 })
-		return low.Touch(c)
-	})
-	v, err := Await(fut, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 5 {
-		t.Errorf("value = %d, want 5", v)
-	}
-}
-
 func TestEqualPriorityTouchAllowed(t *testing.T) {
 	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
 	fut := Go(rt, nil, 1, "a", func(c *Ctx) int {
@@ -217,6 +202,8 @@ func TestHandleExchange(t *testing.T) {
 	}
 }
 
+// TestTryTouchAndDone polls a gated future without blocking (Done) before
+// and after it completes, then touches it for the value.
 func TestTryTouchAndDone(t *testing.T) {
 	rt := testRuntime(t, Config{Workers: 1, Levels: 1})
 	gate := make(chan struct{})
@@ -224,9 +211,6 @@ func TestTryTouchAndDone(t *testing.T) {
 		<-gate
 		return 7
 	})
-	if _, ok := fut.TryTouch(); ok {
-		t.Error("TryTouch should fail before completion")
-	}
 	if fut.Done() {
 		t.Error("Done should be false before completion")
 	}
@@ -234,8 +218,12 @@ func TestTryTouchAndDone(t *testing.T) {
 	if _, err := Await(fut, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := fut.TryTouch(); !ok || v != 7 {
-		t.Errorf("TryTouch after completion = %d, %v", v, ok)
+	if !fut.Done() {
+		t.Fatal("Done should be true after completion")
+	}
+	v, err := Await(Go(rt, nil, 0, "toucher", func(c *Ctx) int { return fut.Touch(c) }), 5*time.Second)
+	if err != nil || v != 7 {
+		t.Errorf("Touch after completion = %d, %v", v, err)
 	}
 }
 

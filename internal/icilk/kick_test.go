@@ -1,6 +1,7 @@
 package icilk
 
 import (
+	"errors"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -200,7 +201,7 @@ func TestIdleFailAfterWakesAtOnce(t *testing.T) {
 	awaitAsleep(t, rt, parks0+1)
 	wakes0 := rt.Stats().Wakes
 	pr.FailAfter(2 * time.Millisecond)
-	if _, err := Await(fut, 10*time.Second); !IsDeadline(err) {
+	if _, err := Await(fut, 10*time.Second); !errors.As(err, new(*DeadlineError)) {
 		t.Fatalf("toucher ended with %v, want a DeadlineError", err)
 	}
 	if got := rt.Stats().Wakes - wakes0; got != 1 {

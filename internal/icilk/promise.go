@@ -104,7 +104,7 @@ func (p Promise[T]) Resolved() bool {
 		return f.gen.Load() != p.gen
 	}
 	// A failed future reports done=true with err set; Resolved must see
-	// it too (poll deliberately hides failures from TryTouch).
+	// it too (Done deliberately reports a failed future as not done).
 	return true
 }
 

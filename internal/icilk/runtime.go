@@ -29,14 +29,6 @@ type Config struct {
 	// Prioritize enables the two-level prioritized scheduler. False gives
 	// the Cilk-F baseline: all levels share one work-stealing pool.
 	Prioritize bool
-	// LockedDeques selects the mutex-guarded deque implementation
-	// instead of the lock-free Chase-Lev one. The two are differentially
-	// tested against each other; the knob also helps when bisecting a
-	// suspected deque bug.
-	LockedDeques bool
-	// DisableInversionCheck turns off the dynamic priority-inversion
-	// check on Touch and the ceiling check on Ref/Mutex/RWMutex.
-	DisableInversionCheck bool
 	// DisableInheritance turns off priority inheritance on Mutex and
 	// RWMutex — a holder blocked ahead of a higher-priority waiter is
 	// otherwise re-leveled to the waiter's priority until it releases
@@ -68,9 +60,9 @@ type Config struct {
 	// when they finish.
 	Debug bool
 
-	// The derived positive forms of the three Disable flags, set by
+	// The derived positive forms of the two Disable flags, set by
 	// withDefaults so the zero Config enables every feature.
-	checkInversions, inherit, pooling bool
+	inherit, pooling bool
 }
 
 func (c Config) withDefaults() Config {
@@ -89,7 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.UtilThreshold <= 0 {
 		c.UtilThreshold = 0.9
 	}
-	c.checkInversions = !c.DisableInversionCheck
 	c.inherit = !c.DisableInheritance
 	c.pooling = !c.DisablePooling
 	return c
@@ -97,7 +88,7 @@ func (c Config) withDefaults() Config {
 
 // level is one priority level's work-stealing scheduler state.
 type level struct {
-	deques []taskDeque  // indexed by worker ID
+	deques []*clDeque   // indexed by worker ID
 	inject *injectQueue // external and cross-level submissions (FIFO)
 	desire int          // master-only
 	alloc  int          // master-only: cores granted last quantum
@@ -196,7 +187,7 @@ func New(cfg Config) *Runtime {
 	for range rt.effLevel(Priority(cfg.Levels-1)) + 1 {
 		lv := &level{desire: 1, inject: newInjectQueue()}
 		for w := 0; w < cfg.Workers; w++ {
-			lv.deques = append(lv.deques, newTaskDeque(cfg))
+			lv.deques = append(lv.deques, newCLDeque())
 		}
 		rt.levels = append(rt.levels, lv)
 	}
@@ -274,9 +265,6 @@ func (rt *Runtime) taskDone() {
 
 // Outstanding returns the number of incomplete tasks and IO futures.
 func (rt *Runtime) Outstanding() int64 { return rt.outstanding.Load() }
-
-// Levels returns the number of priority levels.
-func (rt *Runtime) Levels() int { return rt.cfg.Levels }
 
 // Workers returns the virtual core count P — what sharded stores and
 // striped counters size their shard/stripe arrays from.

@@ -110,16 +110,15 @@ func NewRWMutex(rt *Runtime, readCeiling, writeCeiling Priority, name string) *R
 
 // RLock acquires the lock in read mode: shared with other readers,
 // exclusive against writers. A task above the read ceiling panics with a
-// PriorityInversionError when inversion checking is enabled. When a
-// writer is active or waiting, the reader parks (see the grant policy
-// in the type comment).
+// PriorityInversionError. When a writer is active or waiting, the reader
+// parks (see the grant policy in the type comment).
 func (m *RWMutex) RLock(c *Ctx) {
 	if c == nil {
 		panic("icilk: RWMutex.RLock outside task context")
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.checkInversions && t.prio > m.rceil {
+	if t.prio > m.rceil {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.rceil, Primitive: "rwmutex(read)", Name: m.name})
 	}
@@ -232,14 +231,14 @@ func (m *RWMutex) runlockSlow() {
 
 // Lock acquires the lock in write mode: exclusive against readers and
 // writers. A task above the write ceiling panics with a
-// PriorityInversionError when inversion checking is enabled.
+// PriorityInversionError.
 func (m *RWMutex) Lock(c *Ctx) {
 	if c == nil {
 		panic("icilk: RWMutex.Lock outside task context")
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.checkInversions && t.prio > m.wceil {
+	if t.prio > m.wceil {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.wceil, Primitive: "rwmutex(write)", Name: m.name})
 	}

@@ -23,13 +23,13 @@ import "sync/atomic"
 
 // Ref is an atomic cell of type T carrying a priority ceiling: the
 // highest declared task priority allowed to access it. Accessing a Ref
-// from above its ceiling panics with a PriorityInversionError when the
-// runtime's inversion checking is enabled — the dynamic analogue of
-// dereferencing a ref the λ4i state typing forbids at the current
-// priority. Ref operations never block, park, or lock: Load is an atomic
-// pointer load, Store an atomic swap, and Update a CAS retry loop — so
-// Ref is the primitive for counters, flags, and small shared values;
-// state with real critical sections belongs behind a Mutex.
+// from above its ceiling panics with a PriorityInversionError — the
+// dynamic analogue of dereferencing a ref the λ4i state typing forbids
+// at the current priority. Ref operations never block, park, or lock:
+// Load is an atomic pointer load, Store an atomic swap, and Update a CAS
+// retry loop — so Ref is the primitive for counters, flags, and small
+// shared values; state with real critical sections belongs behind a
+// Mutex.
 type Ref[T any] struct {
 	rt      *Runtime
 	ceiling Priority
@@ -50,7 +50,7 @@ func (r *Ref[T]) check(c *Ctx) {
 	if c == nil {
 		return
 	}
-	if r.rt.cfg.checkInversions && c.t.prio > r.ceiling {
+	if c.t.prio > r.ceiling {
 		r.rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: c.t.prio, Touched: r.ceiling, Primitive: "ref"})
 	}
@@ -123,7 +123,7 @@ func (k *StripedCounter) check(c *Ctx) {
 	if c == nil {
 		return
 	}
-	if k.rt.cfg.checkInversions && c.t.prio > k.ceiling {
+	if c.t.prio > k.ceiling {
 		k.rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: c.t.prio, Touched: k.ceiling, Primitive: "counter"})
 	}
@@ -166,8 +166,7 @@ const (
 //
 // Ceiling: the highest declared task priority allowed to acquire the
 // lock. Locking from above the ceiling panics with a
-// PriorityInversionError when inversion checking is enabled, mirroring
-// Touch: state only ever held by tasks at or below the ceiling can make
+// PriorityInversionError, mirroring Touch: state only ever held by tasks at or below the ceiling can make
 // a task above it wait, which is exactly the hazard the λ4i state
 // typing rules out.
 //
@@ -226,15 +225,14 @@ func NewMutex(rt *Runtime, ceiling Priority, name string) *Mutex {
 
 // Lock acquires the Mutex, parking the task (and freeing its worker)
 // while another task holds it. Acquiring from a task whose declared
-// priority exceeds the ceiling panics with a PriorityInversionError when
-// the runtime's inversion checking is enabled.
+// priority exceeds the ceiling panics with a PriorityInversionError.
 func (m *Mutex) Lock(c *Ctx) {
 	if c == nil {
 		panic("icilk: Mutex.Lock outside task context")
 	}
 	t := c.t
 	rt := t.rt
-	if rt.cfg.checkInversions && t.prio > m.ceiling {
+	if t.prio > m.ceiling {
 		rt.stats.ceilings.Add(1)
 		panic(&PriorityInversionError{Toucher: t.prio, Touched: m.ceiling, Primitive: "mutex", Name: m.name})
 	}
@@ -359,8 +357,8 @@ func (m *Mutex) unlockSlow(t *task) {
 }
 
 // TryLock acquires the Mutex if it is free, without blocking and without
-// ceiling checking (like TryTouch, a non-blocking attempt cannot make a
-// higher-priority task wait on lower-priority work). It is a single CAS.
+// ceiling checking (a non-blocking attempt cannot make a higher-priority
+// task wait on lower-priority work). It is a single CAS.
 func (m *Mutex) TryLock(c *Ctx) bool {
 	if c == nil {
 		panic("icilk: Mutex.TryLock outside task context")

@@ -104,19 +104,6 @@ func TestMutexCeilingViolation(t *testing.T) {
 	}
 }
 
-func TestMutexCeilingCheckDisabled(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true, DisableInversionCheck: true})
-	m := NewMutex(rt, 0, "test")
-	fut := Go(rt, nil, 1, "high", func(c *Ctx) int {
-		m.Lock(c)
-		m.Unlock(c)
-		return 7
-	})
-	if v, err := Await(fut, 5*time.Second); err != nil || v != 7 {
-		t.Fatalf("unchecked lock: v=%d err=%v", v, err)
-	}
-}
-
 // TestMutexMutualExclusion drives a plain int through critical sections
 // that deliberately park mid-hold (an IO touch while holding the lock),
 // from tasks at three levels. Any mutual-exclusion bug shows up as a

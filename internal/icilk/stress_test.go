@@ -7,77 +7,74 @@ import (
 	"time"
 )
 
-// TestStressChurn churns Go/Touch/IO/TryTouch/Yield/WaitIdle across all
+// TestStressChurn churns Go/Touch/IO/Done/Yield/WaitIdle across all
 // levels with master reassignment enabled. Run with -race it doubles as
 // the memory-safety gauntlet for the lock-free deques, the parking
 // protocol, and the promote/resume handshake.
 func TestStressChurn(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		name := "chaselev"
-		if locked {
-			name = "locked"
-		}
-		t.Run(name, func(t *testing.T) {
-			rt := New(Config{
-				Workers: 4, Levels: 3, Prioritize: true,
-				Quantum:      100 * time.Microsecond,
-				LockedDeques: locked,
-			})
-			defer rt.Shutdown()
-
-			const roots = 120
-			var completed atomic.Int64
-			var futs []Future[int]
-			for i := 0; i < roots; i++ {
-				i := i
-				p := Priority(i % 3)
-				futs = append(futs, Go(rt, nil, p, "root", func(c *Ctx) int {
-					// A child at the same level: usually resolved by
-					// touch-time helping.
-					child := Go(rt, c, p, "child", func(c *Ctx) int {
-						inner := Go(rt, c, p, "inner", func(*Ctx) int { return i })
-						return inner.Touch(c)
-					})
-					// A higher-priority sibling through the inject queue.
-					hi := Go(rt, c, Priority(2), "hi", func(*Ctx) int { return 2 * i })
-					// An IO future: always a real park/resume cycle.
-					io := IO(rt, p, time.Duration(i%5)*100*time.Microsecond,
-						func() int { return -i })
-					if v, ok := child.TryTouch(); ok && v != i {
-						t.Errorf("TryTouch value = %d, want %d", v, i)
-					}
-					c.Yield()
-					sum := child.Touch(c) + io.Touch(c)
-					c.Checkpoint()
-					sum += hi.Touch(c)
-					completed.Add(1)
-					return sum
-				}))
-			}
-			for i, f := range futs {
-				v, err := Await(f, 30*time.Second)
-				if err != nil {
-					t.Fatalf("root %d: %v", i, err)
-				}
-				if want := i + -i + 2*i; v != want {
-					t.Errorf("root %d = %d, want %d", i, v, want)
-				}
-			}
-			if err := rt.WaitIdle(10 * time.Second); err != nil {
-				t.Error(err)
-			}
-			if completed.Load() != roots {
-				t.Errorf("completed = %d, want %d", completed.Load(), roots)
-			}
+	t.Run("chaselev", func(t *testing.T) {
+		rt := New(Config{
+			Workers: 4, Levels: 3, Prioritize: true,
+			Quantum: 100 * time.Microsecond,
 		})
-	}
+		defer rt.Shutdown()
+
+		const roots = 120
+		var completed atomic.Int64
+		var futs []Future[int]
+		for i := 0; i < roots; i++ {
+			i := i
+			p := Priority(i % 3)
+			futs = append(futs, Go(rt, nil, p, "root", func(c *Ctx) int {
+				// A child at the same level: usually resolved by
+				// touch-time helping.
+				child := Go(rt, c, p, "child", func(c *Ctx) int {
+					inner := Go(rt, c, p, "inner", func(*Ctx) int { return i })
+					return inner.Touch(c)
+				})
+				// A higher-priority sibling through the inject queue.
+				hi := Go(rt, c, Priority(2), "hi", func(*Ctx) int { return 2 * i })
+				// An IO future: always a real park/resume cycle.
+				io := IO(rt, p, time.Duration(i%5)*100*time.Microsecond,
+					func() int { return -i })
+				if child.Done() {
+					if v := child.Touch(c); v != i {
+						t.Errorf("done child value = %d, want %d", v, i)
+					}
+				}
+				c.Yield()
+				sum := child.Touch(c) + io.Touch(c)
+				c.Checkpoint()
+				sum += hi.Touch(c)
+				completed.Add(1)
+				return sum
+			}))
+		}
+		for i, f := range futs {
+			v, err := Await(f, 30*time.Second)
+			if err != nil {
+				t.Fatalf("root %d: %v", i, err)
+			}
+			if want := i + -i + 2*i; v != want {
+				t.Errorf("root %d = %d, want %d", i, v, want)
+			}
+		}
+		if err := rt.WaitIdle(10 * time.Second); err != nil {
+			t.Error(err)
+		}
+		if completed.Load() != roots {
+			t.Errorf("completed = %d, want %d", completed.Load(), roots)
+		}
+	})
 }
 
-// runDifferentialWorkload runs a deterministic spawn tree and returns the
-// set of results it produced.
-func runDifferentialWorkload(t *testing.T, cfg Config) map[int]bool {
-	t.Helper()
-	rt := New(cfg)
+// TestDifferentialDeques runs a deterministic spawn tree across workers
+// and levels and checks its completion set against the leaves the tree
+// must produce: width·2^depth values, each exactly once, so a task the
+// deques lost or ran twice shows up as a missing or repeated leaf.
+func TestDifferentialDeques(t *testing.T) {
+	const levels, width, depth = 2, 16, 4
+	rt := New(Config{Workers: 4, Levels: levels, Prioritize: true})
 	defer rt.Shutdown()
 	var mu sync.Mutex
 	got := map[int]bool{}
@@ -89,11 +86,9 @@ func runDifferentialWorkload(t *testing.T, cfg Config) map[int]bool {
 		got[v] = true
 		mu.Unlock()
 	}
-	const width, depth = 16, 4
 	var futs []Future[int]
 	for i := 0; i < width; i++ {
-		i := i
-		futs = append(futs, Go(rt, nil, Priority(i%cfg.Levels), "tree", func(c *Ctx) int {
+		futs = append(futs, Go(rt, nil, Priority(i%levels), "tree", func(c *Ctx) int {
 			var spawn func(c *Ctx, id, d int) int
 			spawn = func(c *Ctx, id, d int) int {
 				if d == 0 {
@@ -112,27 +107,18 @@ func runDifferentialWorkload(t *testing.T, cfg Config) map[int]bool {
 			t.Fatal(err)
 		}
 	}
-	return got
-}
-
-// TestDifferentialDeques runs the same workload on the lock-free and the
-// mutex-guarded deques and compares the completion sets: every leaf must
-// complete exactly once under both, so a lost or duplicated task in
-// either implementation shows up as a set difference.
-func TestDifferentialDeques(t *testing.T) {
-	base := Config{Workers: 4, Levels: 2, Prioritize: true}
-	lockfree := runDifferentialWorkload(t, base)
-	locked := base
-	locked.LockedDeques = true
-	reference := runDifferentialWorkload(t, locked)
-	if len(lockfree) != len(reference) {
-		t.Fatalf("completion counts differ: lock-free %d, locked %d",
-			len(lockfree), len(reference))
-	}
-	for v := range reference {
-		if !lockfree[v] {
-			t.Errorf("value %d completed under locked deques only", v)
+	// Root i's leaves are its id shifted by depth plus every depth-bit
+	// suffix; the root ids keep the ranges disjoint.
+	want := width << depth
+	for i := 0; i < width; i++ {
+		for j := 0; j < 1<<depth; j++ {
+			if v := (i+2)<<(2*depth) + j; !got[v] {
+				t.Errorf("leaf %d never completed", v)
+			}
 		}
+	}
+	if len(got) != want {
+		t.Errorf("%d distinct leaves completed, want %d", len(got), want)
 	}
 }
 
@@ -198,25 +184,6 @@ func TestInlineFastPathNoGoroutines(t *testing.T) {
 // module surface.)
 func BenchmarkSpawnTouch(b *testing.B) {
 	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true})
-	defer rt.Shutdown()
-	b.ReportAllocs()
-	b.ResetTimer()
-	fut := Go(rt, nil, 1, "bench", func(c *Ctx) int {
-		for i := 0; i < b.N; i++ {
-			child := Go(rt, c, 1, "child", func(*Ctx) int { return i })
-			child.Touch(c)
-		}
-		return 0
-	})
-	if _, err := Await(fut, 10*time.Minute); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSpawnTouchLockedDeques is the same benchmark on the mutex
-// deques, isolating the deque layer's contribution.
-func BenchmarkSpawnTouchLockedDeques(b *testing.B) {
-	rt := New(Config{Workers: 4, Levels: 2, Prioritize: true, LockedDeques: true})
 	defer rt.Shutdown()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -46,14 +46,14 @@ type task struct {
 	blockedOn *future
 
 	// waitingOn is the blocked-on edge: the lock this task is queued on,
-	// which both the deadlock cycle walk (Config.Debug) and
-	// transitive priority inheritance (propagateBoost) traverse without
-	// taking any lock. Written only under that lock's waitq.mu: set by the
-	// task itself before it becomes visible on the waiter list, cleared
-	// by the grant that pops it — before the task is published as the
-	// lock's holder, so a task is never owner of the lock its waitingOn
-	// names. Always published: inheritance must see the edge regardless
-	// of debug flags.
+	// which the deadlock cycle walk (Config.Debug) and transitive
+	// priority inheritance (propagateBoost) traverse without taking any
+	// lock, and whose waiter list a mid-wait boost re-sorts. Written only
+	// under that lock's waitq.mu: set by the task itself before it
+	// becomes visible on the waiter list, cleared by the grant that pops
+	// it — before the task is published as the lock's holder, so a task
+	// is never owner of the lock its waitingOn names. Always published:
+	// inheritance must see the edge regardless of debug flags.
 	waitingOn atomic.Pointer[waitq]
 
 	// boost is the priority-inheritance floor: while a higher-priority
@@ -101,13 +101,6 @@ type task struct {
 	// entry); a task waits on at most one lock at a time.
 	waitPrio Priority
 
-	// waitList publishes the lock whose waiter list this task is
-	// currently enqueued on, so a booster that raised this task's
-	// priority mid-wait can re-sort the entry (propagateBoost). Written
-	// under that lock's waitq.mu: stored, before waitPrio is computed,
-	// ahead of the insert, and cleared with waitingOn by the grant.
-	waitList atomic.Pointer[waitq]
-
 	// rheld lists the RWMutex read holds this task currently has, one
 	// entry per hold, newest last: RLock appends, RUnlock drops, and a
 	// panicking task releases what is left (releaseHeld). Task-private,
@@ -119,7 +112,7 @@ type task struct {
 	// requeue, and the resumed toucher reads them instead of re-reading
 	// the future cell (which a concurrent TouchRelease may already have
 	// recycled). fwdBudget is the forwarding budget the task parked
-	// with: zero for a plain Touch, positive for TouchThrough, where
+	// with: zero for a plain Touch, positive for TouchThroughN, where
 	// finish may consume hops by migrating the parked task along a
 	// carrier chain. All three are written by the task itself before it
 	// becomes visible on a waiter list, or by finish before the

@@ -39,8 +39,7 @@ type unlocker interface{ Unlock(c *Ctx) }
 
 // waitq is the wait structure Mutex and RWMutex embed. It is also the
 // lock's identity everywhere a task refers to one: task.held,
-// task.waitingOn, task.waitList and the lock-order graph all hold
-// *waitq.
+// task.waitingOn and the lock-order graph all hold *waitq.
 type waitq struct {
 	rt   *Runtime
 	kind string // "mutex" or "rwmutex", for reports
@@ -57,7 +56,7 @@ type waitq struct {
 	// mu guards the lists and is only ever taken on a slow path. Each
 	// list is ordered by waitPrio, highest first, FIFO among equals, so
 	// a grant pops the head. mu is also what every write of a queued
-	// task's waitPrio, waitList and waitingOn happens under.
+	// task's waitPrio and waitingOn happens under.
 	mu    sync.Mutex
 	lists [2][]*task
 }
@@ -136,6 +135,13 @@ func (q *waitq) recordRelease(t *task) {
 // behind anonymous readers); block releases q.mu. With
 // Config.Debug a cycle closing at this task is returned
 // instead of parking, with the task not queued and its edge retracted.
+//
+// One edge is enough for both jobs it does — the walks follow it to the
+// holder, and propagateBoost re-sorts the task on its list after a
+// mid-wait boost — because waitPrio is read under q.mu after the edge is
+// published. A boost lands either before that read, and is in waitPrio,
+// or after the edge is visible; the booster's repositionWaiter then
+// waits for q.mu, which block holds until the insert, and re-sorts.
 func (q *waitq) block(c *Ctx, which int, holder *task, parks *counter) *DeadlockError {
 	g, t, rt := c.g, c.t, q.rt
 	// The edge is published unconditionally: propagateBoost traverses it
@@ -154,9 +160,6 @@ func (q *waitq) block(c *Ctx, which int, holder *task, parks *counter) *Deadlock
 	// protocol as future.touch).
 	g.prepare(t)
 	w := g.w // capture before t becomes resumable; see gctx.park
-	// waitList goes up before waitPrio is read, so a boost landing in
-	// between either is in waitPrio or finds the list to re-sort.
-	t.waitList.Store(q)
 	t.waitPrio = t.effPrio()
 	q.lists[which] = insertByPrio(q.lists[which], t)
 	q.mu.Unlock()
@@ -169,7 +172,7 @@ func (q *waitq) block(c *Ctx, which int, holder *task, parks *counter) *Deadlock
 }
 
 // pop removes the head of lists[which] for a grant, and popAll the whole
-// list. Both retract the grantee's waitList and waitingOn here, under
+// list. Both retract the grantee's waitingOn here, under
 // q.mu and before the caller publishes it as holder or counts it into
 // the state word — the one place the invariant above is kept. Caller
 // holds q.mu and the list is not empty.
@@ -179,7 +182,6 @@ func (q *waitq) pop(which int) *task {
 	copy(ws, ws[1:])
 	ws[len(ws)-1] = nil
 	q.lists[which] = ws[:len(ws)-1]
-	t.waitList.Store(nil)
 	t.waitingOn.Store(nil)
 	return t
 }
@@ -188,7 +190,6 @@ func (q *waitq) popAll(which int) []*task {
 	ws := q.lists[which]
 	q.lists[which] = nil
 	for _, t := range ws {
-		t.waitList.Store(nil)
 		t.waitingOn.Store(nil)
 	}
 	return ws
@@ -305,13 +306,11 @@ func inheritInto(rt *Runtime, holder, waiter *task) bool {
 func propagateBoost(rt *Runtime, holder *task) {
 	cur := holder
 	for hop := 0; hop < maxCycleWalk; hop++ {
-		if wl := cur.waitList.Load(); wl != nil {
-			wl.repositionWaiter(cur)
-		}
 		edge := cur.waitingOn.Load()
 		if edge == nil {
 			return
 		}
+		edge.repositionWaiter(cur)
 		next := edge.holderTask()
 		if next == nil || next == cur || !next.raiseBoost(cur.effPrio()) {
 			return

@@ -10,8 +10,8 @@ import (
 // TestHandoffRetractsWaitEdge pins the hand-off invariant: a task is
 // never the holder of the lock its waitingOn names. On one worker the
 // holder H keeps the only slot across its Unlock, so the waiters it just
-// granted cannot have resumed: whatever their waitingOn and waitList say
-// at that point is what the grant left there. The gate promise orders
+// granted cannot have resumed: whatever their waitingOn says at that
+// point is what the grant left there. The gate promise orders
 // the test by events — the last waiter completes it just before it
 // blocks, and H cannot resume until that waiter has parked and released
 // the slot.
@@ -62,7 +62,7 @@ func TestHandoffRetractsWaitEdge(t *testing.T) {
 				}
 				gate.Future().Touch(c)
 				for i := range waiting {
-					if w := waiting[i].Load(); w.waitingOn.Load() == nil || w.waitList.Load() == nil {
+					if w := waiting[i].Load(); w.waitingOn.Load() == nil {
 						t.Errorf("waiter %d is not queued before the release", i)
 					}
 				}
@@ -74,9 +74,6 @@ func TestHandoffRetractsWaitEdge(t *testing.T) {
 					w := waiting[i].Load()
 					if w.waitingOn.Load() != nil {
 						t.Errorf("granted waiter %d still publishes a blocked-on edge", i)
-					}
-					if w.waitList.Load() != nil {
-						t.Errorf("granted waiter %d still publishes a wait list", i)
 					}
 				}
 				for _, w := range ws {

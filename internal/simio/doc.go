@@ -1,6 +1,6 @@
 // Package simio is the simulated I/O substrate standing in for the Linux
-// sockets and files of the paper's evaluation (a documented substitution;
-// see DESIGN.md). It provides latency-hiding I/O futures with controllable
+// sockets and files of the paper's evaluation (ARCHITECTURE.md, "The IO
+// completion path", shows where its timer futures enter the runtime). It provides latency-hiding I/O futures with controllable
 // latency distributions and Poisson client-request generators, which is
 // everything the evaluation workloads need from real I/O: latency to hide
 // and an arrival process to serve.
