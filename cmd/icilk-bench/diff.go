@@ -24,10 +24,10 @@ import (
 //   - keys ending in "_ops_per_sec" or "OpsPerSec" (throughputs, guarded
 //     in the opposite direction: higher is better), and
 //   - keys ending in "_allocs_per_op" (allocation counts: lower is
-//     better, and zero is a meaningful baseline — a pooled fast path
-//     that starts allocating again must trip the gate even though any
-//     ratio against 0 is undefined, so these use an absolute guard of
-//     +0.5 allocs on top of the ratio).
+//     better, and zero is a meaningful baseline — a zero-allocation
+//     fast path that starts allocating again must trip the gate even
+//     though any ratio against 0 is undefined, so these use an absolute
+//     guard of +0.5 allocs on top of the ratio).
 //
 // Derived ratios and counters are deliberately not matched. A
 // lower-is-better metric regresses when new > old * threshold; a
@@ -186,7 +186,7 @@ func diffValue(file, path string, oldV, newV any, threshold float64, regs *[]reg
 				if okO && okN && oldN >= 0 && newN >= 0 {
 					*n++
 					// Ratio plus an absolute floor: 0 → 0.2 is noise,
-					// 0 → 1 is the pooled path allocating again.
+					// 0 → 1 is a zero-allocation path allocating again.
 					if newN > oldN*threshold && newN > oldN+0.5 {
 						*regs = append(*regs, regression{file: file, path: childPath, old: oldN, new: newN})
 					}

@@ -201,8 +201,8 @@ func TestDiffMatchesRowsByNumericLabel(t *testing.T) {
 // pass.
 func TestDiffAllocsPerOp(t *testing.T) {
 	const allocsBody = `{"result": {"fast_path": {
-	  "spawn_touch_pooled_allocs_per_op": 0.0,
-	  "spawn_touch_unpooled_allocs_per_op": 3.0
+	  "done_touch_allocs_per_op": 0.0,
+	  "spawn_touch_allocs_per_op": 3.0
 	}}}`
 	old, new := t.TempDir(), t.TempDir()
 	writeSnap(t, old, "BENCH_io.json", allocsBody)
@@ -217,24 +217,24 @@ func TestDiffAllocsPerOp(t *testing.T) {
 		t.Errorf("both allocs leaves should count as metrics:\n%s", b.String())
 	}
 
-	// The pooled path allocating again: 0 → 1 fails despite the
+	// A zero-allocation path allocating again: 0 → 1 fails despite the
 	// undefined ratio.
 	broken := strings.ReplaceAll(allocsBody,
-		`"spawn_touch_pooled_allocs_per_op": 0.0`,
-		`"spawn_touch_pooled_allocs_per_op": 1.0`)
+		`"done_touch_allocs_per_op": 0.0`,
+		`"done_touch_allocs_per_op": 1.0`)
 	writeSnap(t, new, "BENCH_io.json", broken)
 	b.Reset()
 	if code := runDiff(&b, old, new, 1.5); code != 1 {
 		t.Fatalf("0 -> 1 allocs/op should fail, got exit %d:\n%s", code, b.String())
 	}
-	if !strings.Contains(b.String(), "spawn_touch_pooled_allocs_per_op") {
+	if !strings.Contains(b.String(), "done_touch_allocs_per_op") {
 		t.Errorf("report should name the allocs metric:\n%s", b.String())
 	}
 
 	// Measurement noise under the absolute floor passes.
 	noisy := strings.ReplaceAll(allocsBody,
-		`"spawn_touch_pooled_allocs_per_op": 0.0`,
-		`"spawn_touch_pooled_allocs_per_op": 0.3`)
+		`"done_touch_allocs_per_op": 0.0`,
+		`"done_touch_allocs_per_op": 0.3`)
 	writeSnap(t, new, "BENCH_io.json", noisy)
 	b.Reset()
 	if code := runDiff(&b, old, new, 1.5); code != 0 {
@@ -243,8 +243,8 @@ func TestDiffAllocsPerOp(t *testing.T) {
 
 	// A real multiplicative regression on a nonzero baseline fails.
 	tripled := strings.ReplaceAll(allocsBody,
-		`"spawn_touch_unpooled_allocs_per_op": 3.0`,
-		`"spawn_touch_unpooled_allocs_per_op": 9.0`)
+		`"spawn_touch_allocs_per_op": 3.0`,
+		`"spawn_touch_allocs_per_op": 9.0`)
 	writeSnap(t, new, "BENCH_io.json", tripled)
 	b.Reset()
 	if code := runDiff(&b, old, new, 1.5); code != 1 {
@@ -253,8 +253,8 @@ func TestDiffAllocsPerOp(t *testing.T) {
 
 	// An improvement passes.
 	improved := strings.ReplaceAll(allocsBody,
-		`"spawn_touch_unpooled_allocs_per_op": 3.0`,
-		`"spawn_touch_unpooled_allocs_per_op": 0.0`)
+		`"spawn_touch_allocs_per_op": 3.0`,
+		`"spawn_touch_allocs_per_op": 0.0`)
 	writeSnap(t, new, "BENCH_io.json", improved)
 	b.Reset()
 	if code := runDiff(&b, old, new, 1.5); code != 0 {

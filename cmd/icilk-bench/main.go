@@ -74,7 +74,7 @@ var experimentList = []experimentInfo{
 		func(cfg experiments.EvalConfig, _ int) any { return lock(cfg) }},
 	{"l4i", "λ4i corpus: simulator vs compiled-onto-icilk wall time per program", "-workers -iters -l4i-dir",
 		func(cfg experiments.EvalConfig, iters int) any { return l4i(cfg, iters) }},
-	{"io", "per-request future tax: pooled spawn/touch allocs, forwarding touch, completion absorption", "-workers",
+	{"io", "per-request future tax: spawn/touch allocs, forwarding touch, completion absorption", "-workers",
 		func(cfg experiments.EvalConfig, _ int) any { return ioExp(cfg) }},
 	{"overload", "overload robustness: per-class goodput/p99 at 0.5x and 3x capacity with shedding and deadlines", "-workers -duration -seed",
 		func(cfg experiments.EvalConfig, _ int) any { return overload(cfg) }},
@@ -409,21 +409,16 @@ func l4i(cfg experiments.EvalConfig, iters int) any {
 }
 
 func ioExp(cfg experiments.EvalConfig) any {
-	fmt.Println("=== Per-request future tax: pooling, forwarding touch, completion absorption ===")
+	fmt.Println("=== Per-request future tax: spawn/promise costs, forwarding touch, completion absorption ===")
 	res := experiments.IOBench(cfg)
 	f := res.FastPath
 	fmt.Printf("%-28s %10s %14s\n", "fast path (single worker)", "ns/op", "allocs/op")
-	fmt.Printf("%-28s %10.1f %11.0f allocs/op  (pooling on)\n",
-		"spawn+touch (pooled)", f.SpawnTouchPooledNs, f.SpawnTouchPooledAllocs)
-	fmt.Printf("%-28s %10.1f %11.1f allocs/op  (pooling off)\n",
-		"spawn+touch (unpooled)", f.SpawnTouchUnpooledNs, f.SpawnTouchUnpooledAllocs)
-	fmt.Printf("%-28s %10.1f %11.0f allocs/op  (pooling on)\n",
-		"promise complete+touch", f.PromiseTouchPooledNs, f.PromiseTouchPooledAllocs)
-	fmt.Printf("%-28s %10.1f %11.1f allocs/op  (pooling off)\n",
-		"promise complete+touch (off)", f.PromiseTouchUnpooledNs, f.PromiseTouchUnpooledAllocs)
+	fmt.Printf("%-28s %10.1f %11.1f allocs/op  (task + future)\n",
+		"spawn+touch", f.SpawnTouchNs, f.SpawnTouchAllocs)
+	fmt.Printf("%-28s %10.1f %11.1f allocs/op  (future)\n",
+		"promise complete+touch", f.PromiseTouchNs, f.PromiseTouchAllocs)
 	fmt.Printf("%-28s %10.1f %11.0f allocs/op  (done fast path)\n",
 		"touch of done future", f.DoneTouchNs, f.DoneTouchAllocs)
-	fmt.Printf("pool: %d hits, %d misses\n", res.PoolHits, res.PoolMisses)
 	fw := res.Forward
 	fmt.Printf("forwarding chain (%d hops): forward %.0f ns/chain (%d parks/round), "+
 		"re-park %.0f ns/chain (%d parks/round), %d forwards, speedup %.2fx\n",

@@ -39,8 +39,10 @@ func parseFile(t *testing.T, path string) *parser.Program {
 // compiled icilk backend, and the two backends agree on main's value —
 // with zero dynamic ceiling violations, because the compiled ceilings
 // come from the same typing derivation that accepted the program. The
-// compiled run repeats with the runtime's task/future pooling disabled:
-// the allocation ablation must be invisible to program results.
+// compiled run happens twice, once per way Run obtains a runtime:
+// "nopool" starts a fresh one (the configuration's idle runtime is shut
+// down first) and "pooled" reuses the drained runtime that run left on
+// the idle list. Reuse must be invisible to program results.
 func TestCorpusDifferential(t *testing.T) {
 	for _, f := range corpus(t) {
 		f := f
@@ -61,12 +63,18 @@ func TestCorpusDifferential(t *testing.T) {
 				t.Fatal("machine run left main unfinished")
 			}
 
-			for _, pool := range []struct {
-				name    string
-				disable bool
-			}{{"pooled", false}, {"nopool", true}} {
-				t.Run(pool.name, func(t *testing.T) {
-					res, err := cp.Run(RunConfig{Workers: 2, DisablePooling: pool.disable})
+			cfg := RunConfig{Workers: 2}
+			for _, axis := range []struct {
+				name  string
+				fresh bool
+			}{{"nopool", true}, {"pooled", false}} {
+				t.Run(axis.name, func(t *testing.T) {
+					if axis.fresh {
+						dropIdle(cp, cfg)
+					} else if idleFor(cp, cfg) == nil {
+						t.Fatal("the fresh run left no idle runtime to reuse")
+					}
+					res, err := cp.Run(cfg)
 					if err != nil {
 						t.Fatalf("compiled run: %v", err)
 					}

@@ -35,10 +35,10 @@ func TestRunAllocCeilings(t *testing.T) {
 		name    string
 		ceiling float64
 	}{
-		{"fib", 151},      // measured 137
-		{"seq", 504},      // measured 458
-		{"counter", 124},  // measured 112
-		{"pipeline", 153}, // measured 139
+		{"fib", 151},      // measured 144
+		{"seq", 504},      // measured 460
+		{"counter", 124},  // measured 114
+		{"pipeline", 153}, // measured 142
 	} {
 		cp := mustCompile(t, exampleSrc(t, tc.name))
 		mustRun(t, cp) // leaves an idle runtime and warm pools

@@ -52,6 +52,19 @@ func idleFor(cp *Prog, cfg RunConfig) *icilk.Runtime {
 	return idleRuntimes[cp.runtimeConfig(cfg.withDefaults())]
 }
 
+// dropIdle shuts down the idle runtime Run would take for cfg, so the
+// next run starts a fresh one.
+func dropIdle(cp *Prog, cfg RunConfig) {
+	key := cp.runtimeConfig(cfg.withDefaults())
+	idleMu.Lock()
+	rt := idleRuntimes[key]
+	delete(idleRuntimes, key)
+	idleMu.Unlock()
+	if rt != nil {
+		rt.Shutdown()
+	}
+}
+
 // TestReuseStatsAreDeltas: the second of two back-to-back runs takes the
 // runtime the first one left, and still reports only its own spawns.
 func TestReuseStatsAreDeltas(t *testing.T) {

@@ -27,10 +27,6 @@ type RunConfig struct {
 	// in one work-stealing pool (the Cilk-F configuration). Results must
 	// not change — only responsiveness does.
 	Baseline bool
-	// DisablePooling turns off the runtime's task/future free lists —
-	// the allocation ablation, plumbed through for the differential
-	// tests that must agree with the simulator either way.
-	DisablePooling bool
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -129,10 +125,9 @@ func putRuntime(cfg icilk.Config, rt *icilk.Runtime) {
 // in idleRuntimes.
 func (p *Prog) runtimeConfig(cfg RunConfig) icilk.Config {
 	return icilk.Config{
-		Workers:        cfg.Workers,
-		Levels:         p.Levels(),
-		Prioritize:     !cfg.Baseline,
-		DisablePooling: cfg.DisablePooling,
+		Workers:    cfg.Workers,
+		Levels:     p.Levels(),
+		Prioritize: !cfg.Baseline,
 	}
 }
 

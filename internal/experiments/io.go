@@ -10,12 +10,11 @@ import (
 // This file prices the per-request future tax the serving layer pays on
 // every admitted request: one task + one future per spawn, one future
 // per order token, one promise per IO completion. The `io` experiment
-// measures the two mechanisms that cut it — worker-striped task/future
-// pooling and forwarding Touch — each against its own ablation, plus
-// the rate at which the runtime absorbs promise completions:
+// measures that tax, the forwarding Touch that cuts a chain of parks
+// against its ablation, and the rate at which the runtime absorbs
+// promise completions:
 //
-//   - spawn+touch and promise complete→touch in ns/op and allocs/op,
-//     pooling on vs off (steady state with pooling on is 0 allocs/op);
+//   - spawn+touch and promise complete→touch in ns/op and allocs/op;
 //   - a K-hop handle chain resolved by one forwarding touch (park once,
 //     migrate K-1 times) vs the re-park loop (park K times);
 //   - completions/sec absorbed, each completion requeueing its parked
@@ -23,21 +22,17 @@ import (
 
 // IOFastPath holds the single-task steady-state costs. The allocs/op
 // leaves are exact (runtime.MemStats.Mallocs deltas on a single-worker
-// runtime with no other goroutines running), so the pooled rows hitting
-// 0.0 is a hard claim the -diff gate holds onto.
+// runtime with no other goroutines running), and the -diff gate holds
+// onto them.
 type IOFastPath struct {
-	// SpawnTouch is one Spawn + TouchRelease pair: child runs inline via
-	// touch-time helping, task and future recycle to the worker stripe.
-	SpawnTouchPooledNs       float64 `json:"spawn_touch_pooled_ns"`
-	SpawnTouchPooledAllocs   float64 `json:"spawn_touch_pooled_allocs_per_op"`
-	SpawnTouchUnpooledNs     float64 `json:"spawn_touch_unpooled_ns"`
-	SpawnTouchUnpooledAllocs float64 `json:"spawn_touch_unpooled_allocs_per_op"`
-	// PromiseTouch is one NewPromiseIn + Complete + TouchRelease round —
-	// the order-token and IO-completion shape in internal/serve.
-	PromiseTouchPooledNs       float64 `json:"promise_touch_pooled_ns"`
-	PromiseTouchPooledAllocs   float64 `json:"promise_touch_pooled_allocs_per_op"`
-	PromiseTouchUnpooledNs     float64 `json:"promise_touch_unpooled_ns"`
-	PromiseTouchUnpooledAllocs float64 `json:"promise_touch_unpooled_allocs_per_op"`
+	// SpawnTouch is one Spawn + Touch pair: the child runs inline via
+	// touch-time helping; the task and the future are the allocations.
+	SpawnTouchNs     float64 `json:"spawn_touch_ns"`
+	SpawnTouchAllocs float64 `json:"spawn_touch_allocs_per_op"`
+	// PromiseTouch is one NewPromiseIn + Complete + Touch round — the
+	// order-token and IO-completion shape in internal/serve.
+	PromiseTouchNs     float64 `json:"promise_touch_ns"`
+	PromiseTouchAllocs float64 `json:"promise_touch_allocs_per_op"`
 	// DoneTouch is one touch of an already-completed future: the
 	// single-atomic-load fast path, the floor everything else chases.
 	DoneTouchNs     float64 `json:"done_touch_ns"`
@@ -89,15 +84,11 @@ type IOResult struct {
 	FastPath   IOFastPath   `json:"fast_path"`
 	Forward    IOForward    `json:"forward"`
 	Completion IOCompletion `json:"completion"`
-	// PoolHits/PoolMisses snapshot from the pooled fast-path runtime —
-	// steady state means hits dwarf misses.
-	PoolHits   int64 `json:"pool_hits"`
-	PoolMisses int64 `json:"pool_misses"`
 }
 
 const (
 	ioIters       = 100_000 // fast-path loop length (after warmup)
-	ioWarmup      = 2_000   // fills the pool stripes before measuring
+	ioWarmup      = 2_000   // warms the runtime before measuring
 	ioForwardHops = 8       // chain length K
 	ioForwardRnds = 200     // chains per forwarding mode
 	ioCompletions = 10_000  // promises in the completion flood
@@ -107,7 +98,7 @@ const (
 func IOBench(cfg EvalConfig) IOResult {
 	cfg = cfg.withDefaults()
 	var res IOResult
-	res.FastPath, res.PoolHits, res.PoolMisses = measureIOFastPaths()
+	res.FastPath = measureIOFastPaths()
 	res.Forward = measureForwarding()
 	res.Completion = measureCompletions(cfg.Workers)
 	return res
@@ -117,20 +108,15 @@ func IOBench(cfg EvalConfig) IOResult {
 // (ns/op, allocs/op). The runtime is single-worker and unprioritized, so
 // while the task runs, the worker executing it is the only goroutine
 // allocating — the process-wide Mallocs delta is the loop's.
-func ioMeasure(pooled bool, iters int, bench func(c *icilk.Ctx, n int)) (float64, float64, icilk.SchedStats) {
-	rt := icilk.New(icilk.Config{
-		Workers:        1,
-		Levels:         1,
-		Prioritize:     false,
-		DisablePooling: !pooled,
-	})
+func ioMeasure(iters int, bench func(c *icilk.Ctx, n int)) (float64, float64) {
+	rt := icilk.New(icilk.Config{Workers: 1, Levels: 1, Prioritize: false})
 	defer rt.Shutdown()
 	type sample struct {
 		ns     float64
 		allocs float64
 	}
 	fut := icilk.Go(rt, nil, 0, "io-bench", func(c *icilk.Ctx) sample {
-		bench(c, ioWarmup) // reach steady state: pool stripes filled
+		bench(c, ioWarmup) // reach steady state
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
@@ -144,46 +130,40 @@ func ioMeasure(pooled bool, iters int, bench func(c *icilk.Ctx, n int)) (float64
 	})
 	s, err := icilk.Await(fut, 120*time.Second)
 	if err != nil {
-		return 0, 0, icilk.SchedStats{}
+		return 0, 0
 	}
-	return s.ns, s.allocs, rt.Stats()
+	return s.ns, s.allocs
 }
 
-func measureIOFastPaths() (IOFastPath, int64, int64) {
+func measureIOFastPaths() IOFastPath {
 	var out IOFastPath
-	var hits, misses int64
-
 	nilFn := func(*icilk.Ctx) any { return nil }
 	spawnTouch := func(c *icilk.Ctx, n int) {
 		for i := 0; i < n; i++ {
 			h := icilk.Spawn(c.Runtime(), c, 0, "io-child", nilFn)
-			h.TouchRelease(c)
+			h.Touch(c)
 		}
 	}
-	var st icilk.SchedStats
-	out.SpawnTouchPooledNs, out.SpawnTouchPooledAllocs, st = ioMeasure(true, ioIters, spawnTouch)
-	hits, misses = st.PoolHits, st.PoolMisses
-	out.SpawnTouchUnpooledNs, out.SpawnTouchUnpooledAllocs, _ = ioMeasure(false, ioIters, spawnTouch)
+	out.SpawnTouchNs, out.SpawnTouchAllocs = ioMeasure(ioIters, spawnTouch)
 
 	promiseTouch := func(c *icilk.Ctx, n int) {
 		for i := 0; i < n; i++ {
 			pr := icilk.NewPromiseIn[int](c, 0)
 			pr.Complete(7)
-			pr.Future().TouchRelease(c)
+			pr.Future().Touch(c)
 		}
 	}
-	out.PromiseTouchPooledNs, out.PromiseTouchPooledAllocs, _ = ioMeasure(true, ioIters, promiseTouch)
-	out.PromiseTouchUnpooledNs, out.PromiseTouchUnpooledAllocs, _ = ioMeasure(false, ioIters, promiseTouch)
+	out.PromiseTouchNs, out.PromiseTouchAllocs = ioMeasure(ioIters, promiseTouch)
 
 	done := icilk.Completed(0, 42)
 	var sink int
-	out.DoneTouchNs, out.DoneTouchAllocs, _ = ioMeasure(true, ioIters, func(c *icilk.Ctx, n int) {
+	out.DoneTouchNs, out.DoneTouchAllocs = ioMeasure(ioIters, func(c *icilk.Ctx, n int) {
 		for i := 0; i < n; i++ {
 			sink += done.Touch(c)
 		}
 	})
 	_ = sink
-	return out, hits, misses
+	return out
 }
 
 // measureForwarding builds a K-promise chain per round — promise i's
@@ -287,7 +267,7 @@ func measureCompletions(workers int) IOCompletion {
 		prs[i] = icilk.NewPromise[int](rt, 0)
 		pr := prs[i]
 		futs[i] = icilk.Go(rt, nil, 0, "io-waiter", func(c *icilk.Ctx) int {
-			return pr.Future().TouchRelease(c)
+			return pr.Future().Touch(c)
 		})
 	}
 	// Let the touchers park; ops/sec measures completion absorption, not

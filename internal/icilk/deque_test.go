@@ -346,15 +346,14 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers != 4 || c.Levels != 2 || c.Gamma != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	if !c.inherit || !c.pooling {
-		t.Error("inheritance and pooling should default on")
+	if !c.inherit {
+		t.Error("inheritance should default on")
 	}
 	if c.Debug {
 		t.Error("debug checks should default off")
 	}
-	c2 := Config{DisableInheritance: true, DisablePooling: true}.withDefaults()
-	if c2.inherit || c2.pooling {
-		t.Error("disable flags should turn features off")
+	if c2 := (Config{DisableInheritance: true}).withDefaults(); c2.inherit {
+		t.Error("DisableInheritance should turn inheritance off")
 	}
 }
 

@@ -50,11 +50,15 @@
 // holding locks releases them through the same hand-off before its
 // future fails.
 //
-// Config.Debug is the one debug switch: it turns on the deadlock walk,
-// the lock-order recorder (LockOrderViolations reports AB/BA orderings
-// even on runs that never deadlocked) and the stale-handle checks on
-// recycled futures. Tests run with it on and assert an empty
-// LockOrderViolations report from their cleanup.
+// Config.Debug is the one debug switch: it turns on the deadlock walk
+// and the lock-order recorder (LockOrderViolations reports AB/BA
+// orderings even on runs that never deadlocked). Tests run with it on
+// and assert an empty LockOrderViolations report from their cleanup.
+//
+// Futures are never recycled: Spawn, Go and NewPromise allocate a
+// fresh cell, and a Future or Handle is one pointer to it, so any
+// number of tasks may hold, store and touch it any number of times —
+// the first-class thread handles of λ4i.
 //
 // # External IO
 //

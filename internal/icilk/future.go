@@ -13,27 +13,22 @@ import (
 // channel if one exists. Nothing ever polls a future.
 //
 // Values reach parked waiters through the waiter task (fwdVal/fwdErr),
-// not by re-reading the cell after resume: once a waiter has been
-// requeued, the cell may be recycled by a concurrent TouchRelease, so
-// the resumed goroutine must not dereference f again.
+// not by re-reading the cell after resume: finish may have migrated a
+// forwarding waiter down a carrier chain, so the cell the waiter parked
+// on need not be the one that resolved it.
 type future struct {
 	mu   sync.Mutex
 	prio Priority
 
-	// done flips exactly once per incarnation, after val/err are
-	// written (both under mu). A toucher that observes done via the
-	// atomic load may read val/err without the mutex — the single-
-	// atomic-load fast path for already-resolved futures.
+	// done flips exactly once, after val/err are written (both under
+	// mu). A toucher that observes done via the atomic load may read
+	// val/err without the mutex — the single-atomic-load fast path for
+	// already-resolved futures.
 	done atomic.Bool
 
 	val     any
 	err     error
 	waiters []*task
-
-	// gen is the recycling epoch: bumped by putFuture before the cell
-	// is reset. Handles capture the stamp at mint time; under
-	// Config.Debug a mismatch on touch fails loudly.
-	gen atomic.Uint64
 
 	// owner is the task computing this future (nil for IO futures). The
 	// touch fast path uses it to run a not-yet-started producer inline
@@ -57,7 +52,7 @@ const maxForwardHops = 64
 // the compiled λ4i backend marks thread-id values as forwardable
 // without the runtime knowing anything about the AST.
 type futureCarrier interface {
-	carriedFuture() (*future, uint64)
+	carriedFuture() *future
 }
 
 // complete stores the value and wakes every waiter.
@@ -74,27 +69,18 @@ func (f *future) fail(err error) { f.finish(nil, err) }
 // waiter list instead of being woken — the waiter stays parked, pays no
 // wake/re-park round trip, and resumes only when the chain bottoms out.
 func (f *future) finish(v any, err error) {
-	if !f.tryFinish(v, err, nil) {
+	if !f.tryFinish(v, err) {
 		panic("icilk: future completed twice")
 	}
 }
 
 // tryFinish is finish with first-writer-wins semantics: it resolves the
-// future only if this incarnation is still unresolved, reporting whether
-// this call was the one that resolved it. With gen non-nil the caller's
-// mint-time generation stamp is checked under f.mu; since putFuture bumps
-// the stamp before resetting the cell and performs the reset while
-// holding f.mu, a stale caller (the cell was released and recycled into
-// another incarnation) always observes either done=true or a bumped
-// stamp here, never a half-reset cell — which is what makes a deadline
-// timer safe to race against a normal completion AND against recycling.
-func (f *future) tryFinish(v any, err error, gen *uint64) bool {
+// future only if it is still unresolved, reporting whether this call was
+// the one that resolved it — which is what makes a deadline timer safe
+// to race against a normal completion.
+func (f *future) tryFinish(v any, err error) bool {
 	f.mu.Lock()
 	if f.done.Load() {
-		f.mu.Unlock()
-		return false
-	}
-	if gen != nil && f.gen.Load() != *gen {
 		f.mu.Unlock()
 		return false
 	}
@@ -106,10 +92,7 @@ func (f *future) tryFinish(v any, err error, gen *uint64) bool {
 	ch := f.doneCh
 	f.doneCh = nil
 	// Drop the producer so a long-lived Future handle does not retain
-	// the task, its closure, and any promoted fiber context. Clearing it
-	// under f.mu is also what lets touchOne claim the producer safely:
-	// while owner is visible under the lock, the task has not finished
-	// and cannot have been recycled.
+	// the task, its closure, and any promoted fiber context.
 	f.owner = nil
 	f.mu.Unlock()
 	if ch != nil {
@@ -117,21 +100,14 @@ func (f *future) tryFinish(v any, err error, gen *uint64) bool {
 	}
 	var rt *Runtime
 	for _, t := range waiters {
-		wv, werr := v, err
 		if err == nil && t.fwdBudget > 0 {
-			if fc, ok := v.(futureCarrier); ok {
-				migrated, staleErr := t.migrateTo(fc)
-				if migrated {
-					// Forwarded: the waiter now parks on the inner
-					// future; no requeue, no wake.
-					continue
-				}
-				if staleErr != nil {
-					wv, werr = nil, staleErr
-				}
+			if fc, ok := v.(futureCarrier); ok && t.migrateTo(fc.carriedFuture()) {
+				// Forwarded: the waiter now parks on the inner future;
+				// no requeue, no wake.
+				continue
 			}
 		}
-		t.fwdVal, t.fwdErr = wv, werr
+		t.fwdVal, t.fwdErr = v, err
 		t.blockedOn = nil
 		rt = t.rt // read before the push: t is resumable the moment it lands
 		rt.enqueue(t)
@@ -144,27 +120,21 @@ func (f *future) tryFinish(v any, err error, gen *uint64) bool {
 }
 
 // migrateTo moves a parked forwarding waiter onto the carrier's inner
-// future, consuming one hop of its budget. migrated=false means the
-// caller requeues the waiter itself: with a nil error when the inner
-// future is already done (the resumed toucher walks the rest
-// synchronously), with a StaleHandleError when Config.Debug caught the
-// carrier pointing at a recycled future.
-func (t *task) migrateTo(fc futureCarrier) (migrated bool, stale error) {
-	inner, gen := fc.carriedFuture()
-	if t.rt.cfg.Debug && gen != inner.gen.Load() {
-		return false, &StaleHandleError{Minted: gen, Current: inner.gen.Load()}
-	}
+// future, consuming one hop of its budget. False means the inner future
+// is already done and the caller requeues the waiter itself (the
+// resumed toucher walks the rest synchronously).
+func (t *task) migrateTo(inner *future) bool {
 	inner.mu.Lock()
 	if inner.done.Load() {
 		inner.mu.Unlock()
-		return false, nil
+		return false
 	}
 	t.fwdBudget--
 	t.blockedOn = inner
 	inner.waiters = append(inner.waiters, t)
 	inner.mu.Unlock()
 	t.rt.stats.forwards.Add(1)
-	return true, nil
+	return true
 }
 
 // touch implements ftouch for the running task: one future, no
@@ -195,11 +165,7 @@ func (f *future) touchChain(c *Ctx, budget int) any {
 		}
 		budget--
 		rt.stats.forwards.Add(1)
-		inner, gen := fc.carriedFuture()
-		if rt.cfg.Debug && gen != inner.gen.Load() {
-			panic(&StaleHandleError{Minted: gen, Current: inner.gen.Load()})
-		}
-		cur = inner
+		cur = fc.carriedFuture()
 	}
 }
 
@@ -245,11 +211,10 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 			}
 			return v
 		}
-		// The claim must be taken while f.mu is held: tryFinish clears
-		// f.owner under this lock before execTask can recycle the task,
-		// so an owner seen here is the live producer of f, and once the
-		// claim is won nobody else can run it to completion (and into
-		// the pool, and out again as an unrelated task) behind our back.
+		// The claim is taken while f.mu is held, so an owner seen here
+		// has not finished yet; if it finishes before tryClaim, it keeps
+		// the claim it was dispatched under and tryClaim fails. Once the
+		// claim is won nobody else can run the producer behind our back.
 		// The dispatch claim is the ownership token, not queue position:
 		// whichever queue entry still names the claimed task — a deque
 		// slot, an injection-queue slot after a cross-level spawn or an
@@ -305,8 +270,8 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 	// finish delivered the value through the task (and may have walked
 	// part of a forwarding chain, consuming budget) before requeueing
 	// us; the requeue/resume chain publishes the writes. The cell
-	// itself must not be re-read here — a racing TouchRelease may
-	// already have recycled it.
+	// itself is not re-read here: after a migration it is not the one
+	// that resolved.
 	*budget = int(t.fwdBudget)
 	v, err := t.fwdVal, t.fwdErr
 	t.fwdVal, t.fwdErr, t.fwdBudget = nil, nil, 0
@@ -321,13 +286,12 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 func (f *future) poll() bool { return f.done.Load() && f.err == nil }
 
 // Future is a handle to an asynchronous computation of type T running at
-// a fixed priority — the τ thread[ρ] of λ4i. It is a small value (one
-// pointer plus the mint-time recycling epoch), so passing and storing
-// futures allocates nothing; the zero Future is invalid (Valid reports
-// false) and must not be touched.
+// a fixed priority — the τ thread[ρ] of λ4i. It is one pointer, so
+// passing and storing futures allocates nothing, and any number of
+// tasks may touch it any number of times; the zero Future is invalid
+// (Valid reports false) and must not be touched.
 type Future[T any] struct {
-	f   *future
-	gen uint64
+	f *future
 }
 
 // Valid reports whether the handle refers to a future (the zero Future
@@ -337,37 +301,10 @@ func (f Future[T]) Valid() bool { return f.f != nil }
 // Priority returns the future's priority.
 func (f Future[T]) Priority() Priority { return f.f.prio }
 
-// checkGen fails a touch through a handle whose future was recycled —
-// only under Config.Debug, where release misuse must be loud.
-func checkGen(c *Ctx, f *future, gen uint64) {
-	if c != nil && c.t.rt.cfg.Debug {
-		if cur := f.gen.Load(); cur != gen {
-			panic(&StaleHandleError{Minted: gen, Current: cur})
-		}
-	}
-}
-
 // Touch waits for the future and returns its value. Touching a future of
 // strictly lower priority than the running task panics with a
 // PriorityInversionError (the dynamic analogue of the λ4i Touch rule).
-func (f Future[T]) Touch(c *Ctx) T {
-	checkGen(c, f.f, f.gen)
-	return f.f.touch(c).(T)
-}
-
-// TouchRelease is Touch plus an assertion: this handle is the last use
-// of the future, which may be recycled into the worker-striped pool as
-// soon as the value is returned. Callers on request-scoped paths (one
-// producer, one consumer, nothing stores the handle) use it to make the
-// steady state allocation-free; any later touch through a stale handle
-// is undefined unless Config.Debug is set, in which case it
-// panics with a StaleHandleError.
-func (f Future[T]) TouchRelease(c *Ctx) T {
-	checkGen(c, f.f, f.gen)
-	v := f.f.touch(c).(T)
-	c.t.rt.putFuture(c.g, f.f)
-	return v
-}
+func (f Future[T]) Touch(c *Ctx) T { return f.f.touch(c).(T) }
 
 // Done reports whether the future has completed successfully, without
 // blocking and without priority checking (a non-blocking poll cannot
@@ -376,20 +313,19 @@ func (f Future[T]) Done() bool { return f.f.poll() }
 
 // Untyped returns the untyped handle, used by data structures that store
 // futures of mixed types (e.g. the email app's per-email slots).
-func (f Future[T]) Untyped() *Handle { return &Handle{f: f.f, gen: f.gen} }
+func (f Future[T]) Untyped() *Handle { return &Handle{f: f.f} }
 
 // Handle is an untyped future handle: first-class, storable in shared
 // state, and touchable — the thread handles of λ4i. A completion value
 // that embeds a Handle is a forwarding carrier: TouchThroughN resolves
 // through it, and finish migrates parked forwarding waiters along it.
 type Handle struct {
-	f   *future
-	gen uint64
+	f *future
 }
 
 // carriedFuture makes Handle (and every type embedding one) a
 // forwarding carrier.
-func (h Handle) carriedFuture() (*future, uint64) { return h.f, h.gen }
+func (h Handle) carriedFuture() *future { return h.f }
 
 // Valid reports whether the handle refers to a future.
 func (h Handle) Valid() bool { return h.f != nil }
@@ -400,10 +336,7 @@ func (h *Handle) Priority() Priority { return h.f.prio }
 // Touch waits for the underlying future and returns its untyped value.
 // A plain Touch never forwards: touching a future whose value is itself
 // a handle returns the handle.
-func (h *Handle) Touch(c *Ctx) any {
-	checkGen(c, h.f, h.gen)
-	return h.f.touch(c)
-}
+func (h *Handle) Touch(c *Ctx) any { return h.f.touch(c) }
 
 // TouchThroughN waits for the underlying future and, while the value is
 // itself a future carrier (a Handle or any value embedding one) and hops
@@ -417,7 +350,6 @@ func (h *Handle) Touch(c *Ctx) any {
 // compiled λ4i backend uses n=1 to fuse `bind x = ftouch e in ftouch x`
 // into one park.
 func (h *Handle) TouchThroughN(c *Ctx, n int) any {
-	checkGen(c, h.f, h.gen)
 	if n < 0 {
 		n = 0
 	}
@@ -425,14 +357,6 @@ func (h *Handle) TouchThroughN(c *Ctx, n int) any {
 		n = maxForwardHops
 	}
 	return h.f.touchChain(c, n)
-}
-
-// TouchRelease is Touch plus recycling, as in Future.TouchRelease.
-func (h *Handle) TouchRelease(c *Ctx) any {
-	checkGen(c, h.f, h.gen)
-	v := h.f.touch(c)
-	c.t.rt.putFuture(c.g, h.f)
-	return v
 }
 
 // Done reports whether the underlying future completed successfully.

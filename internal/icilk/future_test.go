@@ -1,29 +1,30 @@
 package icilk
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestPoolChurnStress churns the pooled allocation paths — inline
-// spawn/TouchRelease pairs and externally-completed promises — from
-// several tasks at once, with pooling on and off. Under -race this is
-// the recycling-hazard detector: a task or future handed back to the
-// pool while another goroutine still writes it shows up as a data race
-// on the reused object.
+// TestPoolChurnStress churns spawn/touch pairs and externally
+// completed promises from several tasks at once. Under -race it is the
+// detector for a task or future written by one goroutine after another
+// has already consumed it: every object is fresh, so any such write
+// shows up as a data race on a live object. Tasks and futures are not
+// pooled; the name is the test's history. The cases run both
+// schedulers: "pooled" is the Cilk-F baseline, where all levels share
+// one work-stealing pool, and "unpooled" the prioritized scheduler,
+// which keeps the levels apart.
 func TestPoolChurnStress(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		disable bool
+		name       string
+		prioritize bool
 	}{
 		{"pooled", false},
 		{"unpooled", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(Config{Workers: 4, Levels: 2, Prioritize: true, DisablePooling: tc.disable})
-			defer rt.Shutdown()
+			rt := testRuntime(t, Config{Workers: 4, Levels: 2, Prioritize: tc.prioritize})
 
 			prCh := make(chan Promise[int], 64)
 			var completer sync.WaitGroup
@@ -42,10 +43,10 @@ func TestPoolChurnStress(t *testing.T) {
 					sum := 0
 					for i := 0; i < rounds; i++ {
 						h := Spawn(rt, c, 1, "child", func(*Ctx) any { return 1 })
-						sum += h.TouchRelease(c).(int)
+						sum += h.Touch(c).(int)
 						pr := NewPromiseIn[int](c, 1)
 						prCh <- pr
-						sum += pr.Future().TouchRelease(c)
+						sum += pr.Future().Touch(c)
 					}
 					return sum
 				})
@@ -61,43 +62,46 @@ func TestPoolChurnStress(t *testing.T) {
 			}
 			close(prCh)
 			completer.Wait()
-
-			s := rt.Stats()
-			if tc.disable && s.PoolHits != 0 {
-				t.Fatalf("pooling disabled but PoolHits = %d", s.PoolHits)
-			}
-			if !tc.disable && s.PoolHits == 0 {
-				t.Fatalf("pooling enabled but PoolHits = 0 after %d recycled rounds", tasks*rounds)
-			}
 		})
 	}
 }
 
-// TestStaleHandleAfterRecycle asserts the generation-stamp contract:
-// with Config.Debug set, touching a handle after TouchRelease recycled
-// its future panics with a StaleHandleError (which the runtime turns
-// into the touching task's failure) instead of silently reading the
-// next occupant's value.
-func TestStaleHandleAfterRecycle(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 1, Debug: true})
-	defer rt.Shutdown()
-
-	res := Go(rt, nil, 0, "stale-toucher", func(c *Ctx) int {
-		f := Go(rt, c, 0, "child", func(*Ctx) int { return 7 })
-		stale := f.Untyped() // minted against the current generation
-		if v := f.TouchRelease(c); v != 7 {
-			t.Errorf("TouchRelease returned %d, want 7", v)
-		}
-		return stale.Touch(c).(int) // future recycled: must panic
-	})
-	_, err := Await(res, 10*time.Second)
-	var stale *StaleHandleError
-	if !errors.As(err, &stale) {
-		t.Fatalf("touch of recycled future: got err %v, want StaleHandleError", err)
+// TestFutureAllocCeilings pins the heap allocations of the future
+// paths: a Spawn+Touch costs the task and the future, a promise round
+// (NewPromiseIn, Complete, Touch) costs the future, and touching a done
+// future costs nothing.
+func TestFutureAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
 	}
-	if stale.Current <= stale.Minted {
-		t.Fatalf("stale generations not increasing: minted %d, current %d",
-			stale.Minted, stale.Current)
+	rt := testRuntime(t, Config{Workers: 2, Levels: 1})
+	done := Completed(0, 1)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		op      func(c *Ctx)
+	}{
+		{"spawn+touch", 2, func(c *Ctx) {
+			h := Spawn(rt, c, 0, "child", func(*Ctx) any { return 1 })
+			h.Touch(c)
+		}},
+		{"promise complete+touch", 1, func(c *Ctx) {
+			pr := NewPromiseIn[int](c, 0)
+			pr.Complete(1)
+			pr.Future().Touch(c)
+		}},
+		{"touch of a done future", 0, func(c *Ctx) { done.Touch(c) }},
+	} {
+		got, err := Await(Go(rt, nil, 0, "measure", func(c *Ctx) float64 {
+			return testing.AllocsPerRun(1000, func() { tc.op(c) })
+		}), 30*time.Second)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		t.Logf("%s: %.0f allocs/op", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
 	}
 }
 
@@ -219,6 +223,6 @@ func TestDoneTouchNoPark(t *testing.T) {
 		// A spawned child touched immediately runs via helping (popped
 		// from the own deque and executed inline), not via parking.
 		h := Spawn(rt, c, 0, "helped", func(*Ctx) any { return 100 })
-		return h.TouchRelease(c).(int)
+		return h.Touch(c).(int)
 	})
 }

@@ -240,17 +240,14 @@ func TestFanInWakesOnce(t *testing.T) {
 }
 
 // TestTouchHelpingNeverClaimsRecycledProducer is the -race pin for the
-// helper/recycle window. If touchOne read f.owner under f.mu, dropped
-// the lock, and only then read the owner's level and claimed it, an
-// inline producer finishing in between would be recycled by putTask and
-// re-issued by its worker's very next spawn: the helper's effPrio read
-// would race spawn's write to t.prio, and its tryClaim could win a task
-// that is not the touched future's producer. The generator below
-// spawn/touches trivial children (one task object, recycled every
-// iteration) and publishes each handle before touching it; the spy on
-// the other worker touches whatever was published last, so it keeps
-// meeting futures whose producer is mid-flight. Under -race that
-// ordering fails here on every run (spawn write vs effPrio read).
+// helper/finish window: a touch-time helper reads f.owner under f.mu and
+// then claims it, and the producer may finish in between. A finished
+// producer keeps the dispatch claim it ran under, so the helper's
+// tryClaim fails and it parks, or finds the future done, instead of
+// running the producer a second time. The generator below spawn/touches
+// trivial children and publishes each handle before touching it; the
+// spy on the other worker touches whatever was published last, so it
+// keeps meeting futures whose producer is mid-flight or just finished.
 func TestTouchHelpingNeverClaimsRecycledProducer(t *testing.T) {
 	rt := New(Config{Workers: 2, Levels: 1})
 	defer rt.Shutdown()

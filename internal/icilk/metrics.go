@@ -32,8 +32,6 @@ type schedCounters struct {
 	inherits      counter
 	transBoosts   counter
 	ceilings      counter
-	poolHits      counter
-	poolMisses    counter
 	forwards      counter
 	masterKicks   counter
 	upwardTakes   counter
@@ -80,10 +78,8 @@ type SchedStats struct {
 	// contention observables of the reader/writer primitive.
 	RWReadParks  int64
 	RWWriteParks int64
-	// RWRevokes is always 0: RWMutex keeps no reader bias to revoke. The
-	// field, and its rwrevokes= token in String(), stay so that readers
-	// of this snapshot and of the /stats scheduler line keep the fields
-	// and the order they parse.
+	// RWRevokes is always 0: RWMutex keeps no reader bias to revoke. It
+	// stays because the regression benchmark's state workload reads it.
 	RWRevokes int64
 	// Inherits counts priority-inheritance events: a Mutex or RWMutex
 	// write holder's effective priority raised because a higher-priority
@@ -101,13 +97,6 @@ type SchedStats struct {
 	// ceiling — the dynamic analogue of the state-typing rule (paper
 	// Fig. 12) that Touch's inversion check is for futures.
 	CeilingViolations int64
-	// PoolHits and PoolMisses count task/future allocations served from
-	// the worker-striped free lists versus from the heap. At steady
-	// state on the serve path the hit rate approaches 1; with
-	// Config.DisablePooling every allocation is a miss (the ablation's
-	// observable).
-	PoolHits   int64
-	PoolMisses int64
 	// ForwardedTouches counts forwarding hops: a touched future whose
 	// value was itself a future handle, resolved by walking to the inner
 	// future (or migrating a parked waiter onto it) instead of returning
@@ -147,8 +136,6 @@ func (rt *Runtime) Stats() SchedStats {
 		Inherits:          rt.stats.inherits.Load(),
 		TransitiveBoosts:  rt.stats.transBoosts.Load(),
 		CeilingViolations: rt.stats.ceilings.Load(),
-		PoolHits:          rt.stats.poolHits.Load(),
-		PoolMisses:        rt.stats.poolMisses.Load(),
 		ForwardedTouches:  rt.stats.forwards.Load(),
 		MasterKicks:       rt.stats.masterKicks.Load(),
 		UpwardTakes:       rt.stats.upwardTakes.Load(),
@@ -167,10 +154,15 @@ func (s SchedStats) Sub(before SchedStats) SchedStats {
 	return s
 }
 
+// String renders the snapshot as the /stats scheduler line. The
+// rwrevokes, poolhits and poolmisses tokens are always 0 — RWMutex has
+// no reader bias and tasks and futures are not pooled — but they stay,
+// in place, because the regression benchmark's /stats parser (and its
+// test, TestSchedLineMatchesRuntime) reads them.
 func (s SchedStats) String() string {
 	return fmt.Sprintf(
-		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=%d poolmisses=%d forwards=%d masterkicks=%d upwardtakes=%d preemptyields=%d",
+		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=0 poolmisses=0 forwards=%d masterkicks=%d upwardtakes=%d preemptyields=%d",
 		s.Spawns, s.InlineRuns, s.Promotions, s.Parks, s.Resumes, s.Helps, s.Steals, s.Wakes,
 		s.MutexParks, s.RWReadParks, s.RWWriteParks, s.RWRevokes, s.Inherits, s.TransitiveBoosts, s.CeilingViolations,
-		s.PoolHits, s.PoolMisses, s.ForwardedTouches, s.MasterKicks, s.UpwardTakes, s.PreemptYields)
+		s.ForwardedTouches, s.MasterKicks, s.UpwardTakes, s.PreemptYields)
 }

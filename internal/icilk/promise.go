@@ -19,31 +19,22 @@ import "time"
 // single-assignment semantics of futures. A Promise is a small value
 // (like Future); the zero Promise is invalid and Valid reports so.
 type Promise[T any] struct {
-	rt  *Runtime
-	f   *future
-	gen uint64
+	rt *Runtime
+	f  *future
 }
 
 // NewPromise creates an unresolved promise at priority p. The returned
 // promise's Future can be stored, passed, and Touched like any other;
 // touchers park (freeing their workers) until some goroutine resolves
-// it. Called from outside task context, it draws on pool stripe 0; task
-// code should prefer NewPromiseIn, which uses the current worker's
-// stripe.
+// it.
 func NewPromise[T any](rt *Runtime, p Priority) Promise[T] {
 	rt.outstanding.Add(1)
-	f := rt.getFuture(nil, p)
-	return Promise[T]{rt: rt, f: f, gen: f.gen.Load()}
+	return Promise[T]{rt: rt, f: &future{prio: p}}
 }
 
-// NewPromiseIn is NewPromise from task context: the promise's future is
-// drawn from (and, after a TouchRelease, returned to) the current
-// worker's pool stripe.
+// NewPromiseIn is NewPromise from task context, on the task's runtime.
 func NewPromiseIn[T any](c *Ctx, p Priority) Promise[T] {
-	rt := c.t.rt
-	rt.outstanding.Add(1)
-	f := rt.getFuture(c.g, p)
-	return Promise[T]{rt: rt, f: f, gen: f.gen.Load()}
+	return NewPromise[T](c.t.rt, p)
 }
 
 // Valid reports whether the promise was actually created (the zero
@@ -51,25 +42,11 @@ func NewPromiseIn[T any](c *Ctx, p Priority) Promise[T] {
 func (p Promise[T]) Valid() bool { return p.f != nil }
 
 // Future returns the consumer-side handle.
-func (p Promise[T]) Future() Future[T] { return Future[T]{f: p.f, gen: p.gen} }
-
-// checkGen fails a resolution through a promise whose future was
-// recycled (the toucher released it and the cell moved on to another
-// incarnation) — only under Config.Debug, mirroring the handle-
-// side check: without it a late Complete would silently resolve the
-// pooled cell or another request's incarnation instead of panicking.
-func (p Promise[T]) checkGen() {
-	if p.rt.cfg.Debug {
-		if cur := p.f.gen.Load(); cur != p.gen {
-			panic(&StaleHandleError{Minted: p.gen, Current: cur})
-		}
-	}
-}
+func (p Promise[T]) Future() Future[T] { return Future[T]{f: p.f} }
 
 // Complete resolves the promise with v, requeueing every parked toucher.
 // It panics if the promise was already resolved.
 func (p Promise[T]) Complete(v T) {
-	p.checkGen()
 	defer p.rt.taskDone()
 	p.f.complete(v)
 }
@@ -78,35 +55,16 @@ func (p Promise[T]) Complete(v T) {
 // IO failure propagates along join edges like a task panic. It panics if
 // the promise was already resolved.
 func (p Promise[T]) Fail(err error) {
-	p.checkGen()
 	defer p.rt.taskDone()
 	p.f.fail(err)
 }
 
-// Resolved reports whether Complete or Fail has been called on THIS
-// incarnation of the promise's future. Recycling counts as resolved: a
-// future only reaches TouchRelease after its completion, so a bumped
-// generation stamp means the promise's lifetime already ended. The
-// stamp is re-checked after the done load because putFuture bumps the
-// generation BEFORE clearing done — a done=false read from a recycled
-// cell is always caught by the second check, so Resolved never reverts
-// to false once the promise has completed. It must still not be used
-// as a he-who-completes guard by a racing completer (use a caller-local
-// flag for that); it is a point-in-time observation, not a claim.
-func (p Promise[T]) Resolved() bool {
-	f := p.f
-	if f.gen.Load() != p.gen {
-		return true
-	}
-	if !f.done.Load() {
-		// done=false is trustworthy only if the cell still belongs to
-		// this incarnation; re-check the stamp (bumped before the reset).
-		return f.gen.Load() != p.gen
-	}
-	// A failed future reports done=true with err set; Resolved must see
-	// it too (Done deliberately reports a failed future as not done).
-	return true
-}
+// Resolved reports whether Complete or Fail (or a Try* win) has been
+// called; once true it stays true. A failed future counts as resolved
+// (Done deliberately reports it as not done). It must not be used as a
+// he-who-completes guard by a racing completer (use TryComplete for
+// that); it is a point-in-time observation, not a claim.
+func (p Promise[T]) Resolved() bool { return p.f.done.Load() }
 
 // Completed returns an already-resolved future holding v — for IO layers
 // whose fast path (buffered data, cache hit) has the value on hand and

@@ -34,11 +34,6 @@ type Config struct {
 	// otherwise re-leveled to the waiter's priority until it releases
 	// the lock (the state benchmark's ablation).
 	DisableInheritance bool
-	// DisablePooling turns off the worker-striped task/future free
-	// lists (pool.go) — the ablation knob for measuring what the
-	// per-request allocations cost. With pooling off every getTask/
-	// getFuture is a heap allocation and a SchedStats.PoolMisses count.
-	DisablePooling bool
 	// Debug turns on the runtime's debug checks, each of which turns a
 	// silent failure into a loud one at a cost production runs should
 	// not pay:
@@ -51,18 +46,14 @@ type Config struct {
 	//     LockOrderViolations reports its cycles — AB/BA orderings an
 	//     adversarial schedule could deadlock, flagged even on runs whose
 	//     interleaving got lucky (a graph append under one mutex per
-	//     acquisition, which serializes the lock fast paths);
-	//   - every touch through a Future/Handle and every promise
-	//     completion checks the handle's mint-time generation stamp and
-	//     panics with a StaleHandleError on mismatch (a handle used after
-	//     TouchRelease recycled its future).
+	//     acquisition, which serializes the lock fast paths).
 	// Tests turn it on and assert an empty LockOrderViolations report
 	// when they finish.
 	Debug bool
 
-	// The derived positive forms of the two Disable flags, set by
-	// withDefaults so the zero Config enables every feature.
-	inherit, pooling bool
+	// inherit is DisableInheritance's positive form, set by withDefaults
+	// so the zero Config enables every feature.
+	inherit bool
 }
 
 func (c Config) withDefaults() Config {
@@ -82,7 +73,6 @@ func (c Config) withDefaults() Config {
 		c.UtilThreshold = 0.9
 	}
 	c.inherit = !c.DisableInheritance
-	c.pooling = !c.DisablePooling
 	return c
 }
 
@@ -164,10 +154,6 @@ type Runtime struct {
 
 	stats     schedCounters
 	lockOrder lockOrderGraph
-
-	// pools are the worker-striped task/future free lists (pool.go),
-	// indexed by worker id.
-	pools []poolStripe
 }
 
 // New starts a runtime with the given configuration.
@@ -178,7 +164,6 @@ func New(cfg Config) *Runtime {
 		assignment: make([]atomic.Int32, cfg.Workers),
 		masterStop: make(chan struct{}),
 		masterKick: make(chan struct{}, 1),
-		pools:      make([]poolStripe, cfg.Workers),
 	}
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	// Only the levels effLevel can name exist, so every scan is bounded
@@ -376,8 +361,7 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 	if c != nil {
 		g = c.g
 	}
-	t := rt.getTask(g)
-	t.prio, t.fut, t.name, t.fn = p, f, name, fn
+	t := &task{rt: rt, prio: p, fut: f, name: name, fn: fn}
 	f.owner = t
 	// A task spawned from inside a boosted critical section inherits the
 	// boost as a floor: if the holder forks work it will join before
@@ -404,30 +388,19 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 // inline on a worker with no goroutine, channel, or timestamp traffic.
 // The returned future is first-class: store it, pass it, Touch it.
 func Go[T any](rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx) T) Future[T] {
-	var g *gctx
-	if c != nil {
-		g = c.g
-	}
-	f := rt.getFuture(g, p)
-	out := Future[T]{f: f, gen: f.gen.Load()}
+	f := &future{prio: p}
 	rt.spawn(c, p, name, f, func(c *Ctx) any { return fn(c) })
-	return out
+	return Future[T]{f: f}
 }
 
 // Spawn is the untyped fcreate: fn's any result completes the returned
 // Handle directly, with no generic wrapper closure. It exists for hot
-// paths that spawn with a hoisted closure and must not allocate per
-// spawn — with pooling on, a steady-state Spawn/TouchRelease pair is
-// allocation-free.
+// paths that spawn with a hoisted closure: a Spawn/Touch pair costs the
+// task and the future and nothing else.
 func Spawn(rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx) any) Handle {
-	var g *gctx
-	if c != nil {
-		g = c.g
-	}
-	f := rt.getFuture(g, p)
-	out := Handle{f: f, gen: f.gen.Load()}
+	f := &future{prio: p}
 	rt.spawn(c, p, name, f, fn)
-	return out
+	return Handle{f: f}
 }
 
 // GoSelf is Go for tasks that need their own future while running — the
@@ -436,13 +409,8 @@ func Spawn(rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx) any) Hand
 // future is created before the task starts, so the body receives a fully
 // initialized handle.
 func GoSelf[T any](rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx, Future[T]) T) Future[T] {
-	var g *gctx
-	if c != nil {
-		g = c.g
-	}
-	f := rt.getFuture(g, p)
-	self := Future[T]{f: f, gen: f.gen.Load()}
-	rt.spawn(c, p, name, f, func(c *Ctx) any { return fn(c, self) })
+	self := Future[T]{f: &future{prio: p}}
+	rt.spawn(c, p, name, self.f, func(c *Ctx) any { return fn(c, self) })
 	return self
 }
 

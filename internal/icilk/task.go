@@ -35,11 +35,9 @@ type task struct {
 	// synchronization publishes it.
 	g *gctx
 
-	// ctx is the task's execution context, embedded so the steady-state
-	// spawn/run/recycle cycle allocates nothing. Rebuilt by execTask on
-	// every incarnation; a *Ctx retained past the task's end was always
-	// invalid, and with pooling it aliases the next incarnation exactly
-	// like a stale Handle does.
+	// ctx is the task's execution context, embedded so running a task
+	// allocates nothing beyond the task itself. Built by execTask; a
+	// *Ctx retained past the task's end is invalid.
 	ctx Ctx
 
 	// blockedOn is set while parked on a future (diagnostics only).
@@ -110,8 +108,8 @@ type task struct {
 	// fwdVal/fwdErr deliver a touched future's outcome to this task
 	// while it is parked as a waiter: finish writes them before the
 	// requeue, and the resumed toucher reads them instead of re-reading
-	// the future cell (which a concurrent TouchRelease may already have
-	// recycled). fwdBudget is the forwarding budget the task parked
+	// the future cell (which, after a migration, is not the one that
+	// resolved). fwdBudget is the forwarding budget the task parked
 	// with: zero for a plain Touch, positive for TouchThroughN, where
 	// finish may consume hops by migrating the parked task along a
 	// carrier chain. All three are written by the task itself before it
@@ -396,14 +394,6 @@ func (rt *Runtime) execTask(g *gctx, t *task) {
 	}
 	t.fut.complete(v)
 	rt.taskDone()
-	if inline && rt.cfg.pooling {
-		// An inline task was popped under the dispatch claim from
-		// exactly one queue and sits on no waiter list, so nothing else
-		// references it: recycle it. Promoted tasks are never pooled —
-		// their fiber goroutine and any stale duplicate queue entries
-		// may still hold the pointer.
-		rt.putTask(g, t)
-	}
 }
 
 // runTask executes t using the slot currently held by g's goroutine:

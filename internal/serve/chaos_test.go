@@ -28,7 +28,7 @@ import (
 //   - The injector actually fired (nonzero fault counters) — a soak
 //     that never injected anything proves nothing.
 //
-// The icilk runtime's own teardown asserts (worker join, pool quiesce)
+// The icilk runtime's own teardown asserts (worker join)
 // and the -race build do the rest.
 func TestChaosSoak(t *testing.T) {
 	fl := faultinject.Default(42)

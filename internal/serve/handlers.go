@@ -46,9 +46,6 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 	s.inflight.Add(1)
 	cs.inflight.Add(1)
 	prev := cn.lastWrite
-	// Pool-sourced: the order token is touched exactly once, by the
-	// successor handler, which releases it (TouchRelease below). The
-	// final token of a connection is never touched and falls to the GC.
 	token := icilk.NewPromiseIn[int](c, PrioInteractive)
 	cn.lastWrite = token.Future()
 	// A slot-protocol handler (email print) runs as its own inner task
@@ -72,18 +69,13 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 		return status, text
 	}
 	icilk.Go(s.rt, c, prio, class, func(c *icilk.Ctx) int {
-		// Completion is tracked with a closure-local flag, not
-		// token.Resolved(): once Complete(0) lands, the successor's
-		// TouchRelease may recycle the future before this defer runs,
-		// and probing the (possibly reused) cell would race.
-		completed := false
 		defer func() {
 			// Inflight retires only after the response write: the drain
 			// phase's inflight==0 means every admitted request's bytes
 			// are on (or refused by) its socket, not merely computed.
 			cs.inflight.Add(-1)
 			s.inflight.Add(-1)
-			if !completed {
+			if !token.Resolved() {
 				token.Complete(-1) // backstop: never strand the successor
 			}
 		}()
@@ -116,9 +108,8 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 			cs.timeouts.Add(c, 1)
 			extra = overloadHeaders("deadline")
 		}
-		prev.TouchRelease(c) // sole toucher of the predecessor's token
+		prev.Touch(c)
 		s.respond(c, cn, prio, prio, class, status, extra, text)
-		completed = true
 		token.Complete(0)
 		return 0
 	})
@@ -157,15 +148,13 @@ func (s *Server) shedResponse(c *icilk.Ctx, cn *sconn, class string, prio icilk.
 		body = "shutting down\n"
 	}
 	icilk.Go(s.rt, c, classPrio("error"), "error", func(c *icilk.Ctx) int {
-		completed := false
 		defer func() {
-			if !completed {
+			if !token.Resolved() {
 				token.Complete(-1)
 			}
 		}()
-		prev.TouchRelease(c)
+		prev.Touch(c)
 		s.respond(c, cn, classPrio("error"), prio, class, 503, overloadHeaders(reason), body)
-		completed = true
 		token.Complete(0)
 		return 0
 	})
@@ -230,11 +219,7 @@ func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, 
 		}
 		return 0
 	})
-	// Sole toucher; the success path recycles the cell (a late timer
-	// firing loses tryFinish's generation check), and the deadline path
-	// panics before the release, so the cell falls to the GC instead —
-	// the straggling inner task may still hold its Promise copy.
-	r := pr.Future().TouchRelease(c)
+	r := pr.Future().Touch(c)
 	return r.status, r.text
 }
 

@@ -149,11 +149,10 @@ type Config struct {
 	// reproducible.
 	Seed int64
 	// Debug passes icilk.Config.Debug through to the embedded runtime:
-	// the deadlock cycle walk on every contended acquire, the
+	// the deadlock cycle walk on every contended acquire and the
 	// hold→acquire lock-order recorder whose LockOrderViolations report
-	// the serve tests assert empty, and the stale-handle checks on
-	// recycled futures. It is for tests and debug builds, not
-	// production serving.
+	// the serve tests assert empty. It is for tests and debug builds,
+	// not production serving.
 	Debug bool
 
 	// Deadlines maps admission class → per-request deadline budget,
@@ -588,10 +587,6 @@ func (s *Server) nextBatch(c *icilk.Ctx, cn *sconn, buf []*request) ([]*request,
 		cn.mu.Unlock()
 		return buf, icilk.Future[*request]{}
 	}
-	// Pool-sourced (NewPromiseIn) and released by the event loop's
-	// TouchRelease: at steady state the wait-for-request promise costs
-	// no allocation. The reader holds its Promise copy only for the
-	// duration of the Complete call, so the release cannot race it.
 	pr := icilk.NewPromiseIn[*request](c, PrioInteractive)
 	cn.pending = pr
 	cn.mu.Unlock()
@@ -628,9 +623,7 @@ func (s *Server) eventLoop(cn *sconn) {
 			var fut icilk.Future[*request]
 			batch, fut = s.nextBatch(c, cn, batch[:0])
 			if fut.Valid() {
-				// This task is the future's only toucher and nothing
-				// stores the handle, so release it back to the pool.
-				req := fut.TouchRelease(c)
+				req := fut.Touch(c)
 				if req == nil {
 					return n
 				}
@@ -684,13 +677,9 @@ func (s *Server) respond(c *icilk.Ctx, cn *sconn, prio, hdrPrio icilk.Priority, 
 		return
 	}
 	s.writesFallback.Add(1)
-	// Pool-sourced and released here: the write promise lives exactly
-	// one response — this task is its only toucher, and the writer's
-	// Complete has returned control of the cell before TouchRelease can
-	// observe the completion.
 	pr := icilk.NewPromiseIn[bool](c, prio)
 	go s.writeRest(cn, data[n:], pr)
-	if !pr.Future().TouchRelease(c) {
+	if !pr.Future().Touch(c) {
 		s.writeErrs.Add(1)
 	}
 }

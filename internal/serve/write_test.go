@@ -167,7 +167,7 @@ func settle(t *testing.T, s *Server) {
 func TestPingFastPathCounts(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
 	cl := dialTest(t, s.Addr())
-	for i := 0; i < 10; i++ { // promote the loop, fill the pools
+	for i := 0; i < 10; i++ { // promote the loop
 		cl.get(t, "/ping")
 	}
 	settle(t, s)
