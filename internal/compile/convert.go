@@ -44,13 +44,12 @@ const (
 )
 
 // cscope is the conversion-time view of one code object under
-// construction: the live binders, innermost last, the slot counter, and
-// the capture index, one map per namespace made on first capture.
+// construction: the live binders, innermost last, and the slot counter.
+// The code object's capture list is its capture index.
 type cscope struct {
 	parent *cscope
 	co     *code
 	bound  []binder
-	capIdx [2]map[string]int
 	next   int
 }
 
@@ -101,16 +100,15 @@ func (c *converter) resolve(sc *cscope, ns namespace, name string) int {
 		}
 		c.failf("unbound variable %s", name)
 	}
-	if s, ok := sc.capIdx[ns][name]; ok {
-		return s
+	isLoc := ns == nsLoc
+	for _, cr := range sc.co.caps {
+		if cr.name == name && cr.isLoc == isLoc {
+			return cr.slot
+		}
 	}
 	from := c.resolve(sc.parent, ns, name)
 	s := sc.alloc()
-	if sc.capIdx[ns] == nil {
-		sc.capIdx[ns] = map[string]int{}
-	}
-	sc.capIdx[ns][name] = s
-	sc.co.caps = append(sc.co.caps, capRec{from: from, slot: s, name: name, isLoc: ns == nsLoc})
+	sc.co.caps = append(sc.co.caps, capRec{from: from, slot: s, name: name, isLoc: isLoc})
 	return s
 }
 

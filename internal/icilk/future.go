@@ -12,10 +12,10 @@ import (
 // own level and wakes parked workers, and closes the external-waiter
 // channel if one exists. Nothing ever polls a future.
 //
-// Values reach parked waiters through the waiter task (fwdVal/fwdErr),
-// not by re-reading the cell after resume: finish may have migrated a
-// forwarding waiter down a carrier chain, so the cell the waiter parked
-// on need not be the one that resolved it.
+// Values reach parked waiters through the waiter's goroutine context
+// (gctx.fwdVal/fwdErr), not by re-reading the cell after resume: finish
+// may have migrated a forwarding waiter down a carrier chain, so the
+// cell the waiter parked on need not be the one that resolved it.
 type future struct {
 	mu   sync.Mutex
 	prio Priority
@@ -100,15 +100,15 @@ func (f *future) tryFinish(v any, err error) bool {
 	}
 	var rt *Runtime
 	for _, t := range waiters {
-		if err == nil && t.fwdBudget > 0 {
+		g := t.g
+		if err == nil && g.fwdBudget > 0 {
 			if fc, ok := v.(futureCarrier); ok && t.migrateTo(fc.carriedFuture()) {
 				// Forwarded: the waiter now parks on the inner future;
 				// no requeue, no wake.
 				continue
 			}
 		}
-		t.fwdVal, t.fwdErr = v, err
-		t.blockedOn = nil
+		g.fwdVal, g.fwdErr = v, err
 		rt = t.rt // read before the push: t is resumable the moment it lands
 		rt.enqueue(t)
 	}
@@ -129,8 +129,7 @@ func (t *task) migrateTo(inner *future) bool {
 		inner.mu.Unlock()
 		return false
 	}
-	t.fwdBudget--
-	t.blockedOn = inner
+	t.g.fwdBudget--
 	inner.waiters = append(inner.waiters, t)
 	inner.mu.Unlock()
 	t.rt.stats.forwards.Add(1)
@@ -262,8 +261,7 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 		}
 		return v
 	}
-	t.blockedOn = f
-	t.fwdBudget = int32(*budget)
+	g.fwdBudget = int32(*budget)
 	f.waiters = append(f.waiters, t)
 	f.mu.Unlock()
 	g.park(rt, w)
@@ -272,9 +270,9 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 	// us; the requeue/resume chain publishes the writes. The cell
 	// itself is not re-read here: after a migration it is not the one
 	// that resolved.
-	*budget = int(t.fwdBudget)
-	v, err := t.fwdVal, t.fwdErr
-	t.fwdVal, t.fwdErr, t.fwdBudget = nil, nil, 0
+	*budget = int(g.fwdBudget)
+	v, err := g.fwdVal, g.fwdErr
+	g.fwdVal, g.fwdErr, g.fwdBudget = nil, nil, 0
 	if err != nil {
 		panic(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestPoolChurnStress churns spawn/touch pairs and externally
@@ -102,6 +103,37 @@ func TestFutureAllocCeilings(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
 		}
+	}
+}
+
+// TestTaskSize pins the task record at 144 bytes or less (the 144-byte
+// size class): every spawn allocates one, so its size is bytes per
+// spawn. Delivery state lives on the parked goroutine's gctx, not here.
+func TestTaskSize(t *testing.T) {
+	if got := unsafe.Sizeof(task{}); got > 144 {
+		t.Errorf("task is %d bytes, want <= 144", got)
+	}
+}
+
+// TestWaitIdleOnIdleRuntimeAllocatesNothing: a drained runtime's
+// WaitIdle returns before arming its timer.
+func TestWaitIdleOnIdleRuntimeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rt := testRuntime(t, Config{Workers: 2, Levels: 1})
+	if _, err := Await(Go(rt, nil, 0, "one", func(*Ctx) int { return 1 }), 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.WaitIdle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := rt.WaitIdle(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("WaitIdle on an idle runtime: %.0f allocs, want 0", got)
 	}
 }
 

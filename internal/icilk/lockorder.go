@@ -30,8 +30,9 @@ import (
 //
 // The graph is append-only across the runtime's life and is recorded
 // under one internal mutex; the flag is for tests and debug builds, not
-// production serving. The per-task held set (task.ordHeld) is
-// task-private, so only the graph append synchronizes.
+// production serving. The per-task held set is the task's own
+// bookkeeping, task.held plus task.rheld, which is task-private, so only
+// the graph append synchronizes.
 
 // lockOrderGraph accumulates observed hold→acquire pairs.
 type lockOrderGraph struct {
@@ -41,9 +42,11 @@ type lockOrderGraph struct {
 }
 
 // recordAcquire notes that t acquired l while holding everything in
-// t.ordHeld, adding one graph edge per held lock, then marks l held.
-// Called from the acquiring task's own context on every successful
-// acquisition path (callers gate on cfg.Debug).
+// t.held and t.rheld, adding one graph edge per held lock. Called from
+// the acquiring task's own context on every successful acquisition
+// path, before l itself is added to the held list (callers gate on
+// cfg.Debug). A hold released later simply leaves those lists, so
+// release needs no recorder bookkeeping.
 func (rt *Runtime) recordAcquire(t *task, l *waitq) {
 	g := &rt.lockOrder
 	g.mu.Lock()
@@ -54,22 +57,13 @@ func (rt *Runtime) recordAcquire(t *task, l *waitq) {
 		g.succ[l] = make(map[*waitq]bool)
 		g.nodes = append(g.nodes, l)
 	}
-	for _, h := range t.ordHeld {
+	for _, h := range t.held {
 		g.succ[h][l] = true
 	}
-	g.mu.Unlock()
-	t.ordHeld = append(t.ordHeld, l)
-}
-
-// recordRelease drops one hold of l from t's recorder held set (newest
-// first, matching the release order of properly nested sections).
-func (rt *Runtime) recordRelease(t *task, l *waitq) {
-	for i := len(t.ordHeld) - 1; i >= 0; i-- {
-		if t.ordHeld[i] == l {
-			t.ordHeld = append(t.ordHeld[:i], t.ordHeld[i+1:]...)
-			return
-		}
+	for _, m := range t.rheld {
+		g.succ[&m.waitq][l] = true
 	}
+	g.mu.Unlock()
 }
 
 // LockOrderViolations analyzes the recorded hold→acquire graph and

@@ -210,8 +210,12 @@ func (rt *Runtime) Shutdown() {
 
 // WaitIdle blocks until no spawned tasks remain outstanding or the
 // timeout elapses. It waits on a completion signal from the last task;
-// there is no polling loop.
+// there is no polling loop. On an already idle runtime it returns at
+// once, without arming a timer.
 func (rt *Runtime) WaitIdle(timeout time.Duration) error {
+	if rt.outstanding.Load() == 0 {
+		return nil
+	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
@@ -375,7 +379,7 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 	if c != nil && c.t != nil {
 		if b := c.t.boost.Load(); b > int32(p) {
 			t.boost.Store(b)
-			t.floor = Priority(b)
+			t.floor = b
 		}
 	}
 	rt.outstanding.Add(1)

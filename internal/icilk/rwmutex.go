@@ -132,8 +132,8 @@ func (m *RWMutex) RLock(c *Ctx) {
 			break
 		}
 	}
-	t.rheld = append(t.rheld, m)
 	m.recordAcquire(t)
+	t.rheld = append(t.rheld, m)
 }
 
 // rlockSlow re-checks under the internal lock (the writer may have just
@@ -203,7 +203,6 @@ func (m *RWMutex) RUnlock(c *Ctx) {
 		panic("icilk: RWMutex.RUnlock by a task that holds no read lock on it")
 	}
 	t.rheld = append(t.rheld[:i], t.rheld[i+1:]...)
-	m.recordRelease(t)
 	if s := m.state.Add(-rwReaderInc); s&rwWait != 0 && rwReaders(s) == 0 {
 		m.runlockSlow()
 	}

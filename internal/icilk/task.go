@@ -40,9 +40,6 @@ type task struct {
 	// *Ctx retained past the task's end is invalid.
 	ctx Ctx
 
-	// blockedOn is set while parked on a future (diagnostics only).
-	blockedOn *future
-
 	// waitingOn is the blocked-on edge: the lock this task is queued on,
 	// which the deadlock cycle walk (Config.Debug) and transitive
 	// priority inheritance (propagateBoost) traverse without taking any
@@ -83,41 +80,23 @@ type task struct {
 	// locks (shedSpawnBoost), even across Lock/Unlock pairs in between —
 	// dropBoost recomputes down to floor, not prio. Task-private:
 	// written at spawn before the task is published, cleared only from
-	// the task's own context.
-	floor Priority
-
-	// ordHeld is the lock-order recorder's held set (Config.Debug):
-	// every lock this task holds in ANY mode, read holds included —
-	// unlike held, which only write-side boost recomputation needs.
-	// Task-private, like held.
-	ordHeld []*waitq
+	// the task's own context. floor and waitPrio are int32, like boost,
+	// so the two share one word: every spawn allocates a task, and
+	// TestTaskSize holds it at 144 bytes.
+	floor int32
 
 	// waitPrio is the task's effective priority at the moment it was
 	// enqueued on a lock's waiter list — the sort key of the
 	// priority-ordered list. Written under the lock's waitq.mu (at
 	// enqueue and by repositionWaiter when a mid-wait boost re-sorts the
 	// entry); a task waits on at most one lock at a time.
-	waitPrio Priority
+	waitPrio int32
 
 	// rheld lists the RWMutex read holds this task currently has, one
 	// entry per hold, newest last: RLock appends, RUnlock drops, and a
 	// panicking task releases what is left (releaseHeld). Task-private,
 	// like held.
 	rheld []*RWMutex
-
-	// fwdVal/fwdErr deliver a touched future's outcome to this task
-	// while it is parked as a waiter: finish writes them before the
-	// requeue, and the resumed toucher reads them instead of re-reading
-	// the future cell (which, after a migration, is not the one that
-	// resolved). fwdBudget is the forwarding budget the task parked
-	// with: zero for a plain Touch, positive for TouchThroughN, where
-	// finish may consume hops by migrating the parked task along a
-	// carrier chain. All three are written by the task itself before it
-	// becomes visible on a waiter list, or by finish before the
-	// requeue; the park/requeue handshake publishes them.
-	fwdBudget int32
-	fwdVal    any
-	fwdErr    error
 }
 
 // effPrio is the task's effective priority: its declared priority, or
@@ -160,7 +139,7 @@ func (t *task) dropBoost() {
 			return
 		}
 		target := int32(t.prio)
-		if f := int32(t.floor); f > target {
+		if f := t.floor; f > target {
 			target = f
 		}
 		for _, l := range t.held {
@@ -228,6 +207,24 @@ type gctx struct {
 	// to a replacement and must retire (after releasing the slot) when
 	// its outermost task frame unwinds.
 	handedOff bool
+
+	// fwdVal/fwdErr deliver a touched future's outcome to the task
+	// parked on this goroutine: finish writes them before the requeue,
+	// and the resumed toucher reads them instead of re-reading the
+	// future cell (which, after a migration, is not the one that
+	// resolved). fwdBudget is the forwarding budget the waiter parked
+	// with: zero for a plain Touch, positive for TouchThroughN, where
+	// finish may consume hops by migrating the parked task along a
+	// carrier chain. They live here, not on the task, because only a
+	// parked waiter receives a delivery, a parked task always has its
+	// goroutine's gctx (prepare runs before the task is registered),
+	// and a goroutine has at most one parked waiter — its innermost
+	// task. All three are written by the waiter before it becomes
+	// visible on a waiter list, or by finish before the requeue; the
+	// park/requeue handshake publishes them.
+	fwdBudget int32
+	fwdVal    any
+	fwdErr    error
 }
 
 // prepare makes t resumable: it materializes the handshake channels and

@@ -99,8 +99,8 @@ func (q *waitq) resolveHolder() *task {
 // from the holder's own context: the held list dropBoost recomputes
 // from, the lock-order recorder, and on release the inherited boost.
 func (q *waitq) acquired(t *task) {
-	t.held = append(t.held, q)
 	q.recordAcquire(t)
+	t.held = append(t.held, q)
 }
 
 func (q *waitq) released(t *task) {
@@ -110,21 +110,14 @@ func (q *waitq) released(t *task) {
 			break
 		}
 	}
-	q.recordRelease(t)
 	t.dropBoost()
 }
 
-// recordAcquire and recordRelease are the lock-order recorder's gate,
-// and all the bookkeeping a read hold has.
+// recordAcquire is the lock-order recorder's gate. It runs before the
+// new hold joins t.held or t.rheld, which are the recorder's held set.
 func (q *waitq) recordAcquire(t *task) {
 	if t.rt.cfg.Debug {
 		t.rt.recordAcquire(t, q)
-	}
-}
-
-func (q *waitq) recordRelease(t *task) {
-	if t.rt.cfg.Debug {
-		t.rt.recordRelease(t, q)
 	}
 }
 
@@ -160,7 +153,7 @@ func (q *waitq) block(c *Ctx, which int, holder *task, parks *counter) *Deadlock
 	// protocol as future.touch).
 	g.prepare(t)
 	w := g.w // capture before t becomes resumable; see gctx.park
-	t.waitPrio = t.effPrio()
+	t.waitPrio = int32(t.effPrio())
 	q.lists[which] = insertByPrio(q.lists[which], t)
 	q.mu.Unlock()
 	if boosted {
@@ -199,7 +192,7 @@ func (q *waitq) popAll(which int) []*task {
 // when it is empty. Caller holds q.mu.
 func (q *waitq) headPrio(which int) Priority {
 	if ws := q.lists[which]; len(ws) > 0 {
-		return ws[0].waitPrio
+		return Priority(ws[0].waitPrio)
 	}
 	return -1
 }
@@ -241,7 +234,7 @@ func (q *waitq) repositionWaiter(t *task) {
 			if wt != t {
 				continue
 			}
-			if np := t.effPrio(); np > t.waitPrio {
+			if np := int32(t.effPrio()); np > t.waitPrio {
 				copy(ws[i:], ws[i+1:])
 				t.waitPrio = np
 				q.lists[which] = insertByPrio(ws[:len(ws)-1], t)

@@ -19,45 +19,138 @@ package parser
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
-// tokenKind classifies lexical tokens.
+// tokenKind classifies lexical tokens. Every keyword and every
+// punctuation string has its own kind, resolved once by the lexer, so
+// the parser dispatches on kinds and never compares token text.
 type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
-	tokIdent
+	tokErr           // the lexer failed; lexer.err says where and why
 	tokNumber
-	tokPunct // one of the punctuation strings below
+	tokIdent
+
+	// Keywords: words the grammar gives a meaning to. They lex like
+	// identifiers and, where the grammar expects a name, serve as one.
+	kwPriority
+	kwOrder
+	kwMain
+	kwRef
+	kwThread
+	kwCmd
+	kwUnit
+	kwNat
+	kwForall
+	kwLet
+	kwIn
+	kwRet
+	kwFcreate
+	kwFtouch
+	kwDcl
+	kwCas
+	kwFn
+	kwIfz
+	kwCase
+	kwFix
+	kwIs
+	kwPfn
+	kwInl
+	kwInr
+	kwFst
+	kwSnd
+
+	// Punctuation.
+	tokLArrow   // <-
+	tokLe       // <=
+	tokFatArrow // =>
+	tokArrow    // ->
+	tokAssign   // :=
+	tokLParen
+	tokRParen
+	tokLBrace
+	tokRBrace
+	tokLBrack
+	tokRBrack
+	tokSemi
+	tokComma
+	tokDot
+	tokLt
+	tokEq
+	tokColon
+	tokBang
+	tokQuote
+	tokStar
+	tokPlus
+	tokTilde
+	tokAt
+
+	numKinds
 )
 
-// token is one lexical token with its source position.
+// kindText spells each keyword and punctuation kind.
+var kindText = [numKinds]string{
+	kwPriority: "priority", kwOrder: "order", kwMain: "main", kwRef: "ref",
+	kwThread: "thread", kwCmd: "cmd", kwUnit: "unit", kwNat: "nat",
+	kwForall: "forall", kwLet: "let", kwIn: "in", kwRet: "ret",
+	kwFcreate: "fcreate", kwFtouch: "ftouch", kwDcl: "dcl", kwCas: "cas",
+	kwFn: "fn", kwIfz: "ifz", kwCase: "case", kwFix: "fix", kwIs: "is",
+	kwPfn: "pfn", kwInl: "inl", kwInr: "inr", kwFst: "fst", kwSnd: "snd",
+
+	tokLArrow: "<-", tokLe: "<=", tokFatArrow: "=>", tokArrow: "->",
+	tokAssign: ":=", tokLParen: "(", tokRParen: ")", tokLBrace: "{",
+	tokRBrace: "}", tokLBrack: "[", tokRBrack: "]", tokSemi: ";",
+	tokComma: ",", tokDot: ".", tokLt: "<", tokEq: "=", tokColon: ":",
+	tokBang: "!", tokQuote: "'", tokStar: "*", tokPlus: "+",
+	tokTilde: "~", tokAt: "@",
+}
+
+// keywordsByFirst lists the keyword kinds by their first byte; at most
+// six keywords share one.
+var keywordsByFirst = func() (t [256][]tokenKind) {
+	for k := kwPriority; k < tokLArrow; k++ {
+		c := kindText[k][0]
+		t[c] = append(t[c], k)
+	}
+	return t
+}()
+
+// keyword resolves a word to its keyword kind, or to tokIdent.
+func keyword(w string) tokenKind {
+	for _, k := range keywordsByFirst[w[0]] {
+		if kindText[k] == w {
+			return k
+		}
+	}
+	return tokIdent
+}
+
+// word reports whether the token is an identifier or a keyword.
+func (k tokenKind) word() bool { return k == tokIdent || (k >= kwPriority && k < tokLArrow) }
+
+// token is one lexical token with its source position. text is a slice
+// of the source.
 type token struct {
-	kind tokenKind
-	text string
-	line int
-	col  int
+	kind      tokenKind
+	line, col int32
+	text      string
 }
 
 func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
+	switch {
+	case t.kind == tokEOF:
 		return "end of input"
-	case tokNumber:
+	case t.kind == tokErr:
+		return "invalid input"
+	case t.kind == tokNumber:
 		return fmt.Sprintf("number %s", t.text)
-	case tokIdent:
+	case t.kind.word():
 		return fmt.Sprintf("identifier %q", t.text)
 	default:
 		return fmt.Sprintf("%q", t.text)
 	}
-}
-
-// puncts lists multi-character punctuation first so maximal munch wins.
-var puncts = []string{
-	"<-", "<=", "=>", "->", ":=", "(", ")", "{", "}", "[", "]",
-	";", ",", ".", "<", "=", ":", "!", "'", "*", "+", "~", "@",
 }
 
 // SyntaxError is a lexing or parsing error with position information.
@@ -70,61 +163,156 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// lex converts source text to tokens. Comments run from "--" or "//" to
-// end of line.
-func lex(src string) ([]token, error) {
-	// λ4i source averages over four bytes a token, so one allocation
-	// usually holds them all.
-	toks := make([]token, 0, len(src)/4+1)
-	line, col := 1, 1
-	i := 0
-	advance := func(n int) {
-		for k := 0; k < n; k++ {
-			if src[i] == '\n' {
-				line++
-				col = 1
+// Byte classes. A byte is classified as the rune of the same value, so
+// bytes 0x80–0xff that unicode calls letters (Latin-1 ª, µ, À…) start and
+// continue identifiers.
+const (
+	cOther uint8 = iota
+	cSpace
+	cDigit
+	cLetter // a letter or '_'
+)
+
+var byteClass = func() (cls [256]uint8) {
+	for c := range cls {
+		switch r := rune(c); {
+		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
+			cls[c] = cSpace
+		case unicode.IsDigit(r):
+			cls[c] = cDigit
+		case unicode.IsLetter(r) || r == '_':
+			cls[c] = cLetter
+		}
+	}
+	return cls
+}()
+
+// lexer produces tokens from src on demand. Comments run from "--" or
+// "//" to end of line. After the end of input it keeps returning
+// tokEOF; after an error it keeps returning tokErr, with err set.
+type lexer struct {
+	src       string
+	i         int
+	line, col int32
+	err       *SyntaxError
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// next scans and returns the next token.
+func (lx *lexer) next() token {
+	if lx.err != nil {
+		return token{kind: tokErr, line: int32(lx.err.Line), col: int32(lx.err.Col)}
+	}
+	src := lx.src
+	for lx.i < len(src) {
+		c := src[lx.i]
+		switch byteClass[c] {
+		case cSpace:
+			lx.i++
+			if c == '\n' {
+				lx.line++
+				lx.col = 1
 			} else {
-				col++
+				lx.col++
 			}
-			i++
+			continue
+		case cDigit:
+			return lx.span(tokNumber, cDigit)
+		case cLetter:
+			t := lx.span(tokIdent, cLetter)
+			t.kind = keyword(t.text)
+			return t
+		}
+		var c2 byte
+		if lx.i+1 < len(src) {
+			c2 = src[lx.i+1]
+		}
+		if (c == '-' && c2 == '-') || (c == '/' && c2 == '/') {
+			for lx.i < len(src) && src[lx.i] != '\n' {
+				lx.i++
+				lx.col++
+			}
+			continue
+		}
+		k := tokErr
+		switch c {
+		case '<':
+			k = tokLt
+			if c2 == '-' {
+				k = tokLArrow
+			} else if c2 == '=' {
+				k = tokLe
+			}
+		case '=':
+			k = tokEq
+			if c2 == '>' {
+				k = tokFatArrow
+			}
+		case '-':
+			if c2 == '>' {
+				k = tokArrow
+			}
+		case ':':
+			k = tokColon
+			if c2 == '=' {
+				k = tokAssign
+			}
+		case '(':
+			k = tokLParen
+		case ')':
+			k = tokRParen
+		case '{':
+			k = tokLBrace
+		case '}':
+			k = tokRBrace
+		case '[':
+			k = tokLBrack
+		case ']':
+			k = tokRBrack
+		case ';':
+			k = tokSemi
+		case ',':
+			k = tokComma
+		case '.':
+			k = tokDot
+		case '!':
+			k = tokBang
+		case '\'':
+			k = tokQuote
+		case '*':
+			k = tokStar
+		case '+':
+			k = tokPlus
+		case '~':
+			k = tokTilde
+		case '@':
+			k = tokAt
+		}
+		if k == tokErr {
+			lx.err = &SyntaxError{Line: int(lx.line), Col: int(lx.col), Msg: fmt.Sprintf("unexpected character %q", c)}
+			return token{kind: tokErr, line: lx.line, col: lx.col}
+		}
+		n := len(kindText[k])
+		t := token{kind: k, text: src[lx.i : lx.i+n], line: lx.line, col: lx.col}
+		lx.i += n
+		lx.col += int32(n)
+		return t
+	}
+	return token{kind: tokEOF, line: lx.line, col: lx.col}
+}
+
+// span scans a number (cont == cDigit) or an identifier (cont ==
+// cLetter, which also continues with digits) starting at the current
+// byte. Neither contains a newline.
+func (lx *lexer) span(kind tokenKind, cont uint8) token {
+	src, start := lx.src, lx.i
+	for lx.i++; lx.i < len(src); lx.i++ {
+		if c := byteClass[src[lx.i]]; c != cont && (cont != cLetter || c != cDigit) {
+			break
 		}
 	}
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			advance(1)
-		case strings.HasPrefix(src[i:], "--") || strings.HasPrefix(src[i:], "//"):
-			for i < len(src) && src[i] != '\n' {
-				advance(1)
-			}
-		case unicode.IsDigit(rune(c)):
-			start, sl, sc := i, line, col
-			for i < len(src) && unicode.IsDigit(rune(src[i])) {
-				advance(1)
-			}
-			toks = append(toks, token{kind: tokNumber, text: src[start:i], line: sl, col: sc})
-		case unicode.IsLetter(rune(c)) || c == '_':
-			start, sl, sc := i, line, col
-			for i < len(src) && (unicode.IsLetter(rune(src[i])) || unicode.IsDigit(rune(src[i])) || src[i] == '_') {
-				advance(1)
-			}
-			toks = append(toks, token{kind: tokIdent, text: src[start:i], line: sl, col: sc})
-		default:
-			matched := false
-			for _, p := range puncts {
-				if strings.HasPrefix(src[i:], p) {
-					toks = append(toks, token{kind: tokPunct, text: p, line: line, col: col})
-					advance(len(p))
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return nil, &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", c)}
-			}
-		}
-	}
-	toks = append(toks, token{kind: tokEOF, line: line, col: col})
-	return toks, nil
+	t := token{kind: kind, text: src[start:lx.i], line: lx.line, col: lx.col}
+	lx.col += int32(lx.i - start)
+	return t
 }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/ast"
@@ -19,14 +20,11 @@ type Program struct {
 
 // Parse parses a full program and normalizes its main command to ANF.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, order: prio.NewOrder(), prioVars: map[string]bool{}, locs: map[string]bool{}}
+	var p parser
+	p.init(src, prio.NewOrder())
 	prog, err := p.program()
 	if err != nil {
-		return nil, err
+		return nil, p.lexFirst(err)
 	}
 	prog.Main = ast.NormalizeCmd(prog.Main)
 	return prog, nil
@@ -35,50 +33,69 @@ func Parse(src string) (*Program, error) {
 // ParseExpr parses a single expression against an existing priority
 // order, normalizing to ANF. Useful for tests and the REPL-style CLI.
 func ParseExpr(src string, order *prio.Order) (ast.Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, order: order, prioVars: map[string]bool{}, locs: map[string]bool{}}
+	var p parser
+	p.init(src, order)
 	e, err := p.expr()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = p.expect(tokEOF)
 	}
-	if err := p.expect(tokEOF, ""); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, p.lexFirst(err)
 	}
 	return ast.Normalize(e), nil
 }
 
+// parser reads the lexer's tokens with two tokens of lookahead: tok is
+// the next token, tok2 the one after it.
 type parser struct {
-	toks     []token
-	pos      int
-	order    *prio.Order
-	prioVars map[string]bool // priority variables in scope
-	locs     map[string]bool // dcl-bound location names in scope
+	lx        lexer
+	tok, tok2 token
+	order     *prio.Order
+	prioVars  []string // priority variables in scope, innermost last
+	locs      []string // dcl-bound location names in scope, innermost last
 }
 
-func (p *parser) peek() token  { return p.toks[p.pos] }
-func (p *parser) peek2() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+func (p *parser) init(src string, order *prio.Order) {
+	p.lx, p.order = newLexer(src), order
+	p.tok = p.lx.next()
+	p.tok2 = p.lx.next()
+}
+
+// lexFirst makes a failed parse report the first lexical error in the
+// whole source, if there is one, ahead of the parse error: the lexer
+// stopped at most two tokens past the parser, so the rest of the source
+// is scanned only on this error path.
+func (p *parser) lexFirst(err error) error {
+	for p.lx.err == nil && p.tok2.kind != tokEOF {
+		p.tok2 = p.lx.next()
 	}
+	if p.lx.err != nil {
+		return p.lx.err
+	}
+	return err
+}
+
+func (p *parser) peek() token  { return p.tok }
+func (p *parser) peek2() token { return p.tok2 }
+func (p *parser) next() token {
+	t := p.tok
+	p.tok = p.tok2
+	p.tok2 = p.lx.next()
 	return t
 }
 
 func (p *parser) errf(t token, format string, args ...any) error {
-	return &SyntaxError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Line: int(t.line), Col: int(t.col), Msg: fmt.Sprintf(format, args...)}
 }
 
-// expect consumes a token of the given kind (and text, for punctuation).
-func (p *parser) expect(kind tokenKind, text string) error {
-	t := p.peek()
-	if t.kind != kind || (text != "" && t.text != text) {
-		want := fmt.Sprintf("%q", text)
-		if text == "" {
-			want = map[tokenKind]string{tokEOF: "end of input", tokIdent: "identifier", tokNumber: "number"}[kind]
+// expect consumes a token of the given kind: end of input, a keyword or
+// punctuation.
+func (p *parser) expect(kind tokenKind) error {
+	t := p.tok
+	if t.kind != kind {
+		want := fmt.Sprintf("%q", kindText[kind])
+		if kind == tokEOF {
+			want = "end of input"
 		}
 		return p.errf(t, "expected %s, found %s", want, t)
 	}
@@ -86,29 +103,20 @@ func (p *parser) expect(kind tokenKind, text string) error {
 	return nil
 }
 
-// accept consumes a punctuation token if present.
-func (p *parser) accept(text string) bool {
-	t := p.peek()
-	if t.kind == tokPunct && t.text == text {
+// accept consumes a keyword or punctuation token of the given kind if it
+// is next.
+func (p *parser) accept(kind tokenKind) bool {
+	if p.tok.kind == kind {
 		p.next()
 		return true
 	}
 	return false
 }
 
-// acceptKw consumes an identifier keyword if present.
-func (p *parser) acceptKw(kw string) bool {
-	t := p.peek()
-	if t.kind == tokIdent && t.text == kw {
-		p.next()
-		return true
-	}
-	return false
-}
-
+// ident consumes a name: an identifier, or a keyword used as one.
 func (p *parser) ident() (string, error) {
-	t := p.peek()
-	if t.kind != tokIdent {
+	t := p.tok
+	if !t.kind.word() {
 		return "", p.errf(t, "expected identifier, found %s", t)
 	}
 	p.next()
@@ -121,19 +129,19 @@ func (p *parser) ident() (string, error) {
 func (p *parser) program() (*Program, error) {
 	for {
 		switch {
-		case p.acceptKw("priority"):
+		case p.accept(kwPriority):
 			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
 			p.order.Declare(name)
-		case p.acceptKw("order"):
+		case p.accept(kwOrder):
 			t := p.peek()
 			lo, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "<"); err != nil {
+			if err := p.expect(tokLt); err != nil {
 				return nil, err
 			}
 			hi, err := p.ident()
@@ -143,35 +151,35 @@ func (p *parser) program() (*Program, error) {
 			if err := p.order.DeclareLess(prio.Const(lo), prio.Const(hi)); err != nil {
 				return nil, p.errf(t, "%v", err)
 			}
-		case p.acceptKw("main"):
-			if err := p.expect(tokPunct, ":"); err != nil {
+		case p.accept(kwMain):
+			if err := p.expect(tokColon); err != nil {
 				return nil, err
 			}
 			ty, err := p.typ()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "@"); err != nil {
+			if err := p.expect(tokAt); err != nil {
 				return nil, err
 			}
 			mp, err := p.prio()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "="); err != nil {
+			if err := p.expect(tokEq); err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "{"); err != nil {
+			if err := p.expect(tokLBrace); err != nil {
 				return nil, err
 			}
 			m, err := p.cmd(mp)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "}"); err != nil {
+			if err := p.expect(tokRBrace); err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokEOF, ""); err != nil {
+			if err := p.expect(tokEOF); err != nil {
 				return nil, err
 			}
 			return &Program{Order: p.order, MainPrio: mp, MainType: ty, Main: m}, nil
@@ -184,7 +192,7 @@ func (p *parser) program() (*Program, error) {
 // prio parses a priority reference: a declared constant or an in-scope
 // variable (optionally written 'name).
 func (p *parser) prio() (prio.Prio, error) {
-	if p.accept("'") {
+	if p.accept(tokQuote) {
 		name, err := p.ident()
 		if err != nil {
 			return prio.Prio{}, err
@@ -196,7 +204,7 @@ func (p *parser) prio() (prio.Prio, error) {
 	if err != nil {
 		return prio.Prio{}, err
 	}
-	if p.prioVars[name] {
+	if slices.Contains(p.prioVars, name) {
 		return prio.Var(name), nil
 	}
 	if !p.order.Declared(name) {
@@ -213,7 +221,7 @@ func (p *parser) constraints() (prio.Constraints, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "<="); err != nil {
+		if err := p.expect(tokLe); err != nil {
 			return nil, err
 		}
 		hi, err := p.prio()
@@ -221,7 +229,7 @@ func (p *parser) constraints() (prio.Constraints, error) {
 			return nil, err
 		}
 		cs = append(cs, prio.Constraint{Lo: lo, Hi: hi})
-		if !p.accept(",") {
+		if !p.accept(tokComma) {
 			return cs, nil
 		}
 	}
@@ -233,7 +241,7 @@ func (p *parser) typ() (ast.Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept("->") {
+	if p.accept(tokArrow) {
 		rhs, err := p.typ()
 		if err != nil {
 			return nil, err
@@ -251,13 +259,13 @@ func (p *parser) sumProdType() (ast.Type, error) {
 	}
 	for {
 		switch {
-		case p.accept("*"):
+		case p.accept(tokStar):
 			rhs, err := p.postfixType()
 			if err != nil {
 				return nil, err
 			}
 			lhs = ast.ProdT{L: lhs, R: rhs}
-		case p.accept("+"):
+		case p.accept(tokPlus):
 			rhs, err := p.postfixType()
 			if err != nil {
 				return nil, err
@@ -277,29 +285,29 @@ func (p *parser) postfixType() (ast.Type, error) {
 	}
 	for {
 		switch {
-		case p.acceptKw("ref"):
+		case p.accept(kwRef):
 			t = ast.RefT{T: t}
-		case p.acceptKw("thread"):
-			if err := p.expect(tokPunct, "["); err != nil {
+		case p.accept(kwThread):
+			if err := p.expect(tokLBrack); err != nil {
 				return nil, err
 			}
 			pr, err := p.prio()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "]"); err != nil {
+			if err := p.expect(tokRBrack); err != nil {
 				return nil, err
 			}
 			t = ast.ThreadT{T: t, P: pr}
-		case p.acceptKw("cmd"):
-			if err := p.expect(tokPunct, "["); err != nil {
+		case p.accept(kwCmd):
+			if err := p.expect(tokLBrack); err != nil {
 				return nil, err
 			}
 			pr, err := p.prio()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "]"); err != nil {
+			if err := p.expect(tokRBrack); err != nil {
 				return nil, err
 			}
 			t = ast.CmdT{T: t, P: pr}
@@ -312,43 +320,40 @@ func (p *parser) postfixType() (ast.Type, error) {
 // baseType := "unit" | "nat" | "(" typ ")" | "forall" IDENT ("~" cs)? "." typ
 func (p *parser) baseType() (ast.Type, error) {
 	switch {
-	case p.acceptKw("unit"):
+	case p.accept(kwUnit):
 		return ast.UnitT{}, nil
-	case p.acceptKw("nat"):
+	case p.accept(kwNat):
 		return ast.NatT{}, nil
-	case p.accept("("):
+	case p.accept(tokLParen):
 		t, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ")"); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return t, nil
-	case p.acceptKw("forall"):
+	case p.accept(kwForall):
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
 		var cs prio.Constraints
-		outer := p.prioVars[name]
-		p.prioVars[name] = true
-		if p.accept("~") {
+		p.prioVars = append(p.prioVars, name)
+		if p.accept(tokTilde) {
 			cs, err = p.constraints()
 			if err != nil {
 				return nil, err
 			}
 		}
-		if err := p.expect(tokPunct, "."); err != nil {
+		if err := p.expect(tokDot); err != nil {
 			return nil, err
 		}
 		body, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if !outer {
-			delete(p.prioVars, name)
-		}
+		p.prioVars = p.prioVars[:len(p.prioVars)-1]
 		return ast.ForallT{Pi: name, C: cs, T: body}, nil
 	}
 	return nil, p.errf(p.peek(), "expected a type, found %s", p.peek())
@@ -359,19 +364,19 @@ func (p *parser) baseType() (ast.Type, error) {
 func (p *parser) cmd(at prio.Prio) (ast.Cmd, error) {
 	t := p.peek()
 	switch {
-	case p.acceptKw("let"):
+	case p.accept(kwLet):
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "="); err != nil {
+		if err := p.expect(tokEq); err != nil {
 			return nil, err
 		}
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if !p.acceptKw("in") {
+		if !p.accept(kwIn) {
 			return nil, p.errf(p.peek(), "expected 'in' in command let, found %s", p.peek())
 		}
 		m, err := p.cmd(at)
@@ -380,125 +385,122 @@ func (p *parser) cmd(at prio.Prio) (ast.Cmd, error) {
 		}
 		return ast.Bind{X: x, E: ast.CmdVal{P: at, M: ast.Ret{E: e}}, M: m}, nil
 
-	case p.acceptKw("ret"):
+	case p.accept(kwRet):
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		return ast.Ret{E: e}, nil
 
-	case p.acceptKw("fcreate"):
-		if err := p.expect(tokPunct, "["); err != nil {
+	case p.accept(kwFcreate):
+		if err := p.expect(tokLBrack); err != nil {
 			return nil, err
 		}
 		pr, err := p.prio()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ";"); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		ty, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "]"); err != nil {
+		if err := p.expect(tokRBrack); err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "{"); err != nil {
+		if err := p.expect(tokLBrace); err != nil {
 			return nil, err
 		}
 		m, err := p.cmd(pr)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "}"); err != nil {
+		if err := p.expect(tokRBrace); err != nil {
 			return nil, err
 		}
 		return ast.Fcreate{P: pr, T: ty, M: m}, nil
 
-	case p.acceptKw("ftouch"):
+	case p.accept(kwFtouch):
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		return ast.Ftouch{E: e}, nil
 
-	case p.acceptKw("dcl"):
+	case p.accept(kwDcl):
 		s, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ":"); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		ty, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ":="); err != nil {
+		if err := p.expect(tokAssign); err != nil {
 			return nil, err
 		}
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if !p.acceptKw("in") {
+		if !p.accept(kwIn) {
 			return nil, p.errf(p.peek(), "expected 'in' after dcl initializer, found %s", p.peek())
 		}
-		outer := p.locs[s]
-		p.locs[s] = true
+		p.locs = append(p.locs, s)
 		m, err := p.cmd(at)
-		if !outer {
-			delete(p.locs, s)
-		}
+		p.locs = p.locs[:len(p.locs)-1]
 		if err != nil {
 			return nil, err
 		}
 		return ast.Dcl{T: ty, S: s, E: e, M: m}, nil
 
-	case p.acceptKw("cas"):
-		if err := p.expect(tokPunct, "("); err != nil {
+	case p.accept(kwCas):
+		if err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		ref, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ","); err != nil {
+		if err := p.expect(tokComma); err != nil {
 			return nil, err
 		}
 		old, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ","); err != nil {
+		if err := p.expect(tokComma); err != nil {
 			return nil, err
 		}
 		nw, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ")"); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return ast.CAS{Ref: ref, Old: old, New: nw}, nil
 
-	case p.accept("!"):
+	case p.accept(tokBang):
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		return ast.Get{E: e}, nil
 
-	case t.kind == tokIdent && p.peek2().kind == tokPunct && p.peek2().text == "<-":
+	case t.kind.word() && p.peek2().kind == tokLArrow:
 		x, _ := p.ident()
 		p.next() // <-
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ";"); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		m, err := p.cmd(at)
@@ -512,7 +514,7 @@ func (p *parser) cmd(at prio.Prio) (ast.Cmd, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ":="); err != nil {
+		if err := p.expect(tokAssign); err != nil {
 			return nil, err
 		}
 		rhs, err := p.expr()
@@ -526,19 +528,19 @@ func (p *parser) cmd(at prio.Prio) (ast.Cmd, error) {
 // expr parses an expression (not yet normalized).
 func (p *parser) expr() (ast.Expr, error) {
 	switch {
-	case p.acceptKw("fn"):
+	case p.accept(kwFn):
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ":"); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		ty, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "=>"); err != nil {
+		if err := p.expect(tokFatArrow); err != nil {
 			return nil, err
 		}
 		body, err := p.expr()
@@ -547,19 +549,19 @@ func (p *parser) expr() (ast.Expr, error) {
 		}
 		return ast.Lam{X: x, T: ty, Body: body}, nil
 
-	case p.acceptKw("let"):
+	case p.accept(kwLet):
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "="); err != nil {
+		if err := p.expect(tokEq); err != nil {
 			return nil, err
 		}
 		e1, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if !p.acceptKw("in") {
+		if !p.accept(kwIn) {
 			return nil, p.errf(p.peek(), "expected 'in' in let, found %s", p.peek())
 		}
 		e2, err := p.expr()
@@ -568,88 +570,88 @@ func (p *parser) expr() (ast.Expr, error) {
 		}
 		return ast.Let{X: x, E1: e1, E2: e2}, nil
 
-	case p.acceptKw("ifz"):
+	case p.accept(kwIfz):
 		v, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "{"); err != nil {
+		if err := p.expect(tokLBrace); err != nil {
 			return nil, err
 		}
 		zero, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ";"); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "."); err != nil {
+		if err := p.expect(tokDot); err != nil {
 			return nil, err
 		}
 		succ, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "}"); err != nil {
+		if err := p.expect(tokRBrace); err != nil {
 			return nil, err
 		}
 		return ast.Ifz{V: v, Zero: zero, X: x, Succ: succ}, nil
 
-	case p.acceptKw("case"):
+	case p.accept(kwCase):
 		v, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "{"); err != nil {
+		if err := p.expect(tokLBrace); err != nil {
 			return nil, err
 		}
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "."); err != nil {
+		if err := p.expect(tokDot); err != nil {
 			return nil, err
 		}
 		l, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ";"); err != nil {
+		if err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		y, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "."); err != nil {
+		if err := p.expect(tokDot); err != nil {
 			return nil, err
 		}
 		r, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "}"); err != nil {
+		if err := p.expect(tokRBrace); err != nil {
 			return nil, err
 		}
 		return ast.Case{V: v, X: x, L: l, Y: y, R: r}, nil
 
-	case p.acceptKw("fix"):
+	case p.accept(kwFix):
 		x, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, ":"); err != nil {
+		if err := p.expect(tokColon); err != nil {
 			return nil, err
 		}
 		ty, err := p.typ()
 		if err != nil {
 			return nil, err
 		}
-		if !p.acceptKw("is") {
+		if !p.accept(kwIs) {
 			return nil, p.errf(p.peek(), "expected 'is' in fix, found %s", p.peek())
 		}
 		body, err := p.expr()
@@ -658,44 +660,41 @@ func (p *parser) expr() (ast.Expr, error) {
 		}
 		return ast.Fix{X: x, T: ty, E: body}, nil
 
-	case p.acceptKw("pfn"):
+	case p.accept(kwPfn):
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
 		var cs prio.Constraints
-		outer := p.prioVars[name]
-		p.prioVars[name] = true
-		if p.accept("~") {
+		p.prioVars = append(p.prioVars, name)
+		if p.accept(tokTilde) {
 			cs, err = p.constraints()
 			if err != nil {
 				return nil, err
 			}
 		}
-		if err := p.expect(tokPunct, "=>"); err != nil {
+		if err := p.expect(tokFatArrow); err != nil {
 			return nil, err
 		}
 		body, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if !outer {
-			delete(p.prioVars, name)
-		}
+		p.prioVars = p.prioVars[:len(p.prioVars)-1]
 		return ast.PLam{Pi: name, C: cs, Body: body}, nil
 
-	case p.acceptKw("inl"):
+	case p.accept(kwInl):
 		return p.injection(true)
-	case p.acceptKw("inr"):
+	case p.accept(kwInr):
 		return p.injection(false)
 
-	case p.acceptKw("fst"):
+	case p.accept(kwFst):
 		v, err := p.appExpr()
 		if err != nil {
 			return nil, err
 		}
 		return ast.Fst{V: v}, nil
-	case p.acceptKw("snd"):
+	case p.accept(kwSnd):
 		v, err := p.appExpr()
 		if err != nil {
 			return nil, err
@@ -707,14 +706,14 @@ func (p *parser) expr() (ast.Expr, error) {
 
 // injection parses inl/inr "[" type "]" appExpr.
 func (p *parser) injection(left bool) (ast.Expr, error) {
-	if err := p.expect(tokPunct, "["); err != nil {
+	if err := p.expect(tokLBrack); err != nil {
 		return nil, err
 	}
 	ty, err := p.typ()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(tokPunct, "]"); err != nil {
+	if err := p.expect(tokRBrack); err != nil {
 		return nil, err
 	}
 	v, err := p.appExpr()
@@ -735,13 +734,13 @@ func (p *parser) appExpr() (ast.Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tokPunct && t.text == "[" {
+		if t.kind == tokLBrack {
 			p.next()
 			pr, err := p.prio()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, "]"); err != nil {
+			if err := p.expect(tokRBrack); err != nil {
 				return nil, err
 			}
 			e = ast.PApp{V: e, P: pr}
@@ -759,23 +758,10 @@ func (p *parser) appExpr() (ast.Expr, error) {
 	}
 }
 
-// keywords that cannot begin a primary expression.
-var reserved = map[string]bool{
-	"in": true, "is": true, "ret": true, "fcreate": true, "ftouch": true,
-	"dcl": true, "cas": true, "priority": true, "order": true, "main": true,
-	"ref": true, "thread": true, "unit": true, "nat": true, "forall": true,
-	"fn": true, "let": true, "ifz": true, "case": true, "fix": true,
-	"pfn": true, "inl": true, "inr": true, "fst": true, "snd": true,
-}
-
 func (p *parser) startsPrimary(t token) bool {
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokIdent, kwCmd, tokLParen:
 		return true
-	case tokIdent:
-		return !reserved[t.text] || t.text == "cmd"
-	case tokPunct:
-		return t.text == "("
 	}
 	return false
 }
@@ -794,57 +780,57 @@ func (p *parser) primary() (ast.Expr, error) {
 		}
 		return ast.Nat{N: n}, nil
 
-	case t.kind == tokIdent && t.text == "cmd":
+	case t.kind == kwCmd:
 		p.next()
-		if err := p.expect(tokPunct, "["); err != nil {
+		if err := p.expect(tokLBrack); err != nil {
 			return nil, err
 		}
 		pr, err := p.prio()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "]"); err != nil {
+		if err := p.expect(tokRBrack); err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "{"); err != nil {
+		if err := p.expect(tokLBrace); err != nil {
 			return nil, err
 		}
 		m, err := p.cmd(pr)
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(tokPunct, "}"); err != nil {
+		if err := p.expect(tokRBrace); err != nil {
 			return nil, err
 		}
 		return ast.CmdVal{P: pr, M: m}, nil
 
-	case t.kind == tokIdent && !reserved[t.text]:
+	case t.kind == tokIdent:
 		p.next()
-		if p.locs[t.text] {
+		if slices.Contains(p.locs, t.text) {
 			return ast.Ref{Loc: t.text}, nil
 		}
 		return ast.Var{Name: t.text}, nil
 
-	case t.kind == tokPunct && t.text == "(":
+	case t.kind == tokLParen:
 		p.next()
-		if p.accept(")") {
+		if p.accept(tokRParen) {
 			return ast.Unit{}, nil
 		}
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if p.accept(",") {
+		if p.accept(tokComma) {
 			e2, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(tokPunct, ")"); err != nil {
+			if err := p.expect(tokRParen); err != nil {
 				return nil, err
 			}
 			return ast.Pair{L: e, R: e2}, nil
 		}
-		if err := p.expect(tokPunct, ")"); err != nil {
+		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return e, nil
