@@ -19,6 +19,7 @@ package parser
 
 import (
 	"fmt"
+	"strings"
 	"unicode"
 )
 
@@ -62,7 +63,8 @@ const (
 	kwFst
 	kwSnd
 
-	// Punctuation.
+	// Punctuation, two-character spellings first: byFirst relies on
+	// the order for maximal munch.
 	tokLArrow   // <-
 	tokLe       // <=
 	tokFatArrow // =>
@@ -107,10 +109,12 @@ var kindText = [numKinds]string{
 	tokTilde: "~", tokAt: "@",
 }
 
-// keywordsByFirst lists the keyword kinds by their first byte; at most
-// six keywords share one.
-var keywordsByFirst = func() (t [256][]tokenKind) {
-	for k := kwPriority; k < tokLArrow; k++ {
+// byFirst lists the keyword and punctuation kinds by their first byte.
+// Kinds are appended in declaration order, which puts two-character
+// punctuation ahead of one-character punctuation with the same first
+// byte, so the first prefix match is the longest.
+var byFirst = func() (t [256][]tokenKind) {
+	for k := kwPriority; k < numKinds; k++ {
 		c := kindText[k][0]
 		t[c] = append(t[c], k)
 	}
@@ -119,7 +123,7 @@ var keywordsByFirst = func() (t [256][]tokenKind) {
 
 // keyword resolves a word to its keyword kind, or to tokIdent.
 func keyword(w string) tokenKind {
-	for _, k := range keywordsByFirst[w[0]] {
+	for _, k := range byFirst[w[0]] {
 		if kindText[k] == w {
 			return k
 		}
@@ -224,80 +228,24 @@ func (lx *lexer) next() token {
 			t.kind = keyword(t.text)
 			return t
 		}
-		var c2 byte
-		if lx.i+1 < len(src) {
-			c2 = src[lx.i+1]
-		}
-		if (c == '-' && c2 == '-') || (c == '/' && c2 == '/') {
+		rest := src[lx.i:]
+		if strings.HasPrefix(rest, "--") || strings.HasPrefix(rest, "//") {
 			for lx.i < len(src) && src[lx.i] != '\n' {
 				lx.i++
 				lx.col++
 			}
 			continue
 		}
-		k := tokErr
-		switch c {
-		case '<':
-			k = tokLt
-			if c2 == '-' {
-				k = tokLArrow
-			} else if c2 == '=' {
-				k = tokLe
+		for _, k := range byFirst[c] {
+			if p := kindText[k]; strings.HasPrefix(rest, p) {
+				t := token{kind: k, text: rest[:len(p)], line: lx.line, col: lx.col}
+				lx.i += len(p)
+				lx.col += int32(len(p))
+				return t
 			}
-		case '=':
-			k = tokEq
-			if c2 == '>' {
-				k = tokFatArrow
-			}
-		case '-':
-			if c2 == '>' {
-				k = tokArrow
-			}
-		case ':':
-			k = tokColon
-			if c2 == '=' {
-				k = tokAssign
-			}
-		case '(':
-			k = tokLParen
-		case ')':
-			k = tokRParen
-		case '{':
-			k = tokLBrace
-		case '}':
-			k = tokRBrace
-		case '[':
-			k = tokLBrack
-		case ']':
-			k = tokRBrack
-		case ';':
-			k = tokSemi
-		case ',':
-			k = tokComma
-		case '.':
-			k = tokDot
-		case '!':
-			k = tokBang
-		case '\'':
-			k = tokQuote
-		case '*':
-			k = tokStar
-		case '+':
-			k = tokPlus
-		case '~':
-			k = tokTilde
-		case '@':
-			k = tokAt
 		}
-		if k == tokErr {
-			lx.err = &SyntaxError{Line: int(lx.line), Col: int(lx.col), Msg: fmt.Sprintf("unexpected character %q", c)}
-			return token{kind: tokErr, line: lx.line, col: lx.col}
-		}
-		n := len(kindText[k])
-		t := token{kind: k, text: src[lx.i : lx.i+n], line: lx.line, col: lx.col}
-		lx.i += n
-		lx.col += int32(n)
-		return t
+		lx.err = &SyntaxError{Line: int(lx.line), Col: int(lx.col), Msg: fmt.Sprintf("unexpected character %q", c)}
+		return token{kind: tokErr, line: lx.line, col: lx.col}
 	}
 	return token{kind: tokEOF, line: lx.line, col: lx.col}
 }

@@ -173,8 +173,8 @@ func TestKindTextMatchesKeywords(t *testing.T) {
 		if kindText[k] == "" {
 			t.Errorf("kind %d has no spelling", k)
 		}
-		if got := keyword(kindText[k]); k.word() != (got == k) {
-			t.Errorf("kind %d (%q): word() = %v, keyword lookup = %d", k, kindText[k], k.word(), got)
+		if k.word() && keyword(kindText[k]) != k {
+			t.Errorf("keyword(%q) = %d, want %d", kindText[k], keyword(kindText[k]), k)
 		}
 	}
 }
