@@ -361,7 +361,7 @@ func TestGoSelfProvidesOwnFuture(t *testing.T) {
 	rt := New(Config{Workers: 2, Levels: 1})
 	defer rt.Shutdown()
 	fut := GoSelf(rt, nil, 0, "selfaware", func(c *Ctx, self Future[int]) int {
-		if !self.Valid() {
+		if self == (Future[int]{}) {
 			t.Error("self future is invalid")
 			return 0
 		}

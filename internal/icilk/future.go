@@ -287,14 +287,10 @@ func (f *future) poll() bool { return f.done.Load() && f.err == nil }
 // a fixed priority — the τ thread[ρ] of λ4i. It is one pointer, so
 // passing and storing futures allocates nothing, and any number of
 // tasks may touch it any number of times; the zero Future is invalid
-// (Valid reports false) and must not be touched.
+// and must not be touched.
 type Future[T any] struct {
 	f *future
 }
-
-// Valid reports whether the handle refers to a future (the zero Future
-// does not — it is the "no future here" sentinel for struct fields).
-func (f Future[T]) Valid() bool { return f.f != nil }
 
 // Priority returns the future's priority.
 func (f Future[T]) Priority() Priority { return f.f.prio }
@@ -324,9 +320,6 @@ type Handle struct {
 // carriedFuture makes Handle (and every type embedding one) a
 // forwarding carrier.
 func (h Handle) carriedFuture() *future { return h.f }
-
-// Valid reports whether the handle refers to a future.
-func (h Handle) Valid() bool { return h.f != nil }
 
 // Priority returns the handle's priority.
 func (h *Handle) Priority() Priority { return h.f.prio }

@@ -17,7 +17,7 @@ import "time"
 // tasks. Complete and Fail may be called from any goroutine, but only
 // once between them; a second resolution panics, matching the
 // single-assignment semantics of futures. A Promise is a small value
-// (like Future); the zero Promise is invalid and Valid reports so.
+// (like Future); the zero Promise is invalid.
 type Promise[T any] struct {
 	rt *Runtime
 	f  *future
@@ -36,10 +36,6 @@ func NewPromise[T any](rt *Runtime, p Priority) Promise[T] {
 func NewPromiseIn[T any](c *Ctx, p Priority) Promise[T] {
 	return NewPromise[T](c.t.rt, p)
 }
-
-// Valid reports whether the promise was actually created (the zero
-// Promise is the "no promise here" sentinel for struct fields).
-func (p Promise[T]) Valid() bool { return p.f != nil }
 
 // Future returns the consumer-side handle.
 func (p Promise[T]) Future() Future[T] { return Future[T]{f: p.f} }

@@ -7,8 +7,10 @@ import (
 
 // TestDerivedCeilings pins the construction-time derivation: every
 // shared store's ceiling is the max priority among its declared
-// accessor classes — PrioInteractive for every store today, since the
-// event loop and the interactive handlers are the only accessors.
+// accessor classes — PrioInteractive for every store today: the handlers
+// that count admissions, track sessions and count deadline misses run at
+// every level up to it, and the interactive classes (ping, stats, proxy,
+// error) are the accessors the table names.
 func TestDerivedCeilings(t *testing.T) {
 	for store := range storeAccessors {
 		if got := derivedCeiling(store); got != PrioInteractive {

@@ -10,10 +10,11 @@
 // and the IO daemon. Plain goroutines do only blocking socket work:
 //
 //   - the acceptor accepts connections;
-//   - one reader per connection parses requests and completes the
-//     connection's pending request promise (icilk.NewPromise) — real
-//     socket readiness driving the same completion path that simulated
-//     IO and task completion use;
+//   - one reader per connection parses requests and dispatches each one
+//     the moment it is parsed: it admits the request to a priority class
+//     (atomics only) and spawns the handler at that class's level
+//     (icilk.Go) — real socket readiness handed straight to the
+//     scheduler, as I-Cilk's IO daemon hands it a completed read;
 //   - a writer goroutine exists only for a response the socket would
 //     not take in one non-blocking write (larger than the send buffer,
 //     a client that stopped reading, a fault-wrapped connection): it
@@ -23,13 +24,10 @@
 //
 // Everything else is icilk tasks, the common response write included:
 // a handler offers its bytes to the socket itself and, when the kernel
-// takes them all, returns without parking. Each connection gets an
-// event-loop task at the top priority level that touches the
-// next-request future, admits the request to a priority class, and
-// spawns the handler at that class's level. Admission maps jserver jobs with jserver.PriorityOf —
-// the smallest-work-first order of Section 5.1 — and places proxy cache
-// lookups and email operations at the levels their priority
-// specifications prescribe.
+// takes them all, returns without parking. Admission maps jserver jobs
+// with jserver.PriorityOf — the smallest-work-first order of Section
+// 5.1 — and places proxy cache lookups and email operations at the
+// levels their priority specifications prescribe.
 //
 // # Endpoints
 //

@@ -19,8 +19,10 @@ type handlerFn func(c *icilk.Ctx, self icilk.Future[int]) (int, string)
 
 // dispatch admits req to a priority class and spawns its handler at that
 // class's level — the network edge of the paper's priority
-// specifications: the event loop stays at top priority and hands real
-// work down to the level the admission table assigns.
+// specifications. It runs on cn's reader goroutine, where I-Cilk's IO
+// daemon hands a completed read to the scheduler: admission is atomics
+// only, and the steps that need a task (counting the admission,
+// tracking the session) are the handler's first statements.
 //
 // Handlers on one connection run concurrently, but HTTP/1.1 requires
 // pipelined responses to leave in request order, so each handler
@@ -29,25 +31,22 @@ type handlerFn func(c *icilk.Ctx, self icilk.Future[int]) (int, string)
 // completes its own token once its response is on the socket. The
 // tokens are created at the top level, so touching one is never a
 // priority inversion regardless of the two handlers' classes.
-func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
+func (s *Server) dispatch(cn *sconn, req *request) {
+	s.requests.Add(1)
+	cn.unanswered.Add(1)
+	prev := cn.lastWrite
+	token := icilk.NewPromise[int](s.rt, PrioInteractive)
+	cn.lastWrite = token.Future()
 	class, prio, run, self := s.route(req)
 	cs := s.classes[class]
 	if reason, ok := s.admitOrShed(class, cs); !ok {
-		s.shedResponse(c, cn, class, prio, reason)
+		s.shedResponse(cn, class, prio, reason, prev, token)
 		return
 	}
-	// The event loop counts the admission, so the counter's ceiling
-	// check sees the true accessor priority; the stripe is the calling
-	// worker's, so concurrent event loops never contend here.
-	cs.admitted.Add(c, 1)
-	s.trackSession(c, cn, req)
 	admitted := time.Now()
 	ddl := s.deadlineFor(class)
 	s.inflight.Add(1)
 	cs.inflight.Add(1)
-	prev := cn.lastWrite
-	token := icilk.NewPromiseIn[int](c, PrioInteractive)
-	cn.lastWrite = token.Future()
 	// A slot-protocol handler (email print) runs as its own inner task
 	// so the future it installs in the coordination slot completes as
 	// soon as the print work does. Spanning the response write with that
@@ -68,17 +67,20 @@ func (s *Server) dispatch(c *icilk.Ctx, cn *sconn, req *request) {
 		inner.Touch(c) // re-panics an inner failure into the recover below
 		return status, text
 	}
-	icilk.Go(s.rt, c, prio, class, func(c *icilk.Ctx) int {
+	icilk.Go(s.rt, nil, prio, class, func(c *icilk.Ctx) int {
 		defer func() {
 			// Inflight retires only after the response write: the drain
 			// phase's inflight==0 means every admitted request's bytes
 			// are on (or refused by) its socket, not merely computed.
 			cs.inflight.Add(-1)
 			s.inflight.Add(-1)
-			if !token.Resolved() {
-				token.Complete(-1) // backstop: never strand the successor
-			}
+			cn.retire(token)
 		}()
+		// Counted here, not in the reader, so the counter's ceiling check
+		// sees the true accessor priority; the stripe is the running
+		// worker's, so concurrent handlers never contend on it.
+		cs.admitted.Add(c, 1)
+		s.trackSession(c, cn, req)
 		// A panicking handler must still emit a response in its slot,
 		// or every later response on this keep-alive connection would
 		// be attributed to the wrong request. A deadline miss is the
@@ -132,32 +134,36 @@ func (s *Server) admitOrShed(class string, cs *classStats) (reason string, ok bo
 
 // shedResponse answers a refused admission with a 503 without spawning
 // the handler: the responder is a trivial top-level task (shedding must
-// stay fast precisely when the refused class's queues are longest), it
-// keeps the response-order token chain intact, and the response carries
+// stay fast precisely when the refused class's queues are longest) that
+// counts the refusal, it takes the refused request's place in the
+// response-order token chain (prev and token), and the response carries
 // the refused class and its true priority so the load generator
 // attributes the shed to the right class. Shed responses do not count
 // as inflight — during drain they are the only admissions, and counting
 // them would hold the drain open.
-func (s *Server) shedResponse(c *icilk.Ctx, cn *sconn, class string, prio icilk.Priority, reason string) {
-	s.classes[class].shed.Add(c, 1)
-	prev := cn.lastWrite
-	token := icilk.NewPromiseIn[int](c, PrioInteractive)
-	cn.lastWrite = token.Future()
+func (s *Server) shedResponse(cn *sconn, class string, prio icilk.Priority, reason string, prev icilk.Future[int], token icilk.Promise[int]) {
 	body := "shed: " + class + " over capacity\n"
 	if reason == "draining" {
 		body = "shutting down\n"
 	}
-	icilk.Go(s.rt, c, classPrio("error"), "error", func(c *icilk.Ctx) int {
-		defer func() {
-			if !token.Resolved() {
-				token.Complete(-1)
-			}
-		}()
+	icilk.Go(s.rt, nil, classPrio("error"), "error", func(c *icilk.Ctx) int {
+		defer cn.retire(token)
+		s.classes[class].shed.Add(c, 1)
 		prev.Touch(c)
 		s.respond(c, cn, classPrio("error"), prio, class, 503, overloadHeaders(reason), body)
 		token.Complete(0)
 		return 0
 	})
+}
+
+// retire is the last step of the task that answers one of cn's
+// requests, whatever its fate; the backstop completion never strands
+// the successor in the order chain.
+func (cn *sconn) retire(token icilk.Promise[int]) {
+	cn.unanswered.Add(-1)
+	if !token.Resolved() {
+		token.Complete(-1)
+	}
 }
 
 // deadlineFor resolves a class's deadline budget.

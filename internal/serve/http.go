@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net/textproto"
@@ -41,14 +42,17 @@ var errHeadTooLarge = &reqError{status: 431, msg: "request head too large"}
 // declared (bounded) body. Bytes buffered by bufio across a reset are
 // counted against the request that pulled them, not the one that parses
 // them — an approximation that is off by at most one bufio buffer, never
-// unbounded.
+// unbounded. err keeps the last error it returned, so the parser can tell
+// the connection's errors from textproto's verdicts on the bytes.
 type headLimiter struct {
 	r      io.Reader
 	budget int
+	err    error
 }
 
 func (h *headLimiter) Read(p []byte) (int, error) {
 	if h.budget <= 0 {
+		h.err = errHeadTooLarge
 		return 0, errHeadTooLarge
 	}
 	if len(p) > h.budget {
@@ -56,11 +60,14 @@ func (h *headLimiter) Read(p []byte) (int, error) {
 	}
 	n, err := h.r.Read(p)
 	h.budget -= n
+	if err != nil {
+		h.err = err
+	}
 	return n, err
 }
 
-// request is one parsed HTTP request, delivered to a connection's event
-// loop through an IO future.
+// request is one parsed HTTP request, which the connection's reader
+// dispatches as a handler task.
 type request struct {
 	method string
 	path   string
@@ -69,8 +76,10 @@ type request struct {
 
 // parseRequest reads one HTTP/1.1 request (request line plus headers)
 // from the connection. Bodies are read and discarded — every endpoint is
-// a GET. It runs on the connection's reader goroutine, where blocking is
-// free: the Go netpoller parks the goroutine, not an icilk worker.
+// a GET — and are framed only by Content-Length: a Transfer-Encoding
+// header is refused, since its body would be parsed as the next
+// request. It runs on the connection's reader goroutine, where blocking
+// is free: the Go netpoller parks the goroutine, not an icilk worker.
 // Malformed input fails with a *reqError carrying the status the reader
 // should answer with; IO errors (EOF, deadline) pass through raw.
 func parseRequest(tp *textproto.Reader, br *bufio.Reader, lim *headLimiter) (*request, error) {
@@ -93,7 +102,15 @@ func parseRequest(tp *textproto.Reader, br *bufio.Reader, lim *headLimiter) (*re
 	}
 	h, err := tp.ReadMIMEHeader()
 	if err != nil {
+		if !errors.Is(err, lim.err) {
+			// Not the connection's error passed through: textproto refused
+			// the bytes (a line without a colon, a bad field name, ...).
+			return nil, &reqError{status: 400, msg: err.Error()}
+		}
 		return nil, err
+	}
+	if _, ok := h["Transfer-Encoding"]; ok {
+		return nil, &reqError{status: 400, msg: "Transfer-Encoding is not supported"}
 	}
 	if cl := h.Get("Content-Length"); cl != "" {
 		n, err := strconv.Atoi(cl)
@@ -103,9 +120,7 @@ func parseRequest(tp *textproto.Reader, br *bufio.Reader, lim *headLimiter) (*re
 		if n > maxBodyBytes {
 			return nil, &reqError{status: 400, msg: fmt.Sprintf("body of %d bytes exceeds %d", n, maxBodyBytes)}
 		}
-		if lim != nil {
-			lim.budget += n // a declared, bounded body may exceed the head budget
-		}
+		lim.budget += n // a declared, bounded body may exceed the head budget
 		if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 			return nil, err
 		}

@@ -31,8 +31,8 @@ const (
 	PrioHeavy icilk.Priority = 1
 	// PrioNormal runs medium work: jserver fib, email send.
 	PrioNormal icilk.Priority = 2
-	// PrioInteractive runs connection event loops and the smallest jobs:
-	// ping, stats, proxy cache lookups, jserver matmul.
+	// PrioInteractive runs the smallest jobs — ping, stats, proxy cache
+	// lookups, jserver matmul — and the error and shed responders.
 	PrioInteractive icilk.Priority = 3
 )
 
@@ -47,7 +47,6 @@ const Levels = 4
 // they inherit jserver.PriorityOf and are validated against Levels at
 // construction.
 var classPriorities = map[string]icilk.Priority{
-	"conn-loop":   PrioInteractive, // per-connection event loops
 	"ping":        PrioInteractive,
 	"stats":       PrioInteractive,
 	"proxy":       PrioInteractive,
@@ -59,24 +58,21 @@ var classPriorities = map[string]icilk.Priority{
 }
 
 // storeAccessors records, per shared store, the classes whose tasks
-// access it: admissions are counted and sessions tracked in the
-// connection event loop, statsBody reads every store in the /stats
-// handler, and the response cache is consulted and filled by the /proxy
-// handler. Each store's ceilings — both lock modes of the ShardedMaps
-// (the same classes read and write here), and the single ceiling of the
-// per-class StripedCounters — derive from these constants instead of
-// hand-picked literals; the derivation fails fast at construction on an
-// unknown class or an out-of-range priority.
+// access it; the /stats handler reads them all. Each store's ceilings —
+// both lock modes of the ShardedMaps (the same classes read and write
+// here), and the single ceiling of the per-class StripedCounters —
+// derive from these constants instead of hand-picked literals; the
+// derivation fails fast at construction on an unknown class or an
+// out-of-range priority.
 var storeAccessors = map[string][]string{
-	"serve.admitted": {"conn-loop", "stats"},
-	"serve.sessions": {"conn-loop", "stats"},
-	"serve.rcache":   {"proxy", "stats"},
-	// Shed refusals are counted by the event loop; deadline misses by
-	// the timed-out handler task itself, which can run at any level —
-	// conn-loop's PrioInteractive is the runtime's top level, so the
-	// derived ceiling covers every possible bumper.
-	"serve.shed":     {"conn-loop", "stats"},
-	"serve.timeouts": {"conn-loop", "stats"},
+	// Every handler task counts its own admission, tracks its session
+	// and counts its own deadline miss, at its class's level; ping's
+	// PrioInteractive is the top level, so the ceiling covers them all.
+	"serve.admitted": {"ping", "stats"},
+	"serve.sessions": {"ping", "stats"},
+	"serve.timeouts": {"ping", "stats"},
+	"serve.rcache":   {"proxy", "stats"}, // the /proxy handler
+	"serve.shed":     {"error", "stats"}, // the shed responder
 }
 
 // classPrio resolves a class name, panicking on a class the admission
@@ -225,11 +221,12 @@ func (c Config) withDefaults() Config {
 // Server serves the three case-study apps over real TCP on an icilk
 // runtime. The goroutine split follows the paper's runtime/IO boundary:
 // the acceptor and the per-connection readers are plain goroutines
-// standing where I-Cilk's IO daemon stands — they observe socket events
-// and resolve IO promises — while all request handling, including the
-// response write whenever the socket takes it without blocking, runs as
-// prioritized icilk tasks. Only a write the kernel will not take at
-// once is handed to a goroutine (see respond).
+// standing where I-Cilk's IO daemon stands — a reader observes each
+// request's arrival and hands it straight to the scheduler as a handler
+// task — while all request handling, including the response write
+// whenever the socket takes it without blocking, runs as prioritized
+// icilk tasks. Only a write the kernel will not take at once is handed
+// to a goroutine (see respond).
 type Server struct {
 	cfg Config
 	rt  *icilk.Runtime
@@ -314,8 +311,8 @@ const maxResponseCache = 4096
 // least 4096/32 — ShardedMap caps its shard count at 32.
 const maxSessions = 4096
 
-// sconn is one accepted connection: the reader goroutine parses requests
-// into queue and resolves pending, the event-loop task drains them.
+// sconn is one accepted connection: its reader goroutine parses each
+// request and dispatches its handler task.
 type sconn struct {
 	c net.Conn
 	// raw is c's file descriptor handle for the handler-side direct
@@ -329,18 +326,18 @@ type sconn struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	mu      sync.Mutex
-	queue   []*request
-	closed  bool
-	pending icilk.Promise[*request]
-
 	// lastWrite is the response-order chain: the future that completes
 	// when the most recently dispatched request's response has been
-	// written. Only the event-loop task reads and replaces it, so it
-	// needs no lock. The chain also means at most one response write per
+	// written. Only the reader reads and replaces it, so it needs no
+	// lock. The chain also means at most one response write per
 	// connection is ever in flight — direct or fallback — so writes need
 	// no per-conn lock.
 	lastWrite icilk.Future[int]
+
+	// unanswered counts the connection's dispatched requests whose
+	// handler or shed responder has not yet retired; the reader drops a
+	// connection that would push it past maxPipelined.
+	unanswered atomic.Int64
 
 	// wstate arbitrates the socket's write side between that chain and
 	// the reader's parting answer to a malformed request: respond holds
@@ -415,8 +412,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Runtime returns the underlying icilk runtime (diagnostics, tests).
 func (s *Server) Runtime() *icilk.Runtime { return s.rt }
 
-// acceptor accepts connections and hands each one a reader goroutine and
-// an event-loop task.
+// acceptor accepts connections and hands each one a reader goroutine.
 func (s *Server) acceptor() {
 	defer s.connWG.Done()
 	for {
@@ -457,7 +453,6 @@ func (s *Server) acceptor() {
 		s.connMu.Unlock()
 		s.connWG.Add(1)
 		go s.reader(cn)
-		s.eventLoop(cn)
 	}
 }
 
@@ -473,8 +468,9 @@ func (s *Server) refuse(c net.Conn) {
 }
 
 // reader is cn's poller: it blocks in the kernel (via the netpoller) for
-// request bytes and completes the connection's pending request promise on
-// each arrival — the socket-readiness edge that drives the runtime.
+// request bytes and dispatches each request the moment it is parsed —
+// the socket-readiness edge that drives the runtime, with nothing between
+// the completed read and the handler's spawn.
 func (s *Server) reader(cn *sconn) {
 	defer s.connWG.Done()
 	lim := &headLimiter{r: cn.c}
@@ -483,16 +479,7 @@ func (s *Server) reader(cn *sconn) {
 	idle, header := s.cfg.IdleTimeout, s.cfg.ReadHeaderTimeout
 	for {
 		req, err := s.readOne(cn, tp, br, lim, idle, header)
-		cn.mu.Lock()
 		if err != nil {
-			cn.closed = true
-			cn.queue = nil // a dead client gets no buffered work executed
-			pr := cn.pending
-			cn.pending = icilk.Promise[*request]{}
-			cn.mu.Unlock()
-			if pr.Valid() {
-				pr.Complete(nil) // nil request = connection over
-			}
 			// A malformed request gets its answer before the drop, unless
 			// a response is mid-write; the stream past it is unframed, so
 			// the connection cannot live on either way. IO errors (EOF,
@@ -504,31 +491,17 @@ func (s *Server) reader(cn *sconn) {
 			s.dropConn(cn)
 			return
 		}
-		if pr := cn.pending; pr.Valid() {
-			cn.pending = icilk.Promise[*request]{}
-			cn.mu.Unlock()
-			// The completion requeues the parked event loop and, if every
-			// worker is asleep, wakes one at once; under load the wake is
-			// one atomic add.
-			pr.Complete(req)
-			continue
-		}
-		if len(cn.queue) >= maxPipelined {
+		if cn.unanswered.Load() >= maxPipelined {
 			// Pipelining far beyond anything a real client does: treat
-			// it as abuse rather than buffering unbounded work.
-			cn.closed = true
-			cn.queue = nil
-			cn.mu.Unlock()
+			// it as abuse rather than spawning unbounded work.
 			s.dropConn(cn)
 			return
 		}
-		cn.queue = append(cn.queue, req)
-		cn.mu.Unlock()
+		s.dispatch(cn, req)
 	}
 }
 
-// maxPipelined caps a connection's buffered (parsed but not yet
-// dispatched) requests.
+// maxPipelined caps a connection's dispatched but unanswered requests.
 const maxPipelined = 256
 
 // readOne reads one request under the anti-slowloris discipline: wait up
@@ -562,85 +535,6 @@ func (s *Server) dropConn(cn *sconn) {
 		delete(s.conns, cn)
 		s.connMu.Unlock()
 		s.connCount.Add(-1)
-	})
-}
-
-// nextBatch drains every already-buffered request on cn into buf —
-// batched admission: the event loop admits a pipelined burst in one
-// wakeup instead of one park/resume round-trip per request. With
-// nothing buffered it registers a promise and returns a future for the
-// reader to complete; the event loop parks on it, freeing its worker
-// for exactly as long as the client takes. A closed connection returns
-// an empty batch and an invalid (zero) future.
-func (s *Server) nextBatch(c *icilk.Ctx, cn *sconn, buf []*request) ([]*request, icilk.Future[*request]) {
-	cn.mu.Lock()
-	// Closed beats buffered: no one can read the responses, so buffered
-	// requests on a dead connection are dropped, not executed.
-	if cn.closed {
-		cn.queue = nil
-		cn.mu.Unlock()
-		return buf, icilk.Future[*request]{}
-	}
-	if len(cn.queue) > 0 {
-		buf = append(buf, cn.queue...)
-		cn.queue = cn.queue[:0]
-		cn.mu.Unlock()
-		return buf, icilk.Future[*request]{}
-	}
-	pr := icilk.NewPromiseIn[*request](c, PrioInteractive)
-	cn.pending = pr
-	cn.mu.Unlock()
-	return buf, pr.Future()
-}
-
-// drainQueued appends cn's buffered requests to buf without registering
-// a promise — the post-wakeup sweep that turns a pipelined burst into
-// one batch.
-func (s *Server) drainQueued(cn *sconn, buf []*request) []*request {
-	cn.mu.Lock()
-	if cn.closed {
-		cn.queue = nil
-	} else if len(cn.queue) > 0 {
-		buf = append(buf, cn.queue...)
-		cn.queue = cn.queue[:0]
-	}
-	cn.mu.Unlock()
-	return buf
-}
-
-// eventLoop spawns cn's per-connection event loop: a top-priority task
-// that drains the connection's buffered requests in one batch per
-// wakeup, admits each to a priority class, dispatches the handlers at
-// their classes' levels, and loops. It is the network analogue of the
-// case studies' event loops. Dispatch order within a batch is queue
-// order, so the response-order token chain sees the same sequence a
-// one-at-a-time loop would.
-func (s *Server) eventLoop(cn *sconn) {
-	icilk.Go(s.rt, nil, classPrio("conn-loop"), "conn-loop", func(c *icilk.Ctx) int {
-		n := 0
-		var batch []*request
-		for {
-			var fut icilk.Future[*request]
-			batch, fut = s.nextBatch(c, cn, batch[:0])
-			if fut.Valid() {
-				req := fut.Touch(c)
-				if req == nil {
-					return n
-				}
-				batch = append(batch, req)
-				// Pick up anything that was pipelined behind the request
-				// that woke us, so the whole burst is admitted this wakeup.
-				batch = s.drainQueued(cn, batch)
-			} else if len(batch) == 0 {
-				return n // connection closed
-			}
-			for _, req := range batch {
-				n++
-				s.requests.Add(1)
-				s.dispatch(c, cn, req)
-			}
-			c.Checkpoint()
-		}
 	})
 }
 
@@ -708,8 +602,7 @@ const writeStall = 30 * time.Second
 // own goroutine) until the rest of a response is on the socket, then
 // completes the promise its handler is parked on with whether it got
 // there. A failed or stalled write means the byte stream is dead or
-// desynced, so the connection is dropped, which unblocks its reader and
-// winds down the event loop and any buffered requests.
+// desynced, so the connection is dropped, which unblocks its reader.
 func (s *Server) writeRest(cn *sconn, rest []byte, pr icilk.Promise[bool]) {
 	ok := true
 	// Chaos hooks perturb the completion side of the write promise: a
@@ -825,7 +718,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.connMu.Unlock()
 	for _, cn := range conns {
-		s.dropConn(cn) // readers unblock with an error and finish the loops
+		s.dropConn(cn) // readers unblock with an error and exit
 	}
 	s.connWG.Wait()
 	err := s.rt.WaitIdle(30 * time.Second)

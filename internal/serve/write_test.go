@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,15 +140,54 @@ func TestMalformedBehindStalledWrite(t *testing.T) {
 	}
 }
 
-// settle waits until the only things outstanding in s's runtime are the
-// open connection's event loop and the request promise it is parked on:
-// a response reaches the client before its handler has completed its
-// order token, retired and been counted, so counters read straight
-// after the last answer can be one request behind.
+// TestPipeliningCapDropsConnection pipelines maxPipelined+1 pings behind
+// a large response the client is not reading. Each ping is dispatched at
+// once and waits on the response-order chain, so only the cap on a
+// connection's unanswered requests stops a client from spawning without
+// bound: the reader must drop the connection, and every task and
+// promise dispatched for it must still retire.
+func TestPipeliningCapDropsConnection(t *testing.T) {
+	s := testServer(t, Config{})
+	seedBigResponse(t, s)
+	cl := dialTest(t, s.Addr())
+	var b strings.Builder
+	b.WriteString("GET /proxy?url=big HTTP/1.1\r\nHost: t\r\n\r\n")
+	for i := 0; i < maxPipelined+1; i++ {
+		b.WriteString("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
+	}
+	if _, err := io.WriteString(cl.conn, b.String()); err != nil {
+		t.Fatal(err)
+	}
+	// The big response stalls the chain, so nothing answers a ping: the
+	// client reads a prefix of the big body and then the drop.
+	cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(cl.br)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open with %d requests dispatched", s.requests.Load())
+	}
+	if bytes.Contains(got, []byte("pong")) {
+		t.Error("a ping queued behind the stalled response was answered")
+	}
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.rt.Outstanding(); n != 0 {
+		t.Errorf("%d tasks or promises outstanding after Shutdown", n)
+	}
+	if n := s.connCount.Load(); n != 0 {
+		t.Errorf("%d connections still counted open after Shutdown", n)
+	}
+}
+
+// settle waits until nothing is outstanding in s's runtime: an idle
+// connection holds no task and no promise, but a response reaches the
+// client before its handler has completed its order token, retired and
+// been counted, so counters read straight after the last answer can be
+// one request behind.
 func settle(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.rt.Outstanding() != 2 {
+	for s.rt.Outstanding() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("server never settled: %d outstanding", s.rt.Outstanding())
 		}
@@ -155,19 +195,17 @@ func settle(t *testing.T, s *Server) {
 	}
 }
 
-// TestPingFastPathCounts pins what the direct write buys on the request
-// path: once the connection's event loop has been promoted, a /ping
-// costs one park (the loop waiting for the next request), no promotion
-// and no goroutine — the handler runs inline on a worker, writes the
-// socket itself and returns. The bounds leave a tenth for the one
-// legitimate exception: a client quick enough to get its next request
-// dispatched before the previous handler has completed its order token
-// makes the successor park on it (seen under -race, where the handler's
-// epilogue is slow).
+// TestPingFastPathCounts pins the request path's floor: the reader
+// spawns the handler, which runs inline on a worker, writes the socket
+// itself and returns — no park, no promotion and no goroutine for a
+// /ping. The bounds leave a tenth for the one legitimate exception: a
+// client quick enough to get its next request dispatched before the
+// previous handler has completed its order token makes the successor
+// park on it (seen under -race, where the handler's epilogue is slow).
 func TestPingFastPathCounts(t *testing.T) {
 	s := testServer(t, Config{Workers: 2})
 	cl := dialTest(t, s.Addr())
-	for i := 0; i < 10; i++ { // promote the loop
+	for i := 0; i < 10; i++ { // warm up the connection and the workers
 		cl.get(t, "/ping")
 	}
 	settle(t, s)
@@ -181,8 +219,8 @@ func TestPingFastPathCounts(t *testing.T) {
 	}
 	settle(t, s)
 	st1, gor1 := s.rt.Stats(), runtime.NumGoroutine()
-	if d := st1.Parks - st0.Parks; d > n+n/10 {
-		t.Errorf("%d pings took %d parks, want about one each", n, d)
+	if d := st1.Parks - st0.Parks; d > n/10 {
+		t.Errorf("%d pings took %d parks, want about none", n, d)
 	}
 	if d := st1.Promotions - st0.Promotions; d > n/10 {
 		t.Errorf("%d pings promoted %d tasks to fibers, want about none", n, d)
