@@ -9,7 +9,9 @@
 // hands its worker identity to a fresh runner and parks, hiding latency
 // exactly as I-Cilk's io_future does. Completed futures push their
 // waiters straight back into the run queues and wake parked workers; no
-// code path in this package sleeps or polls.
+// code path in this package sleeps, and the only thing a worker checks
+// between tasks is whether the clock's earliest deadline has passed
+// (one atomic load when nothing is armed).
 //
 // Scheduling is two-level (Section 4.3): each priority level has its own
 // work-stealing scheduler (per-worker lock-free Chase-Lev deques plus a
@@ -63,7 +65,11 @@
 // # External IO
 //
 // Two primitives connect the runtime to the world outside it. IO builds
-// a timer-backed future (simulated devices, internal/simio). NewPromise
+// a future that the runtime's clock completes after a simulated latency
+// (simulated devices, internal/simio): the workers fire due clock
+// entries at their task boundaries and at Checkpoint, and one fallback
+// Go timer covers a runtime whose workers are all parked. FailAfter's
+// deadlines are entries of the same clock. NewPromise
 // hands out an unresolved future plus the right to complete it from any
 // goroutine — the hook that real device drivers use: internal/serve's
 // reader and fallback-writer goroutines complete request and write

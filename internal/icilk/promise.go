@@ -4,13 +4,14 @@ import "time"
 
 // Promise is an externally completed future — the hook that device
 // drivers use to inject real-world completions into the runtime. The
-// timer-based IO helper and internal/serve's socket layer are both built
-// on it: a reader, writer or timer goroutine observes an external event
-// (a parsed request, a finished write, an expired timer) and calls
-// Complete, which reuses the task completion path — waiters are requeued
-// at their own levels and, if a worker is parked, it is woken before
-// Complete returns; under load the wake is one atomic add. Nothing polls
-// the promise.
+// clock-based IO helper and internal/serve's socket layer are both built
+// on it: a reader or writer goroutine observes an external event (a
+// parsed request, a finished write) and calls Complete, and the worker
+// that fires a due clock entry resolves an IO's promise the same way.
+// Both reuse the task completion path — waiters are requeued at their
+// own levels and, if a worker is parked, it is woken before Complete
+// returns; under load the wake is one atomic add. Nothing polls the
+// promise.
 //
 // A Promise counts as outstanding from creation until Complete or Fail,
 // so Runtime.WaitIdle waits for in-flight IO exactly as it waits for
@@ -76,11 +77,15 @@ func Completed[T any](p Priority, v T) Future[T] {
 // IO returns a future that completes with mk() after d elapses, without
 // occupying a worker — the io_future of Section 4.1. The simulated I/O
 // substrate (internal/simio) builds on this; real-socket IO in
-// internal/serve uses NewPromise directly. The timer callback completes
-// the promise like any other completer: a parked toucher is requeued
-// and, if every worker is asleep, one is woken at once.
+// internal/serve uses NewPromise directly. The deadline is an entry of
+// the runtime's clock (clock.go): a worker fires it at its next task
+// boundary or Checkpoint once d has passed, or the clock's fallback
+// timer does when every worker is parked, and a parked toucher is
+// requeued like any other waiter. mk runs on whichever goroutine fires
+// the entry, so it must not block; a panic in mk fails this future and
+// nothing else.
 func IO[T any](rt *Runtime, p Priority, d time.Duration, mk func() T) Future[T] {
 	pr := NewPromise[T](rt, p)
-	time.AfterFunc(d, func() { pr.Complete(mk()) })
+	rt.arm(&clockEntry{f: pr.f, val: func() any { return mk() }}, d)
 	return pr.Future()
 }

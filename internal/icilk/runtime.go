@@ -154,6 +154,9 @@ type Runtime struct {
 
 	stats     schedCounters
 	lockOrder lockOrderGraph
+
+	// clock holds the armed IO and FailAfter deadlines (clock.go).
+	clock clock
 }
 
 // New starts a runtime with the given configuration.
@@ -166,6 +169,9 @@ func New(cfg Config) *Runtime {
 		masterKick: make(chan struct{}, 1),
 	}
 	rt.parkCond = sync.NewCond(&rt.parkMu)
+	rt.clock.epoch = time.Now()
+	rt.clock.head.Store(never)
+	rt.clock.fallbackAt = never
 	// Only the levels effLevel can name exist, so every scan is bounded
 	// by the levels in use: all of them when prioritizing, level 0 alone
 	// in the baseline.
@@ -420,8 +426,8 @@ func GoSelf[T any](rt *Runtime, c *Ctx, p Priority, name string, fn func(*Ctx, F
 
 // requeue puts an unblocked task back into circulation at its effective
 // level and wakes a worker to run it. Called from completion context,
-// which can be any goroutine (a worker, a fiber, an IO timer, or a
-// socket reader). There is one wake path: wake skips the broadcast when
+// which can be any goroutine (a worker, a fiber, the clock's fallback
+// timer, or a socket reader). There is one wake path: wake skips the broadcast when
 // no worker is parked, so under load a completion costs an atomic add,
 // and an idle machine is woken at once.
 func (rt *Runtime) requeue(t *task) {
@@ -464,6 +470,9 @@ func (w *worker) run() {
 			g.yield <- struct{}{}
 			return
 		}
+		// Task boundary: fire the clock's due entries before choosing
+		// the next task, so the waiters they wake compete for it.
+		rt.pollClock()
 	}
 }
 
@@ -479,6 +488,9 @@ func (w *worker) next() (*task, int32) {
 		if t := w.findTask(int(lvl)); t != nil {
 			return t, lvl
 		}
+		// Nothing to run: fire what the clock has due before parking,
+		// since a parked worker leaves it to the fallback timer.
+		rt.pollClock()
 		// Register as idle, then re-scan: any work published after the
 		// wakeSeq read below will bump the sequence and cancel the park.
 		rt.idle.Add(1)

@@ -304,18 +304,23 @@ func (c *Ctx) Yield() {
 	g.park(t.rt, w)
 }
 
-// Checkpoint is the preemption point of a long-running task. It yields
-// if the master has reassigned this worker since it granted the task's
-// goroutine the slot (the quantum-boundary preemption of the two-level
-// scheduler), or if a level above the task's effective priority has work
-// in its injection queue — an arrival, an unblocked waiter or a boosted
-// lock holder, which the worker's next scan takes before coming back to
-// this task. Only the levels above the task are read, one queue size
-// each (none at the top level or in the baseline), so it is cheap enough
-// for inner loops; and the first worker to yield for an entry pops it,
-// so one arrival costs at most one yield per worker.
+// Checkpoint is the preemption point of a long-running task. It first
+// fires the runtime clock's due IO and deadline entries (one atomic load
+// when nothing is armed). Then it yields if the master has reassigned
+// this worker since it granted the task's goroutine the slot (the
+// quantum-boundary preemption of the two-level scheduler), or if a level
+// above the task's effective priority has work in its injection queue —
+// an arrival, an unblocked waiter (including one a fired IO just woke)
+// or a boosted lock holder, which the worker's next scan takes before
+// coming back to this task. Only the levels above the task are read, one
+// queue size each (none at the top level or in the baseline), so it is
+// cheap enough for inner loops; and the first worker to yield for an
+// entry pops it, so one arrival costs at most one yield per worker.
 func (c *Ctx) Checkpoint() {
 	g, rt := c.g, c.t.rt
+	// Fire due clock entries first, so a higher-level waiter one of them
+	// wakes is in its injection queue when the scan below looks.
+	rt.pollClock()
 	w := g.w
 	if w == nil {
 		return
@@ -374,11 +379,7 @@ func (rt *Runtime) execTask(g *gctx, t *task) {
 	defer func() {
 		if r := recover(); r != nil {
 			t.releaseHeld(c)
-			if err, ok := r.(error); ok {
-				t.fut.fail(fmt.Errorf("icilk: task %q panicked: %w", t.name, err))
-			} else {
-				t.fut.fail(fmt.Errorf("icilk: task %q panicked: %v", t.name, r))
-			}
+			t.fut.fail(panicError(fmt.Sprintf("task %q", t.name), r))
 			rt.taskDone()
 		}
 	}()
@@ -391,6 +392,15 @@ func (rt *Runtime) execTask(g *gctx, t *task) {
 	}
 	t.fut.complete(v)
 	rt.taskDone()
+}
+
+// panicError is the error a recovered panic fails a future with: the
+// panic value itself, wrapped, when it is an error.
+func panicError(what string, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("icilk: %s panicked: %w", what, err)
+	}
+	return fmt.Errorf("icilk: %s panicked: %v", what, r)
 }
 
 // runTask executes t using the slot currently held by g's goroutine:

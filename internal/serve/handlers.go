@@ -189,14 +189,17 @@ type hres struct {
 // that already overspent its budget in the admission queue panics the
 // same DeadlineError without spawning the inner task at all.
 //
-// The timer is the early answer, not the enforcement: on a saturated
-// box the Go timer goroutine can be scheduled arbitrarily late (the
-// claim-helping scheduler keeps every worker busy without parking, so
-// nothing yields a P until preemption), and a job that overran its
-// budget could slip a 200 in before the timer fires. The inner task
-// therefore re-checks the budget at completion time and fails the
-// promise itself when the work finished late — a deadline miss is
-// answered 503 no matter which racer the Go runtime happened to run.
+// The deadline is the early answer, not the enforcement. It is a clock
+// entry of the runtime, fired at the first task boundary or Checkpoint
+// after it passes on any worker (or by the clock's fallback timer when
+// every worker is parked), so it is late by at most the task that
+// worker is running. A job whose kernel reaches no boundary before its
+// budget runs out — one long task with no Checkpoint on a box whose
+// other workers are just as busy — could still finish first and slip a
+// 200 in. The inner task therefore re-checks the budget at completion
+// time and fails the promise itself when the work finished late: that
+// re-check is the backstop for work that never reaches a boundary, and
+// a deadline miss is answered 503 whichever racer resolves first.
 func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, ddl time.Duration, admitted time.Time, exec func(*icilk.Ctx) (int, string)) (int, string) {
 	remaining := ddl - time.Since(admitted)
 	if remaining <= 0 {

@@ -1,11 +1,15 @@
 // Package simio is the simulated I/O substrate standing in for the Linux
 // sockets and files of the paper's evaluation (ARCHITECTURE.md, "The IO
-// completion path", shows where its timer futures enter the runtime). It provides latency-hiding I/O futures with controllable
+// completion path", shows where its clock futures enter the runtime).
+// It provides latency-hiding I/O futures with controllable
 // latency distributions and Poisson client-request generators, which is
 // everything the evaluation workloads need from real I/O: latency to hide
 // and an arrival process to serve.
 //
-// Simulated devices build their futures on icilk.IO (timer-backed); real
+// Simulated devices build their futures on icilk.IO, whose latency is an
+// entry in the runtime's clock: a worker completes the future at its
+// first task boundary or Checkpoint after the latency has passed, or the
+// clock's fallback Go timer does when every worker is parked. Real
 // sockets are served by internal/serve, which builds on icilk.NewPromise
 // instead — same completion path, different event source. The two
 // substrates coexist deliberately: simio keeps the evaluation workloads

@@ -45,7 +45,9 @@ func (d *Device) Name() string { return d.name }
 
 // Read issues a simulated read completing with data() after the sampled
 // latency — the cilk_read of Section 4.1: the returned io_future hides
-// the latency instead of blocking a worker.
+// the latency instead of blocking a worker. data runs on whichever
+// worker fires the runtime's clock entry (see icilk.IO), so it must not
+// block.
 func Read[T any](rt *icilk.Runtime, d *Device, p icilk.Priority, data func() T) icilk.Future[T] {
 	d.mu.Lock()
 	lat := d.lat.Sample(d.rng)
