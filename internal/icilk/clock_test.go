@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -259,5 +260,46 @@ func TestClockIOArmedBeforeShutdownResolves(t *testing.T) {
 	var de *DeadlineError
 	if _, err := Await(pr.Future(), 10*time.Second); !errors.As(err, &de) {
 		t.Fatalf("deadline after Shutdown resolved with %v, want a DeadlineError", err)
+	}
+}
+
+// The SetBoundaryPoll hook runs at Checkpoint and at the task boundary
+// that follows a task, on the worker itself, and nowhere once removed.
+// One worker, so every call comes from the task's own goroutine or the
+// boundary between its tasks.
+func TestBoundaryPollRunsAtBoundaries(t *testing.T) {
+	rt := testRuntime(t, Config{Workers: 1, Levels: 1})
+	var calls atomic.Int64
+	rt.SetBoundaryPoll(func() { calls.Add(1) })
+	var inCheckpoint int64
+	first := Go(rt, nil, 0, "first", func(c *Ctx) int64 {
+		before := calls.Load()
+		c.Checkpoint()
+		after := calls.Load()
+		inCheckpoint = after - before
+		return after
+	})
+	last, err := Await(first, 10*time.Second)
+	if err != nil || inCheckpoint != 1 {
+		t.Fatalf("Checkpoint ran the hook %d times (err %v), want 1", inCheckpoint, err)
+	}
+	second := Go(rt, nil, 0, "second", func(*Ctx) int64 { return calls.Load() })
+	if seen, err := Await(second, 10*time.Second); err != nil || seen <= last {
+		t.Fatalf("the next task saw %d hook calls (err %v), want more than the %d the first task last saw", seen, err, last)
+	}
+	if err := rt.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rt.SetBoundaryPoll(nil)
+	settled := calls.Load()
+	third := Go(rt, nil, 0, "third", func(c *Ctx) int { c.Checkpoint(); return 0 })
+	if _, err := Await(third, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != settled {
+		t.Errorf("a removed hook ran %d more times", n-settled)
 	}
 }

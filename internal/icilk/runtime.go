@@ -157,6 +157,8 @@ type Runtime struct {
 
 	// clock holds the armed IO and FailAfter deadlines (clock.go).
 	clock clock
+	// boundaryPoll is the hook SetBoundaryPoll installed, nil for none.
+	boundaryPoll atomic.Pointer[func()]
 }
 
 // New starts a runtime with the given configuration.
@@ -212,6 +214,30 @@ func (rt *Runtime) Shutdown() {
 	rt.parkCond.Broadcast()
 	rt.parkMu.Unlock()
 	rt.wg.Wait()
+}
+
+// SetBoundaryPoll installs fn to run wherever workers poll the runtime
+// clock: after each task, before a worker parks, and at the top of every
+// Checkpoint. A server installs one to notice socket readiness on busy
+// workers, which would otherwise leave it to Go's network poller. fn
+// must not block; it may yield the goroutine's P (runtime.Gosched), and
+// concurrent calls are its own to arbitrate. nil removes the hook. With
+// none installed a boundary pays one atomic load for it.
+func (rt *Runtime) SetBoundaryPoll(fn func()) {
+	if fn == nil {
+		rt.boundaryPoll.Store(nil)
+		return
+	}
+	rt.boundaryPoll.Store(&fn)
+}
+
+// boundary is a worker's check at a task boundary: fire the clock's due
+// entries, then run the poll hook, if one is installed.
+func (rt *Runtime) boundary() {
+	rt.pollClock()
+	if fn := rt.boundaryPoll.Load(); fn != nil {
+		(*fn)()
+	}
 }
 
 // WaitIdle blocks until no spawned tasks remain outstanding or the
@@ -470,9 +496,10 @@ func (w *worker) run() {
 			g.yield <- struct{}{}
 			return
 		}
-		// Task boundary: fire the clock's due entries before choosing
-		// the next task, so the waiters they wake compete for it.
-		rt.pollClock()
+		// Task boundary: fire the clock's due entries (and run the poll
+		// hook) before choosing the next task, so the waiters they wake
+		// compete for it.
+		rt.boundary()
 	}
 }
 
@@ -488,9 +515,9 @@ func (w *worker) next() (*task, int32) {
 		if t := w.findTask(int(lvl)); t != nil {
 			return t, lvl
 		}
-		// Nothing to run: fire what the clock has due before parking,
-		// since a parked worker leaves it to the fallback timer.
-		rt.pollClock()
+		// Nothing to run: fire what the clock has due (and run the poll
+		// hook) before parking, since a parked worker polls nothing.
+		rt.boundary()
 		// Register as idle, then re-scan: any work published after the
 		// wakeSeq read below will bump the sequence and cancel the park.
 		rt.idle.Add(1)

@@ -306,21 +306,23 @@ func (c *Ctx) Yield() {
 
 // Checkpoint is the preemption point of a long-running task. It first
 // fires the runtime clock's due IO and deadline entries (one atomic load
-// when nothing is armed). Then it yields if the master has reassigned
-// this worker since it granted the task's goroutine the slot (the
-// quantum-boundary preemption of the two-level scheduler), or if a level
-// above the task's effective priority has work in its injection queue —
-// an arrival, an unblocked waiter (including one a fired IO just woke)
-// or a boosted lock holder, which the worker's next scan takes before
-// coming back to this task. Only the levels above the task are read, one
-// queue size each (none at the top level or in the baseline), so it is
-// cheap enough for inner loops; and the first worker to yield for an
-// entry pops it, so one arrival costs at most one yield per worker.
+// when nothing is armed) and runs the SetBoundaryPoll hook. Then it
+// yields if the master has reassigned this worker since it granted the
+// task's goroutine the slot (the quantum-boundary preemption of the
+// two-level scheduler), or if a level above the task's effective
+// priority has work in its injection queue — an arrival, an unblocked
+// waiter (including one a fired IO just woke) or a boosted lock holder,
+// which the worker's next scan takes before coming back to this task.
+// Only the levels above the task are read, one queue size each (none at
+// the top level or in the baseline), so it is cheap enough for inner
+// loops; and the first worker to yield for an entry pops it, so one
+// arrival costs at most one yield per worker.
 func (c *Ctx) Checkpoint() {
 	g, rt := c.g, c.t.rt
 	// Fire due clock entries first, so a higher-level waiter one of them
-	// wakes is in its injection queue when the scan below looks.
-	rt.pollClock()
+	// wakes is in its injection queue when the scan below looks; the
+	// same holds for a request the poll hook lets its reader dispatch.
+	rt.boundary()
 	w := g.w
 	if w == nil {
 		return

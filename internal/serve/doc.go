@@ -14,7 +14,12 @@
 //     the moment it is parsed: it admits the request to a priority class
 //     (atomics only) and spawns the handler at that class's level
 //     (icilk.Go) — real socket readiness handed straight to the
-//     scheduler, as I-Cilk's IO daemon hands it a completed read;
+//     scheduler, as I-Cilk's IO daemon hands it a completed read. A
+//     reader parks in Go's netpoller, which Go polls only when a P is
+//     idle or every 10 ms; when the workers keep every P busy, they
+//     check the sockets themselves at task boundaries (one epoll_wait
+//     per 20 µs at most, Linux only) and kick a blocked reader onto
+//     the polling worker's P;
 //   - a writer goroutine exists only for a response the socket would
 //     not take in one non-blocking write (larger than the send buffer,
 //     a client that stopped reading, a fault-wrapped connection): it

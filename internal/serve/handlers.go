@@ -355,6 +355,8 @@ func (s *Server) statsBody(c *icilk.Ctx) string {
 	fmt.Fprintf(&b, "requests: %d (%d in flight)\n", s.requests.Load(), s.inflight.Load())
 	fmt.Fprintf(&b, "write errors: %d\n", s.writeErrs.Load())
 	fmt.Fprintf(&b, "writes direct=%d fallback=%d\n", s.writesDirect.Load(), s.writesFallback.Load())
+	kicks, polls := s.kicks.counts()
+	fmt.Fprintf(&b, "reader kicks: %d (polls %d)\n", kicks, polls)
 	fmt.Fprintf(&b, "proxy cache: %d hits, %d misses\n",
 		s.proxy.Hits.Load(c), s.proxy.Misses.Load(c))
 	rcN := 0

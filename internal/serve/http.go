@@ -79,7 +79,9 @@ type request struct {
 // a GET — and are framed only by Content-Length: a Transfer-Encoding
 // header is refused, since its body would be parsed as the next
 // request. It runs on the connection's reader goroutine, where blocking
-// is free: the Go netpoller parks the goroutine, not an icilk worker.
+// is free: the Go netpoller parks the goroutine, not an icilk worker. It
+// reads through the reader's sockReader, so a kick from a busy worker
+// never reaches it as an error.
 // Malformed input fails with a *reqError carrying the status the reader
 // should answer with; IO errors (EOF, deadline) pass through raw.
 func parseRequest(tp *textproto.Reader, br *bufio.Reader, lim *headLimiter) (*request, error) {

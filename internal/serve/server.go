@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/textproto"
+	"os"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -226,7 +227,9 @@ func (c Config) withDefaults() Config {
 // task — while all request handling, including the response write
 // whenever the socket takes it without blocking, runs as prioritized
 // icilk tasks. Only a write the kernel will not take at once is handed
-// to a goroutine (see respond).
+// to a goroutine (see respond). A reader parked in Go's netpoller is
+// woken by the workers themselves when they are too busy for Go to poll
+// (see kicker), so readiness reaches the scheduler at a task boundary.
 type Server struct {
 	cfg Config
 	rt  *icilk.Runtime
@@ -252,6 +255,10 @@ type Server struct {
 	// on real traffic is read, not assumed.
 	writesDirect   atomic.Int64
 	writesFallback atomic.Int64
+
+	// kicks lets busy workers wake the readers (nil when it cannot, or
+	// off Linux).
+	kicks *kicker
 
 	// Overload-protection state: connCount tracks open accepted
 	// connections against cfg.MaxConns (refused counts the rejects);
@@ -339,6 +346,10 @@ type sconn struct {
 	// connection that would push it past maxPipelined.
 	unanswered atomic.Int64
 
+	// reading is set while the reader is in (or entering) a socket
+	// Read; the kicker clears it when it kicks that Read.
+	reading atomic.Bool
+
 	// wstate arbitrates the socket's write side between that chain and
 	// the reader's parting answer to a malformed request: respond holds
 	// it busy from its first byte to its last (across a fallback write),
@@ -400,6 +411,10 @@ func Start(cfg Config) (*Server, error) {
 		sess:       icilk.NewShardedMap[*session](rt, sessCeil, sessCeil, "serve.sessions"),
 		rcache:     icilk.NewShardedMap[string](rt, rcacheCeil, rcacheCeil, "serve.rcache"),
 		rcacheHits: icilk.NewStripedCounter(rt, rcacheCeil),
+		kicks:      newKicker(),
+	}
+	if s.kicks != nil {
+		rt.SetBoundaryPoll(s.kicks.poll)
 	}
 	s.connWG.Add(1)
 	go s.acceptor()
@@ -450,6 +465,8 @@ func (s *Server) acceptor() {
 		}
 		s.conns[cn] = struct{}{}
 		s.connCount.Add(1)
+		// Registered under connMu, so no dropConn can run before it.
+		s.kicks.add(cn)
 		s.connMu.Unlock()
 		s.connWG.Add(1)
 		go s.reader(cn)
@@ -467,18 +484,21 @@ func (s *Server) refuse(c net.Conn) {
 		"server at connection capacity\n"))
 }
 
-// reader is cn's poller: it blocks in the kernel (via the netpoller) for
-// request bytes and dispatches each request the moment it is parsed —
-// the socket-readiness edge that drives the runtime, with nothing between
-// the completed read and the handler's spawn.
+// reader is cn's poller: it blocks in the netpoller for request bytes
+// and dispatches each request the moment it is parsed — the
+// socket-readiness edge that drives the runtime, with nothing between
+// the completed read and the handler's spawn. Go wakes it when a P is
+// idle; on a server whose workers keep every P busy, a worker wakes it
+// at a task boundary instead (kicker), and it runs on that worker's P.
 func (s *Server) reader(cn *sconn) {
 	defer s.connWG.Done()
-	lim := &headLimiter{r: cn.c}
+	sr := &sockReader{cn: cn}
+	lim := &headLimiter{r: sr}
 	br := bufio.NewReader(lim)
 	tp := textproto.NewReader(br)
 	idle, header := s.cfg.IdleTimeout, s.cfg.ReadHeaderTimeout
 	for {
-		req, err := s.readOne(cn, tp, br, lim, idle, header)
+		req, err := s.readOne(sr, tp, br, lim, idle, header)
 		if err != nil {
 			// A malformed request gets its answer before the drop, unless
 			// a response is mid-write; the stream past it is unframed, so
@@ -509,20 +529,51 @@ const maxPipelined = 256
 // body) at most header to finish and maxHeadBytes to fit in. A client
 // that trickles one byte per second can hold a connection for at most
 // idle + header, not forever.
-func (s *Server) readOne(cn *sconn, tp *textproto.Reader, br *bufio.Reader, lim *headLimiter, idle, header time.Duration) (*request, error) {
+func (s *Server) readOne(sr *sockReader, tp *textproto.Reader, br *bufio.Reader, lim *headLimiter, idle, header time.Duration) (*request, error) {
 	lim.budget = maxHeadBytes
 	if idle > 0 {
-		cn.c.SetReadDeadline(time.Now().Add(idle))
+		sr.setDeadline(time.Now().Add(idle))
 		if _, err := br.Peek(1); err != nil {
 			return nil, err
 		}
 	}
 	if header > 0 {
-		cn.c.SetReadDeadline(time.Now().Add(header))
+		sr.setDeadline(time.Now().Add(header))
 	} else if idle > 0 {
-		cn.c.SetReadDeadline(time.Time{})
+		sr.setDeadline(time.Time{})
 	}
 	return parseRequest(tp, br, lim)
+}
+
+// sockReader is the reader's view of its socket, and still the only
+// consumer of its bytes. It owns the reader's read deadline, so it can
+// tell the kicker's past deadline from the reader's own: any deadline
+// error before that deadline is a kick, which it undoes by restoring the
+// deadline and reading again.
+type sockReader struct {
+	cn       *sconn
+	deadline time.Time // zero: none
+}
+
+func (sr *sockReader) setDeadline(t time.Time) {
+	sr.deadline = t
+	sr.cn.c.SetReadDeadline(t)
+}
+
+func (sr *sockReader) Read(p []byte) (int, error) {
+	for {
+		sr.cn.reading.Store(true)
+		n, err := sr.cn.c.Read(p)
+		sr.cn.reading.Store(false)
+		if err == nil || !errors.Is(err, os.ErrDeadlineExceeded) ||
+			(!sr.deadline.IsZero() && !time.Now().Before(sr.deadline)) {
+			return n, err
+		}
+		sr.cn.c.SetReadDeadline(sr.deadline)
+		if n > 0 {
+			return n, nil
+		}
+	}
 }
 
 // dropConn tears down one connection. It is idempotent — reader-error
@@ -530,6 +581,7 @@ func (s *Server) readOne(cn *sconn, tp *textproto.Reader, br *bufio.Reader, lim 
 // and only the first Close's error is recorded on the sconn.
 func (s *Server) dropConn(cn *sconn) {
 	cn.closeOnce.Do(func() {
+		s.kicks.remove(cn)
 		cn.closeErr = cn.c.Close()
 		s.connMu.Lock()
 		delete(s.conns, cn)
@@ -723,6 +775,8 @@ func (s *Server) Shutdown() error {
 	s.connWG.Wait()
 	err := s.rt.WaitIdle(30 * time.Second)
 	s.rt.Shutdown()
+	s.rt.SetBoundaryPoll(nil)
+	s.kicks.close()
 	if err != nil {
 		return fmt.Errorf("serve: shutdown drain: %w", err)
 	}

@@ -273,3 +273,54 @@ func TestIdleServerPingFloor(t *testing.T) {
 		t.Fatalf("idle-server /ping median time to first byte = %v, want < 500µs", med)
 	}
 }
+
+// TestPingAllocCeilings pins the allocations one keep-alive /ping costs
+// the server: the reader's parse and dispatch, the handler task, its
+// session update and its direct write. The client reuses one request
+// buffer and one response buffer, so it allocates nothing per request
+// and the count is the server's. Debug is off: the lock-order recorder
+// allocates on its own. A new allocation on this path fails the test;
+// one taken off it should lower the ceiling.
+func TestPingAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s, err := Start(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Shutdown(); err != nil {
+			t.Error(err)
+		}
+	})
+	conn, err := net.DialTimeout("tcp", s.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute))
+	req := []byte("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
+	resp := httpResponse(200, "ping", classPrio("ping"), "", "pong\n")
+	buf := make([]byte, len(resp))
+	roundTrip := func() {
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // the session, the stripes, the fd's poll state
+		roundTrip()
+	}
+	if !bytes.Equal(buf, resp) {
+		t.Fatalf("/ping answered %q, want %q", buf, resp)
+	}
+	const ceiling = 26
+	got := testing.AllocsPerRun(500, roundTrip)
+	t.Logf("%.2f allocations per keep-alive /ping", got)
+	if got > ceiling {
+		t.Errorf("%.2f allocations per keep-alive /ping, ceiling %d", got, ceiling)
+	}
+}
