@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/textproto"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,7 +87,6 @@ func TestChaosSoak(t *testing.T) {
 					continue
 				}
 				br := bufio.NewReader(conn)
-				tp := textproto.NewReader(br)
 				// One connection: sequential request/response until the
 				// injector (or a timeout) kills it.
 				alive := true
@@ -101,7 +99,7 @@ func TestChaosSoak(t *testing.T) {
 						break
 					}
 					conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-					resp, err := readResponse(tp, br)
+					resp, err := readResponse(br)
 					if err != nil {
 						// Injected reset/short write or eviction: the
 						// connection is dead, never half-answered.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/textproto"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +45,7 @@ func TestMalformedRequestLineGets400(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			resp, err := readResponse(cl.tp, cl.br)
+			resp, err := readResponse(cl.br)
 			if err != nil {
 				t.Fatalf("no response to %q: %v", tc.req, err)
 			}
@@ -66,7 +65,7 @@ func TestOversizedRequestLineGets400(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("no response to an oversized request line: %v", err)
 	}
@@ -94,7 +93,7 @@ func TestOversizedHeadGets431(t *testing.T) {
 		t.Logf("upload interrupted: %v", err)
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("no response to an oversized head: %v", err)
 	}
@@ -111,7 +110,7 @@ func TestOversizedBodyGets400(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("no response to an oversized body declaration: %v", err)
 	}
@@ -131,7 +130,7 @@ func TestBoundedBodyIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil || resp.status != 200 {
 		t.Fatalf("GET with bounded body = (%v, %v), want 200", resp, err)
 	}
@@ -148,7 +147,7 @@ func TestMaxConnsRefusesWith503(t *testing.T) {
 	}
 	second := dialTest(t, s.Addr())
 	second.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readResponse(second.tp, second.br)
+	resp, err := readResponse(second.br)
 	if err != nil {
 		t.Fatalf("over-cap connection got no 503: %v", err)
 	}
@@ -166,8 +165,7 @@ func TestMaxConnsRefusesWith503(t *testing.T) {
 		}
 		third.SetReadDeadline(time.Now().Add(5 * time.Second))
 		fmt.Fprintf(third, "GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
-		br := newTestReader(third)
-		resp, err := readResponse(br.tp, br.br)
+		resp, err := readResponse(bufio.NewReader(third))
 		third.Close()
 		if err == nil && resp.status == 200 {
 			return
@@ -177,12 +175,6 @@ func TestMaxConnsRefusesWith503(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// newTestReader pairs the bufio/textproto readers for a raw conn.
-func newTestReader(c net.Conn) *client {
-	br := bufio.NewReader(c)
-	return &client{conn: c, br: br, tp: textproto.NewReader(br)}
 }
 
 func TestSlowlorisHeaderTimeout(t *testing.T) {
@@ -259,7 +251,7 @@ func TestShedWatermarkRefusesBatchKeepsInteractive(t *testing.T) {
 	ok, shed := 0, 0
 	for i := 0; i < 5; i++ {
 		cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		resp, err := readResponse(cl.tp, cl.br)
+		resp, err := readResponse(cl.br)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -309,7 +301,7 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- s.Shutdown() }()
 	cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("inflight request was cut off by Shutdown: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/textproto"
 	"net/url"
 	"strconv"
@@ -192,38 +193,30 @@ type response struct {
 	body     []byte
 }
 
-// readResponse parses one HTTP/1.1 response from a client connection.
-func readResponse(tp *textproto.Reader, br *bufio.Reader) (*response, error) {
-	line, err := tp.ReadLine()
+// readResponse reads one response from a client connection with
+// net/http's parser, so every test and the load generator hold what the
+// server writes to the standard library's reading of HTTP/1.1. The
+// response must be framed by Content-Length: on a keep-alive connection
+// an unframed body would run into the next response.
+func readResponse(br *bufio.Reader) (*response, error) {
+	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		return nil, err
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("serve: malformed status line %q", line)
+	defer resp.Body.Close()
+	if resp.ContentLength < 0 {
+		return nil, fmt.Errorf("serve: %q response without Content-Length", resp.Status)
 	}
-	status, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("serve: bad status in %q", line)
-	}
-	h, err := tp.ReadMIMEHeader()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
 	}
-	n, err := strconv.Atoi(h.Get("Content-Length"))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("serve: bad Content-Length %q", h.Get("Content-Length"))
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	prio, _ := strconv.Atoi(h.Get("X-Priority"))
+	prio, _ := strconv.Atoi(resp.Header.Get("X-Priority"))
 	return &response{
-		status:   status,
-		class:    h.Get("X-Class"),
+		status:   resp.StatusCode,
+		class:    resp.Header.Get("X-Class"),
 		prio:     prio,
-		overload: h.Get("X-Overload"),
+		overload: resp.Header.Get("X-Overload"),
 		body:     body,
 	}, nil
 }

@@ -5,9 +5,7 @@ package serve
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"runtime"
 	"sort"
 	"strings"
@@ -151,18 +149,12 @@ func TestKicksNeverTearRequests(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	br := bufio.NewReader(conn)
 	for i, p := range paths {
-		req, _ := http.NewRequest("GET", p, nil)
-		resp, err := http.ReadResponse(br, req)
+		resp, err := readResponse(br)
 		if err != nil {
 			t.Fatalf("response %d (%s): %v", i, p, err)
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || int64(len(body)) != resp.ContentLength {
-			t.Fatalf("response %d (%s): %d body bytes, Content-Length %d (err %v)", i, p, len(body), resp.ContentLength, err)
-		}
-		if resp.StatusCode != 200 || resp.Header.Get("X-Class") != classes[i] {
-			t.Fatalf("response %d = %d class %q, want 200 %q", i, resp.StatusCode, resp.Header.Get("X-Class"), classes[i])
+		if resp.status != 200 || resp.class != classes[i] {
+			t.Fatalf("response %d = %d class %q, want 200 %q", i, resp.status, resp.class, classes[i])
 		}
 	}
 	kicks, _ := s.kicks.counts()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/textproto"
 	"sort"
 	"strings"
 	"sync"
@@ -266,7 +265,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			var (
 				conn net.Conn
 				br   *bufio.Reader
-				tp   *textproto.Reader
 			)
 			dial := func() bool {
 				var err error
@@ -275,7 +273,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 					return false
 				}
 				br = bufio.NewReader(conn)
-				tp = textproto.NewReader(br)
 				return true
 			}
 			if !dial() {
@@ -304,7 +301,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				// non-zero exit, not an indefinite hang (the CI smoke
 				// job depends on this).
 				conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-				resp, err := readResponse(tp, br)
+				resp, err := readResponse(br)
 				if err != nil {
 					errs.Add(1)
 					conn.Close()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/textproto"
 	"net/url"
 	"strings"
 	"testing"
@@ -45,7 +44,6 @@ func testServer(t *testing.T, cfg Config) *Server {
 type client struct {
 	conn net.Conn
 	br   *bufio.Reader
-	tp   *textproto.Reader
 }
 
 func dialTest(t *testing.T, addr string) *client {
@@ -55,8 +53,7 @@ func dialTest(t *testing.T, addr string) *client {
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	br := bufio.NewReader(conn)
-	return &client{conn: conn, br: br, tp: textproto.NewReader(br)}
+	return &client{conn: conn, br: bufio.NewReader(conn)}
 }
 
 func (cl *client) get(t *testing.T, path string) *response {
@@ -65,7 +62,7 @@ func (cl *client) get(t *testing.T, path string) *response {
 		t.Fatalf("write %s: %v", path, err)
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := readResponse(cl.tp, cl.br)
+	resp, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
@@ -185,7 +182,7 @@ func TestPipelinedSlotPrints(t *testing.T) {
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(20 * time.Second))
 	for i := 0; i < n; i++ {
-		resp, err := readResponse(cl.tp, cl.br)
+		resp, err := readResponse(cl.br)
 		if err != nil {
 			t.Fatalf("response %d: %v (slot protocol deadlocked against response ordering?)", i, err)
 		}
@@ -217,7 +214,7 @@ func TestPipelinedRequests(t *testing.T) {
 	}
 	cl.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	for i, wantClass := range want {
-		resp, err := readResponse(cl.tp, cl.br)
+		resp, err := readResponse(cl.br)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}

@@ -66,7 +66,7 @@ func TestLargeResponseTakesFallbackIntact(t *testing.T) {
 	// takes nothing beyond what the kernel buffers.
 	awaitFallback(t, s)
 	cl.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	first, err := readResponse(cl.tp, cl.br)
+	first, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("reading the large response: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestLargeResponseTakesFallbackIntact(t *testing.T) {
 		t.Fatalf("large response: status %d, %d body bytes (want %d), intact=%v",
 			first.status, len(first.body), len(big), bytes.Equal(first.body, big))
 	}
-	second, err := readResponse(cl.tp, cl.br)
+	second, err := readResponse(cl.br)
 	if err != nil {
 		t.Fatalf("reading the pipelined successor: %v", err)
 	}
