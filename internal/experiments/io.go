@@ -8,8 +8,8 @@ import (
 )
 
 // This file prices the per-request future tax the serving layer pays on
-// every admitted request: one task + one future per spawn, one future
-// per order token, one promise per IO completion. The `io` experiment
+// every admitted request: one task + one future per spawn, one promise
+// per IO completion or deadline race. The `io` experiment
 // measures that tax, the forwarding Touch that cuts a chain of parks
 // against its ablation, and the rate at which the runtime absorbs
 // promise completions:
@@ -30,7 +30,7 @@ type IOFastPath struct {
 	SpawnTouchNs     float64 `json:"spawn_touch_ns"`
 	SpawnTouchAllocs float64 `json:"spawn_touch_allocs_per_op"`
 	// PromiseTouch is one NewPromiseIn + Complete + Touch round — the
-	// order-token and IO-completion shape in internal/serve.
+	// deadline-race and IO-completion shape in internal/serve.
 	PromiseTouchNs     float64 `json:"promise_touch_ns"`
 	PromiseTouchAllocs float64 `json:"promise_touch_allocs_per_op"`
 	// DoneTouch is one touch of an already-completed future: the

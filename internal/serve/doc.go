@@ -13,7 +13,7 @@
 //   - one reader per connection parses requests and dispatches each one
 //     the moment it is parsed: it admits the request to a priority class
 //     (atomics only) and spawns the handler at that class's level
-//     (icilk.Go) — real socket readiness handed straight to the
+//     (icilk.GoSelf) — real socket readiness handed straight to the
 //     scheduler, as I-Cilk's IO daemon hands it a completed read. A
 //     reader parks in Go's netpoller, which Go polls only when a P is
 //     idle or every 10 ms; when the workers keep every P busy, they
@@ -23,13 +23,17 @@
 //   - a writer goroutine exists only for a response the socket would
 //     not take in one non-blocking write (larger than the send buffer,
 //     a client that stopped reading, a fault-wrapped connection): it
-//     writes the remainder and completes the write promise, so the
-//     handler task parks (freeing its worker) while its response
-//     drains, and a stalled client stalls only its own connection.
+//     writes the remainder and then the responses ready behind it,
+//     while the handler task has long returned, so a stalled client
+//     stalls only its own connection.
 //
 // Everything else is icilk tasks, the common response write included:
 // a handler offers its bytes to the socket itself and, when the kernel
-// takes them all, returns without parking. Admission maps jserver jobs
+// takes them all, returns without parking. Pipelined responses leave in
+// request order through a per-connection reorder buffer: a handler that
+// finishes before an earlier request's leaves its bytes there and
+// returns, and whoever writes that earlier response writes them too, so
+// no task waits on another request. Admission maps jserver jobs
 // with jserver.PriorityOf — the smallest-work-first order of Section
 // 5.1 — and places proxy cache lookups and email operations at the
 // levels their priority specifications prescribe.

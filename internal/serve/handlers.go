@@ -12,80 +12,41 @@ import (
 	"repro/internal/workload"
 )
 
-// handlerFn computes one response body. self is non-nil only for
-// slot-protocol handlers (email print), which receive their own future
-// to install in the coordination slot.
+// handlerFn computes one response body. self is the future of the task
+// running the handler; slot-protocol handlers (email print) install it
+// in the coordination slot.
 type handlerFn func(c *icilk.Ctx, self icilk.Future[int]) (int, string)
 
-// dispatch admits req to a priority class and spawns its handler at that
-// class's level — the network edge of the paper's priority
+// dispatch admits request seq to a priority class and spawns its handler
+// at that class's level — the network edge of the paper's priority
 // specifications. It runs on cn's reader goroutine, where I-Cilk's IO
 // daemon hands a completed read to the scheduler: admission is atomics
 // only, and the steps that need a task (counting the admission,
 // tracking the session) are the handler's first statements.
 //
-// Handlers on one connection run concurrently, but HTTP/1.1 requires
-// pipelined responses to leave in request order, so each handler
-// inherits its predecessor's order token (an icilk future): it computes
-// its response in parallel, touches the token before writing, and
-// completes its own token once its response is on the socket. The
-// tokens are created at the top level, so touching one is never a
-// priority inversion regardless of the two handlers' classes.
-func (s *Server) dispatch(cn *sconn, req *request) {
+// Handlers on one connection run concurrently, each at its own level,
+// and each delivers its response to the connection's reorder buffer and
+// returns (see deliver): HTTP/1.1's response order costs the client its
+// head-of-line wait, but no task ever waits on another request, so a
+// ping pipelined behind a batch job never waits on lower-priority work.
+func (s *Server) dispatch(cn *sconn, seq uint64, req *request) {
 	s.requests.Add(1)
-	cn.unanswered.Add(1)
-	prev := cn.lastWrite
-	token := icilk.NewPromise[int](s.rt, PrioInteractive)
-	cn.lastWrite = token.Future()
-	class, prio, run, self := s.route(req)
+	class, prio, run := s.route(req)
 	cs := s.classes[class]
 	if reason, ok := s.admitOrShed(class, cs); !ok {
-		s.shedResponse(cn, class, prio, reason, prev, token)
+		s.shedResponse(cn, seq, class, prio, reason)
 		return
 	}
 	admitted := time.Now()
 	ddl := s.deadlineFor(class)
 	s.inflight.Add(1)
 	cs.inflight.Add(1)
-	// A slot-protocol handler (email print) runs as its own inner task
-	// so the future it installs in the coordination slot completes as
-	// soon as the print work does. Spanning the response write with that
-	// future would let the slot protocol and the order chain form a
-	// circular wait: print A parks on B's slot handle while B's task end
-	// parks on A's order token.
-	exec := func(c *icilk.Ctx) (int, string) {
-		if !self {
-			return run(c, icilk.Future[int]{})
-		}
-		var status int
-		var text string
-		inner := icilk.GoSelf(s.rt, c, prio, class,
-			func(c *icilk.Ctx, fut icilk.Future[int]) int {
-				status, text = run(c, fut)
-				return 0
-			})
-		inner.Touch(c) // re-panics an inner failure into the recover below
-		return status, text
-	}
-	icilk.Go(s.rt, nil, prio, class, func(c *icilk.Ctx) int {
-		defer func() {
-			// Inflight retires only after the response write: the drain
-			// phase's inflight==0 means every admitted request's bytes
-			// are on (or refused by) its socket, not merely computed.
-			cs.inflight.Add(-1)
-			s.inflight.Add(-1)
-			cn.retire(token)
-		}()
-		// Counted here, not in the reader, so the counter's ceiling check
-		// sees the true accessor priority; the stripe is the running
-		// worker's, so concurrent handlers never contend on it.
-		cs.admitted.Add(c, 1)
-		s.trackSession(c, cn, req)
-		// A panicking handler must still emit a response in its slot,
-		// or every later response on this keep-alive connection would
-		// be attributed to the wrong request. A deadline miss is the
-		// same shape with a different answer: the DeadlineError
-		// re-panicked by the timed-out touch becomes a 503.
+	icilk.GoSelf(s.rt, nil, prio, class, func(c *icilk.Ctx, self icilk.Future[int]) int {
+		// Whatever happens in the handler, the request must get a
+		// response in its place, or every later response on this
+		// keep-alive connection would wait forever. A panic becomes a
+		// 500; a deadline miss, the DeadlineError re-panicked by the
+		// timed-out touch, a 503.
 		status, text := 500, "internal error\n"
 		timedOut := false
 		func() {
@@ -99,10 +60,15 @@ func (s *Server) dispatch(cn *sconn, req *request) {
 					}
 				}
 			}()
+			// Counted here, not in the reader, so the counter's ceiling
+			// check sees the true accessor priority; the stripe is the
+			// running worker's, so concurrent handlers never contend on it.
+			cs.admitted.Add(c, 1)
+			s.trackSession(c, cn, req)
 			if ddl > 0 {
-				status, text = s.execDeadlined(c, prio, class, ddl, admitted, exec)
+				status, text = s.execDeadlined(c, prio, class, ddl, admitted, run)
 			} else {
-				status, text = exec(c)
+				status, text = run(c, self)
 			}
 		}()
 		extra := ""
@@ -110,9 +76,7 @@ func (s *Server) dispatch(cn *sconn, req *request) {
 			cs.timeouts.Add(c, 1)
 			extra = overloadHeaders("deadline")
 		}
-		prev.Touch(c)
-		s.respond(c, cn, prio, prio, class, status, extra, text)
-		token.Complete(0)
+		s.deliver(cn, seq, reply{httpResponse(status, class, prio, extra, text), cs})
 		return 0
 	})
 }
@@ -135,35 +99,21 @@ func (s *Server) admitOrShed(class string, cs *classStats) (reason string, ok bo
 // shedResponse answers a refused admission with a 503 without spawning
 // the handler: the responder is a trivial top-level task (shedding must
 // stay fast precisely when the refused class's queues are longest) that
-// counts the refusal, it takes the refused request's place in the
-// response-order token chain (prev and token), and the response carries
-// the refused class and its true priority so the load generator
-// attributes the shed to the right class. Shed responses do not count
-// as inflight — during drain they are the only admissions, and counting
-// them would hold the drain open.
-func (s *Server) shedResponse(cn *sconn, class string, prio icilk.Priority, reason string, prev icilk.Future[int], token icilk.Promise[int]) {
+// counts the refusal and delivers the response in the refused request's
+// place, carrying the refused class and its true priority so the load
+// generator attributes the shed to the right class. Shed responses do
+// not count as inflight — during drain they are the only admissions,
+// and counting them would hold the drain open.
+func (s *Server) shedResponse(cn *sconn, seq uint64, class string, prio icilk.Priority, reason string) {
 	body := "shed: " + class + " over capacity\n"
 	if reason == "draining" {
 		body = "shutting down\n"
 	}
 	icilk.Go(s.rt, nil, classPrio("error"), "error", func(c *icilk.Ctx) int {
-		defer cn.retire(token)
 		s.classes[class].shed.Add(c, 1)
-		prev.Touch(c)
-		s.respond(c, cn, classPrio("error"), prio, class, 503, overloadHeaders(reason), body)
-		token.Complete(0)
+		s.deliver(cn, seq, reply{data: httpResponse(503, class, prio, overloadHeaders(reason), body)})
 		return 0
 	})
-}
-
-// retire is the last step of the task that answers one of cn's
-// requests, whatever its fate; the backstop completion never strands
-// the successor in the order chain.
-func (cn *sconn) retire(token icilk.Promise[int]) {
-	cn.unanswered.Add(-1)
-	if !token.Resolved() {
-		token.Complete(-1)
-	}
 }
 
 // deadlineFor resolves a class's deadline budget.
@@ -180,14 +130,16 @@ type hres struct {
 	text   string
 }
 
-// execDeadlined runs exec in an inner task racing a FailAfter timer on
+// execDeadlined runs run in an inner task racing a FailAfter timer on
 // an hres promise: whichever resolves first wins, and the loser's
 // resolution is a no-op (first-writer-wins TryComplete / tryFinish). On
 // expiry the touch below re-panics the *DeadlineError into dispatch's
 // recover, which answers 503; the inner task is NOT preempted — it runs
 // to completion and finds its TryComplete returning false. A request
 // that already overspent its budget in the admission queue panics the
-// same DeadlineError without spawning the inner task at all.
+// same DeadlineError without spawning the inner task at all. The inner
+// task passes its own future to run as self, so an email print's slot
+// handle completes when the print work does, even after a 503.
 //
 // The deadline is the early answer, not the enforcement. It is a clock
 // entry of the runtime, fired at the first task boundary or Checkpoint
@@ -200,14 +152,14 @@ type hres struct {
 // time and fails the promise itself when the work finished late: that
 // re-check is the backstop for work that never reaches a boundary, and
 // a deadline miss is answered 503 whichever racer resolves first.
-func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, ddl time.Duration, admitted time.Time, exec func(*icilk.Ctx) (int, string)) (int, string) {
+func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, ddl time.Duration, admitted time.Time, run handlerFn) (int, string) {
 	remaining := ddl - time.Since(admitted)
 	if remaining <= 0 {
 		panic(&icilk.DeadlineError{After: ddl, Prio: prio})
 	}
 	pr := icilk.NewPromiseIn[hres](c, prio)
 	cancel := pr.FailAfter(remaining)
-	icilk.Go(s.rt, c, prio, class, func(c *icilk.Ctx) int {
+	icilk.GoSelf(s.rt, c, prio, class, func(c *icilk.Ctx, self icilk.Future[int]) int {
 		st, tx := 500, "internal error\n"
 		func() {
 			defer func() {
@@ -215,7 +167,7 @@ func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, 
 					st, tx = 500, fmt.Sprintf("handler panic: %v\n", r)
 				}
 			}()
-			st, tx = exec(c)
+			st, tx = run(c, self)
 		}()
 		if time.Since(admitted) > ddl {
 			// Finished, but past the budget: the miss stands even if the
@@ -237,11 +189,11 @@ func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, 
 // smallest-work-first order of Section 5.1 — unchanged, because the
 // serving runtime's four levels are the same four levels the simulated
 // job server uses.
-func (s *Server) route(req *request) (string, icilk.Priority, handlerFn, bool) {
-	fail := func(status int, msg string) (string, icilk.Priority, handlerFn, bool) {
+func (s *Server) route(req *request) (string, icilk.Priority, handlerFn) {
+	fail := func(status int, msg string) (string, icilk.Priority, handlerFn) {
 		return "error", classPrio("error"), func(*icilk.Ctx, icilk.Future[int]) (int, string) {
 			return status, msg
-		}, false
+		}
 	}
 	if req.method != "GET" {
 		return fail(405, fmt.Sprintf("method %s not allowed\n", req.method))
@@ -250,12 +202,12 @@ func (s *Server) route(req *request) (string, icilk.Priority, handlerFn, bool) {
 	case "/ping":
 		return "ping", classPrio("ping"), func(*icilk.Ctx, icilk.Future[int]) (int, string) {
 			return 200, "pong\n"
-		}, false
+		}
 
 	case "/stats":
 		return "stats", classPrio("stats"), func(c *icilk.Ctx, _ icilk.Future[int]) (int, string) {
 			return 200, s.statsBody(c)
-		}, false
+		}
 
 	case "/jserver":
 		jt, ok := jobType(req.query.Get("job"))
@@ -269,7 +221,7 @@ func (s *Server) route(req *request) (string, icilk.Priority, handlerFn, bool) {
 			start := time.Now()
 			s.jobs.Exec(s.rt, c, prio, jt)
 			return 200, fmt.Sprintf("%s done in %v\n", jt, time.Since(start).Round(time.Microsecond))
-		}, false
+		}
 
 	case "/proxy":
 		url := req.query.Get("url")
@@ -294,7 +246,7 @@ func (s *Server) route(req *request) (string, icilk.Priority, handlerFn, bool) {
 				return len(s.proxy.Fetch(s.rt, c, fetchPrio, url))
 			})
 			return 202, "miss: fetch scheduled\n"
-		}, false
+		}
 
 	case "/email":
 		user := atoiDefault(req.query.Get("user"), 0)
@@ -303,18 +255,18 @@ func (s *Server) route(req *request) (string, icilk.Priority, handlerFn, bool) {
 			return "email-send", classPrio("email-send"), func(c *icilk.Ctx, _ icilk.Future[int]) (int, string) {
 				s.email.Send(c, user)
 				return 200, "sent\n"
-			}, false
+			}
 		case "sort":
 			return "email-sort", classPrio("email-sort"), func(c *icilk.Ctx, _ icilk.Future[int]) (int, string) {
 				s.email.Sort(c, user)
 				return 200, "sorted\n"
-			}, false
+			}
 		case "print":
 			eid := atoiDefault(req.query.Get("id"), 0)
 			return "email-print", classPrio("email-print"), func(c *icilk.Ctx, self icilk.Future[int]) (int, string) {
 				s.email.Print(c, user, eid, self)
 				return 200, "printed\n"
-			}, true
+			}
 		default:
 			return fail(400, fmt.Sprintf("unknown op %q: want send, sort, or print\n", op))
 		}

@@ -135,27 +135,6 @@ func parseRequest(tp *textproto.Reader, br *bufio.Reader, lim *headLimiter) (*re
 	return &request{method: method, path: u.Path, query: u.Query()}, nil
 }
 
-func statusText(code int) string {
-	switch code {
-	case 200:
-		return "OK"
-	case 202:
-		return "Accepted"
-	case 400:
-		return "Bad Request"
-	case 404:
-		return "Not Found"
-	case 405:
-		return "Method Not Allowed"
-	case 431:
-		return "Request Header Fields Too Large"
-	case 503:
-		return "Service Unavailable"
-	default:
-		return "Internal Server Error"
-	}
-}
-
 // overloadHeaders marks a 503 with its reason and a retry hint. The
 // X-Overload value ("shed", "deadline", "conns", "draining") lets the
 // load generator count refusals per cause instead of folding them into
@@ -172,7 +151,7 @@ func overloadHeaders(reason string) string {
 func httpResponse(status int, class string, prio icilk.Priority, extra, body string) []byte {
 	var b strings.Builder
 	b.Grow(len(body) + len(extra) + 128)
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, statusText(status))
+	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, http.StatusText(status))
 	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(body))
 	fmt.Fprintf(&b, "Content-Type: text/plain\r\n")
 	fmt.Fprintf(&b, "X-Class: %s\r\n", class)

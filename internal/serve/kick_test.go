@@ -143,7 +143,7 @@ func TestKicksNeverTearRequests(t *testing.T) {
 	for _, p := range paths {
 		trickle(t, conn, fmt.Sprintf("GET %s HTTP/1.1\r\nHost: t\r\n\r\n", p))
 	}
-	// The kernels hold level 0, where the sw job, and so the order chain
+	// The kernels hold level 0, where the sw job, and so the responses
 	// behind it, would wait for them.
 	stop()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))

@@ -165,10 +165,10 @@ func TestServeLoadgen(t *testing.T) {
 
 // TestPipelinedSlotPrints pipelines prints that all target the same
 // mailbox slot. The slot protocol makes each print task touch the
-// previous print's future, so this is the shape that would deadlock if
-// the slot handle's lifetime were coupled to the response-order chain
-// (print A waiting on B's handle while B's task end waits on A's order
-// token); the handlers must all complete and answer in order instead.
+// previous print's future — the future of the task running its handler
+// — so this is the shape that would deadlock if finishing that task
+// waited on another request's response; the handlers must all complete
+// and answer in order instead.
 func TestPipelinedSlotPrints(t *testing.T) {
 	s := testServer(t, Config{})
 	cl := dialTest(t, s.Addr())
@@ -195,8 +195,8 @@ func TestPipelinedSlotPrints(t *testing.T) {
 // TestPipelinedRequests checks HTTP/1.1 response ordering: a burst of
 // pipelined requests alternating slow low-priority jobs with fast
 // high-priority pings must produce responses in request order, even
-// though the handlers execute concurrently at different levels (each
-// handler waits on its predecessor's order token before writing).
+// though the handlers execute concurrently at different levels (a
+// response that finishes early waits in the reorder buffer).
 func TestPipelinedRequests(t *testing.T) {
 	s := testServer(t, Config{})
 	cl := dialTest(t, s.Addr())
@@ -223,6 +223,94 @@ func TestPipelinedRequests(t *testing.T) {
 		}
 		if resp.class != wantClass {
 			t.Fatalf("response %d out of order: got class %q, want %q", i, resp.class, wantClass)
+		}
+	}
+}
+
+// TestPipelinedPingNeverWaitsOnBatch pipelines a level-0 sw job and then
+// a level-3 /ping on one connection while the sw handler is held
+// mid-flight: a test task holds the session shard lock the sw request
+// needs. The ping's handler task must finish anyway, its response left
+// in the reorder buffer and nothing written; once the sw handler is let
+// go, both responses arrive in request order.
+func TestPipelinedPingNeverWaitsOnBatch(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	// One session key from each of two shards: the sw request's, whose
+	// shard the test locks, and the ping's.
+	var keys []string
+	seeded := icilk.Go(s.rt, nil, PrioInteractive, "seed", func(c *icilk.Ctx) int {
+		for i := 0; i < 32; i++ {
+			k := fmt.Sprintf("k%d", i)
+			s.sess.Update(c, k, func(m map[string]*session) { m[k] = &session{} })
+		}
+		s.sess.Range(c, func(m map[string]*session) {
+			for k := range m {
+				keys = append(keys, k)
+				break
+			}
+		})
+		return 0
+	})
+	if _, err := icilk.Await(seeded, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) < 2 {
+		t.Fatalf("32 keys landed in %d shard(s), want ≥ 2", len(keys))
+	}
+	release := icilk.NewPromise[int](s.rt, PrioInteractive)
+	held := make(chan struct{})
+	holder := icilk.Go(s.rt, nil, PrioInteractive, "hold", func(c *icilk.Ctx) int {
+		s.sess.Update(c, keys[0], func(map[string]*session) {
+			close(held)
+			release.Future().Touch(c)
+		})
+		return 0
+	})
+	<-held
+
+	cl := dialTest(t, s.Addr())
+	if _, err := fmt.Fprintf(cl.conn, "GET /jserver?job=sw&sid=%s HTTP/1.1\r\nHost: t\r\n\r\n"+
+		"GET /ping?sid=%s HTTP/1.1\r\nHost: t\r\n\r\n", keys[0], keys[1]); err != nil {
+		t.Fatal(err)
+	}
+	// Once the ping's handler task has finished, the holder, its promise
+	// and the held sw handler are all that is outstanding.
+	var cn *sconn
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the ping's handler never finished beside the held sw handler (%d outstanding)", s.rt.Outstanding())
+		}
+		if cn == nil {
+			s.connMu.Lock()
+			for c := range s.conns {
+				cn = c
+			}
+			s.connMu.Unlock()
+			continue
+		}
+		cn.mu.Lock()
+		_, buffered := cn.pending[1]
+		next := cn.next
+		cn.mu.Unlock()
+		if next != 0 {
+			t.Fatal("a response was written while the sw handler was held")
+		}
+		if buffered && s.rt.Outstanding() == 3 {
+			break
+		}
+	}
+	release.Complete(0)
+	if _, err := icilk.Await(holder, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cl.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	for i, want := range []string{"jserver-sw", "ping"} {
+		resp, err := readResponse(cl.br)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.status != 200 || resp.class != want {
+			t.Fatalf("response %d = %d class %q, want 200 %q", i, resp.status, resp.class, want)
 		}
 	}
 }

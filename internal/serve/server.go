@@ -227,7 +227,7 @@ func (c Config) withDefaults() Config {
 // task — while all request handling, including the response write
 // whenever the socket takes it without blocking, runs as prioritized
 // icilk tasks. Only a write the kernel will not take at once is handed
-// to a goroutine (see respond). A reader parked in Go's netpoller is
+// to a goroutine (see send). A reader parked in Go's netpoller is
 // woken by the workers themselves when they are too busy for Go to poll
 // (see kicker), so readiness reaches the scheduler at a task boundary.
 type Server struct {
@@ -243,6 +243,9 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[*sconn]struct{}
 	connWG sync.WaitGroup
+	// writers counts the fallback writer goroutines (see send); Shutdown
+	// waits for them once no task is left to start one.
+	writers sync.WaitGroup
 
 	accepted  atomic.Int64
 	requests  atomic.Int64
@@ -319,7 +322,8 @@ const maxResponseCache = 4096
 const maxSessions = 4096
 
 // sconn is one accepted connection: its reader goroutine parses each
-// request and dispatches its handler task.
+// request and dispatches its handler task, and its reorder buffer puts
+// the responses back in request order.
 type sconn struct {
 	c net.Conn
 	// raw is c's file descriptor handle for the handler-side direct
@@ -333,38 +337,34 @@ type sconn struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// lastWrite is the response-order chain: the future that completes
-	// when the most recently dispatched request's response has been
-	// written. Only the reader reads and replaces it, so it needs no
-	// lock. The chain also means at most one response write per
-	// connection is ever in flight — direct or fallback — so writes need
-	// no per-conn lock.
-	lastWrite icilk.Future[int]
-
-	// unanswered counts the connection's dispatched requests whose
-	// handler or shed responder has not yet retired; the reader drops a
-	// connection that would push it past maxPipelined.
-	unanswered atomic.Int64
-
 	// reading is set while the reader is in (or entering) a socket
 	// Read; the kicker clears it when it kicks that Read.
 	reading atomic.Bool
 
-	// wstate arbitrates the socket's write side between that chain and
-	// the reader's parting answer to a malformed request: respond holds
-	// it busy from its first byte to its last (across a fallback write),
-	// and the reader writes only if it can move it from idle to closing,
-	// after which respond writes nothing more. So the reader never queues
-	// behind a stalled fallback write, and its 400 never lands inside a
-	// response.
-	wstate atomic.Int32
+	// The reorder buffer. HTTP/1.1 sends pipelined responses in request
+	// order, but a connection's handlers run concurrently at their own
+	// levels and finish in any order. The reader numbers the requests
+	// from 0; response next is the one the socket expects, and whoever
+	// delivers it owns the write side until it has written it and every
+	// consecutive response already waiting in pending (see deliver). So
+	// at most one write is in flight, no task ever waits for another
+	// request's response, and seq − next is the count of dispatched
+	// requests still unanswered. closed ends all writing: the
+	// connection was dropped, or the reader sent its parting 400, which
+	// it does only when nothing is owed — so it never queues behind a
+	// stalled write or lands inside a response.
+	mu      sync.Mutex
+	next    uint64
+	pending map[uint64]reply // allocated when a response first finishes early
+	closed  bool
 }
 
-const (
-	wIdle int32 = iota
-	wBusy
-	wClosing
-)
+// reply is one encoded response, with the class whose inflight counts
+// it retires (nil for a shed response, which never counted).
+type reply struct {
+	data []byte
+	cs   *classStats
+}
 
 // Start listens on cfg.Addr and begins serving.
 func Start(cfg Config) (*Server, error) {
@@ -453,7 +453,7 @@ func (s *Server) acceptor() {
 		}
 		s.accepted.Add(1)
 		c = s.cfg.Faults.WrapConn(c) // no-op when chaos is off (nil Faults)
-		cn := &sconn{c: c, lastWrite: icilk.Completed(PrioInteractive, 0)}
+		cn := &sconn{c: c}
 		if sc, ok := c.(syscall.Conn); ok {
 			cn.raw, _ = sc.SyscallConn() // nil on error: fallback path only
 		}
@@ -497,27 +497,36 @@ func (s *Server) reader(cn *sconn) {
 	br := bufio.NewReader(lim)
 	tp := textproto.NewReader(br)
 	idle, header := s.cfg.IdleTimeout, s.cfg.ReadHeaderTimeout
-	for {
+	for seq := uint64(0); ; seq++ {
 		req, err := s.readOne(sr, tp, br, lim, idle, header)
 		if err != nil {
 			// A malformed request gets its answer before the drop, unless
-			// a response is mid-write; the stream past it is unframed, so
-			// the connection cannot live on either way. IO errors (EOF,
-			// deadline, reset) get none.
+			// an earlier response is still owed; the stream past it is
+			// unframed, so the connection cannot live on either way. IO
+			// errors (EOF, deadline, reset) get none.
 			var re *reqError
-			if errors.As(err, &re) && cn.wstate.CompareAndSwap(wIdle, wClosing) {
-				cn.writeBestEffort(httpResponse(re.status, "error", classPrio("error"), "", re.msg+"\n"))
+			if errors.As(err, &re) {
+				cn.mu.Lock()
+				quiet := !cn.closed && cn.next == seq
+				cn.closed = true
+				cn.mu.Unlock()
+				if quiet {
+					cn.writeBestEffort(httpResponse(re.status, "error", classPrio("error"), "", re.msg+"\n"))
+				}
 			}
 			s.dropConn(cn)
 			return
 		}
-		if cn.unanswered.Load() >= maxPipelined {
+		cn.mu.Lock()
+		owed := seq - cn.next
+		cn.mu.Unlock()
+		if owed >= maxPipelined {
 			// Pipelining far beyond anything a real client does: treat
 			// it as abuse rather than spawning unbounded work.
 			s.dropConn(cn)
 			return
 		}
-		s.dispatch(cn, req)
+		s.dispatch(cn, seq, req)
 	}
 }
 
@@ -578,11 +587,20 @@ func (sr *sockReader) Read(p []byte) (int, error) {
 
 // dropConn tears down one connection. It is idempotent — reader-error
 // teardown, write failure, and Shutdown's force-close may all call it —
-// and only the first Close's error is recorded on the sconn.
+// and only the first Close's error is recorded on the sconn. The
+// responses waiting in the reorder buffer retire unwritten.
 func (s *Server) dropConn(cn *sconn) {
 	cn.closeOnce.Do(func() {
 		s.kicks.remove(cn)
 		cn.closeErr = cn.c.Close()
+		cn.mu.Lock()
+		cn.closed = true
+		pending := cn.pending
+		cn.pending = nil
+		cn.mu.Unlock()
+		for _, r := range pending {
+			s.retire(r, false)
+		}
 		s.connMu.Lock()
 		delete(s.conns, cn)
 		s.connMu.Unlock()
@@ -590,51 +608,99 @@ func (s *Server) dropConn(cn *sconn) {
 	})
 }
 
-// respond ships one response. The handler task first offers the bytes
-// to the socket itself: one non-blocking write(2) through the
-// connection's RawConn, which on a keep-alive connection with room in
-// its send buffer — every small response — takes all of them, and the
-// task carries on without a park, a goroutine or a wake. Only what the
-// kernel would not take at once (a response larger than the send
-// buffer, a client that is not reading) or a connection that is not a
-// raw socket (the -chaos wrapper) goes to a writer goroutine, and the
-// task parks on that write's promise, freeing its worker; a worker is
-// never blocked in the netpoller either way. prio is the calling task's
-// priority (the write promise's level); hdrPrio is the priority
-// advertised in X-Priority — they differ only for shed responses, whose
-// top-level responder reports the refused class's true level.
-func (s *Server) respond(c *icilk.Ctx, cn *sconn, prio, hdrPrio icilk.Priority, class string, status int, extra, body string) {
-	data := httpResponse(status, class, hdrPrio, extra, body)
-	if !cn.wstate.CompareAndSwap(wIdle, wBusy) {
-		// The reader is answering a malformed request and dropping the
-		// connection; this response has nowhere to go.
-		s.writeErrs.Add(1)
-		return
-	}
-	n, err := cn.writeNow(data)
+// deliver hands over the encoded response to request seq; every
+// dispatched request is delivered exactly once, by its handler task or
+// its shed responder, which then returns. It never waits: the response
+// is sent now if it is the one the socket expects next, and otherwise
+// left in the reorder buffer for whoever sends its predecessor.
+//
+// Invariant: each request retires exactly once — its inflight count,
+// its class's inflight count, and its place in seq − next — when its
+// bytes are written, or when the connection is dropped: dropConn
+// retires what the buffer holds then, and a response delivered after
+// the drop retires here, unwritten.
+func (s *Server) deliver(cn *sconn, seq uint64, r reply) {
+	cn.mu.Lock()
 	switch {
-	case err != nil:
-		s.dropConn(cn)
-		s.writeErrs.Add(1)
-		return
-	case n == len(data):
-		cn.wstate.Store(wIdle)
-		s.writesDirect.Add(1)
-		return
+	case cn.closed:
+		cn.mu.Unlock()
+		s.retire(r, false)
+	case seq != cn.next:
+		if cn.pending == nil {
+			cn.pending = map[uint64]reply{}
+		}
+		cn.pending[seq] = r
+		cn.mu.Unlock()
+	default:
+		cn.mu.Unlock()
+		s.send(cn, r)
 	}
-	s.writesFallback.Add(1)
-	pr := icilk.NewPromiseIn[bool](c, prio)
-	go s.writeRest(cn, data[n:], pr)
-	if !pr.Future().Touch(c) {
+}
+
+// send writes r, the response the socket expects next, and then every
+// consecutive response ready behind it; the caller owns the write side.
+// Each response is first offered to the socket in one non-blocking
+// write(2) through the connection's RawConn, which on a keep-alive
+// connection with room in its send buffer — every small response —
+// takes all of it, so the task carries on without a park, a goroutine
+// or a wake. What the kernel will not take at once (a response larger
+// than the send buffer, a client that is not reading) or a connection
+// that is not a raw socket (the -chaos wrapper) goes to a writer
+// goroutine, which takes the write side over; a worker never blocks in
+// the netpoller either way.
+func (s *Server) send(cn *sconn, r reply) {
+	for more := true; more; {
+		n, err := cn.writeNow(r.data)
+		if err == nil && n < len(r.data) {
+			s.writesFallback.Add(1)
+			s.writers.Add(1)
+			go s.writeRest(cn, r, n)
+			return
+		}
+		if err == nil {
+			s.writesDirect.Add(1)
+		}
+		r, more = s.wrote(cn, r, err == nil)
+	}
+}
+
+// wrote retires r once its write has ended (ok: every byte is on the
+// socket; otherwise the connection is dropped) and passes the write
+// side on: back to the caller with the next response if it is ready,
+// else to whoever delivers that response.
+func (s *Server) wrote(cn *sconn, r reply, ok bool) (reply, bool) {
+	if !ok {
+		s.dropConn(cn)
+	}
+	s.retire(r, ok)
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	cn.next++
+	r, found := cn.pending[cn.next]
+	if !found || cn.closed {
+		return reply{}, false
+	}
+	delete(cn.pending, cn.next)
+	return r, true
+}
+
+// retire takes one answered request off the drain's count; written
+// reports whether its response reached the socket.
+func (s *Server) retire(r reply, written bool) {
+	if !written {
 		s.writeErrs.Add(1)
+	}
+	if r.cs != nil {
+		r.cs.inflight.Add(-1)
+		s.inflight.Add(-1)
 	}
 }
 
 // writeBestEffort answers a connection that is about to be dropped (a
-// malformed request). The caller holds wstate at closing, so no response
-// write is in flight or will start: a raw socket gets whatever one
-// non-blocking write takes, a wrapped connection a bounded blocking
-// write.
+// malformed request). The caller closed the write side while nothing
+// was owed, so no response write is in flight or will start: a raw
+// socket gets whatever one non-blocking write takes, a wrapped
+// connection a bounded blocking write.
 func (cn *sconn) writeBestEffort(data []byte) {
 	if cn.raw != nil {
 		cn.writeNow(data)
@@ -646,22 +712,21 @@ func (cn *sconn) writeBestEffort(data []byte) {
 
 // writeStall bounds one fallback write: a client that reads nothing for
 // this long is treated as dead and its connection dropped, rather than
-// holding its writer goroutine (and the handler parked on the write
-// promise) forever.
+// holding its writer goroutine (and every response behind it) forever.
 const writeStall = 30 * time.Second
 
 // writeRest is the fallback writer: it blocks (in the netpoller, on its
-// own goroutine) until the rest of a response is on the socket, then
-// completes the promise its handler is parked on with whether it got
-// there. A failed or stalled write means the byte stream is dead or
-// desynced, so the connection is dropped, which unblocks its reader.
-func (s *Server) writeRest(cn *sconn, rest []byte, pr icilk.Promise[bool]) {
+// own goroutine) until r's bytes from n on are on the socket, then sends
+// the responses that became ready meanwhile. A failed or stalled write
+// means the byte stream is dead or desynced, so the connection is
+// dropped, which unblocks its reader.
+func (s *Server) writeRest(cn *sconn, r reply, n int) {
+	defer s.writers.Done()
 	ok := true
-	// Chaos hooks perturb the completion side of the write promise: a
-	// delay holds the handler parked past the bytes landing, and an
-	// injected failure reports the write dead (dropping the connection)
-	// exactly as a failed socket write would — the promise still
-	// resolves exactly once either way.
+	// Chaos hooks perturb the write's completion: a delay holds the
+	// responses behind it past the bytes landing, and an injected
+	// failure reports the write dead (dropping the connection) exactly
+	// as a failed socket write would.
 	if fl := s.cfg.Faults; fl != nil {
 		if d := fl.CompleteDelay(); d > 0 {
 			time.Sleep(d)
@@ -670,17 +735,15 @@ func (s *Server) writeRest(cn *sconn, rest []byte, pr icilk.Promise[bool]) {
 	}
 	if ok {
 		cn.c.SetWriteDeadline(time.Now().Add(writeStall))
-		_, err := cn.c.Write(rest)
+		_, err := cn.c.Write(r.data[n:])
 		// Clear the deadline: left armed it would expire during a quiet
 		// spell and fail the connection's next direct write.
 		cn.c.SetWriteDeadline(time.Time{})
 		ok = err == nil
 	}
-	if !ok {
-		s.dropConn(cn)
+	if r, more := s.wrote(cn, r, ok); more {
+		s.send(cn, r)
 	}
-	cn.wstate.Store(wIdle)
-	pr.Complete(ok)
 }
 
 // trackSession updates the session store for one admitted request. The
@@ -748,11 +811,10 @@ func (s *Server) storeResponse(c *icilk.Ctx, key, body string) {
 // and give already-admitted requests up to DrainTimeout to get their
 // responses onto their sockets. Phase two (force): close every
 // remaining connection (idempotent against racing reader teardowns),
-// then run the established wind-down — readers exit and the runtime
-// drains (a fallback write in flight is an outstanding promise, so the
-// drain covers writers too). A clean drain means no in-flight request is
-// ever cut off mid-response; the timeout bounds how long a stuck client
-// can hold the process.
+// then run the established wind-down — readers exit, the runtime
+// drains, and the fallback writers, whose sockets are closed, finish. A
+// clean drain means no in-flight request is ever cut off mid-response;
+// the timeout bounds how long a stuck client can hold the process.
 func (s *Server) Shutdown() error {
 	if s.shutdown.Swap(true) {
 		return nil
@@ -774,6 +836,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.connWG.Wait()
 	err := s.rt.WaitIdle(30 * time.Second)
+	s.writers.Wait()
 	s.rt.Shutdown()
 	s.rt.SetBoundaryPoll(nil)
 	s.kicks.close()
