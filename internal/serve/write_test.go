@@ -49,7 +49,7 @@ func awaitFallback(t *testing.T, s *Server) {
 // TestLargeResponseTakesFallbackIntact drives the slow half of respond:
 // a response far larger than a loopback socket's buffers, to a client
 // that starts reading late, cannot go out in one non-blocking write, so
-// the handler hands the unwritten rest to a writer goroutine and parks.
+// the handler hands the unwritten rest to a writer goroutine and returns.
 // The body must arrive intact and exactly once, and the pipelined /ping
 // behind it must be answered after it — its response waits in the
 // reorder buffer until the fallback writer has finished and sends it.
