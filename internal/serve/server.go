@@ -348,8 +348,8 @@ type sconn struct {
 	// delivers it owns the write side until it has written it and every
 	// consecutive response already waiting in pending (see deliver). So
 	// at most one write is in flight, no task ever waits for another
-	// request's response, and seq − next is the count of dispatched
-	// requests still unanswered. closed ends all writing: the
+	// request's response, and seq − next counts the dispatched requests
+	// whose responses are still owed. closed ends all writing: the
 	// connection was dropped, or the reader sent its parting 400, which
 	// it does only when nothing is owed — so it never queues behind a
 	// stalled write or lands inside a response.
@@ -530,7 +530,8 @@ func (s *Server) reader(cn *sconn) {
 	}
 }
 
-// maxPipelined caps a connection's dispatched but unanswered requests.
+// maxPipelined caps a connection's dispatched requests whose responses
+// are still owed.
 const maxPipelined = 256
 
 // readOne reads one request under the anti-slowloris discipline: wait up

@@ -143,7 +143,7 @@ func TestMalformedBehindStalledWrite(t *testing.T) {
 // TestPipeliningCapDropsConnection pipelines maxPipelined+1 pings behind
 // a large response the client is not reading. Each ping is dispatched at
 // once and its response waits in the reorder buffer, so only the cap on
-// a connection's unanswered requests stops a client from spawning and
+// a connection's owed responses stops a client from spawning and
 // buffering without bound: the reader must drop the connection, and
 // every task, promise and inflight count dispatched for it must still
 // retire.
