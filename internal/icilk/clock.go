@@ -11,13 +11,14 @@ import (
 // never is the head deadline of a clock with nothing armed.
 const never = math.MaxInt64
 
-// clock is the runtime's one source of deadlines. IO completions and
-// FailAfter expiries are entries of a min-heap ordered by due time, and
-// the workers fire due entries themselves: after every task in
-// worker.run, in next() before parking, and at the top of Checkpoint. A
-// 100 µs IO therefore completes within one task's length of its due
-// time, instead of on the Go timer's ~1 ms tick, which is how a Go
-// process whose spare Ps sleep in epoll_wait serves a short timer.
+// clock is the runtime's one source of deadlines. Each AfterFunc
+// callback, IO completions included, is an entry of a min-heap ordered
+// by due time, and the workers fire due entries themselves: after every
+// task in worker.run, in next() before parking, and at the top of
+// Checkpoint. A 100 µs IO therefore completes within one task's length
+// of its due time, instead of on the Go timer's ~1 ms tick, which is
+// how a Go process whose spare Ps sleep in epoll_wait serves a short
+// timer.
 //
 // head mirrors the earliest deadline, so a worker's check costs one
 // atomic load when nothing is armed. One fallback Go timer, armed at the
@@ -37,42 +38,74 @@ type clock struct {
 	noFallback bool        // tests: only workers fire entries
 }
 
-// clockEntry is one armed deadline: when it is due it resolves f, with
-// val()'s result for an IO and with err for a FailAfter. Whoever pops it
-// from the heap fires it, so it fires at most once.
+// clockEntry is one armed callback: when it is due, fn runs. Whoever
+// pops it from the heap — a firing worker, the fallback timer or a
+// cancel — owns it, so fn runs at most once, and never after a cancel
+// that removed it.
 type clockEntry struct {
 	when int64
 	idx  int // heap index; -1 once popped or cancelled
-	f    *future
-	val  func() any
-	err  error
+	fn   func()
 }
 
 func (c *clock) now() int64 { return int64(time.Since(c.epoch)) }
 
-// arm schedules e to fire d from now. A non-positive d makes it due at
-// once; it still fires on a worker or the fallback timer, never on the
-// caller.
-func (rt *Runtime) arm(e *clockEntry, d time.Duration) {
+// AfterFunc arms fn to run once d has passed, and returns the cancel
+// that disarms it. fn runs outside any task, on the first worker to
+// pass a task boundary, park or Checkpoint after the due time, or on
+// the clock's fallback timer when every worker is parked or the
+// runtime is shut down: a device completion, not a task. It gets no
+// Ctx, so what it spawns starts at its own priority and inherits no
+// boost from the task whose Checkpoint fired it. fn must not block and
+// must not panic; it runs on a worker's stack between tasks.
+//
+// An armed entry counts as outstanding until it is cancelled or fn has
+// returned, so WaitIdle waits for it, and a task fn spawns is counted
+// before the entry stops counting. cancel removes the entry if it has
+// not been popped to fire; a cancel after firing, or a second cancel,
+// does nothing. A cancel that races the firing does not wait for fn, so
+// a caller that must know who went first keeps its own
+// first-writer-wins flag.
+func (rt *Runtime) AfterFunc(d time.Duration, fn func()) (cancel func()) {
+	e := rt.arm(d, fn)
+	return func() { rt.cancelEntry(e) }
+}
+
+// arm is AfterFunc without the cancel closure, for IO, which never
+// cancels. A non-positive d makes the entry due at once; it still fires
+// on a worker or the fallback timer, never on the caller.
+func (rt *Runtime) arm(d time.Duration, fn func()) *clockEntry {
 	c := &rt.clock
-	e.when = c.now() + int64(d)
+	e := &clockEntry{when: c.now() + int64(d), fn: fn}
+	rt.outstanding.Add(1)
 	c.mu.Lock()
 	heap.Push(&c.heap, e)
 	c.head.Store(c.heap[0].when)
 	rt.armFallback()
 	c.mu.Unlock()
+	return e
 }
 
-// cancelEntry removes e if it has not fired. The fallback timer is left
+// cancelEntry removes e if it has not fired, retiring its outstanding
+// count. A cancel that empties the heap stops the fallback timer, so a
+// runtime with nothing armed holds no timer; otherwise the timer is left
 // alone: if it was armed for e it fires, finds nothing due and re-arms
 // at the new head.
 func (rt *Runtime) cancelEntry(e *clockEntry) {
 	c := &rt.clock
 	c.mu.Lock()
-	if e.idx >= 0 {
+	armed := e.idx >= 0
+	if armed {
 		c.remove(e.idx)
+		if len(c.heap) == 0 && c.fallback != nil {
+			c.fallback.Stop()
+			c.fallbackAt = never
+		}
 	}
 	c.mu.Unlock()
+	if armed {
+		rt.taskDone()
+	}
 }
 
 // pollClock fires every due entry: the workers' check at task
@@ -104,25 +137,12 @@ func (rt *Runtime) fireDue(now int64) {
 	}
 }
 
-// fire resolves e's future. An IO result that panics fails the IO's own
-// future; the task whose boundary or Checkpoint ran it carries on.
+// fire runs e's callback and then retires its outstanding count, so
+// whatever the callback spawns is counted before the entry stops
+// counting.
 func (rt *Runtime) fire(e *clockEntry) {
-	v, err := e.result()
-	if e.f.tryFinish(v, err) {
-		rt.taskDone()
-	}
-}
-
-func (e *clockEntry) result() (v any, err error) {
-	if e.val == nil {
-		return nil, e.err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = panicError("IO result", r)
-		}
-	}()
-	return e.val(), nil
+	e.fn()
+	rt.taskDone()
 }
 
 // armFallback moves the fallback timer to the head if the head is
@@ -143,7 +163,8 @@ func (rt *Runtime) armFallback() {
 
 // fallbackFired is the fallback timer's callback: fire what is due,
 // then re-arm at whatever is left. It keeps running after Shutdown, so
-// an IO armed before Shutdown still resolves for an external Await.
+// an entry armed before Shutdown still fires: an IO still resolves for
+// an external Await.
 func (rt *Runtime) fallbackFired() {
 	c := &rt.clock
 	c.mu.Lock()

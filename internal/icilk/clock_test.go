@@ -177,14 +177,15 @@ func TestClockCheckpointFiresDueEntry(t *testing.T) {
 	}
 }
 
-// A cancelled FailAfter never fires and leaves the heap empty. Arm and
-// cancel run inside one task on the only worker, so no boundary falls
-// between them even though the deadline is due at once.
-func TestClockCancelledFailAfterNeverFires(t *testing.T) {
+// A cancelled AfterFunc never fires, leaves the heap empty and retires
+// its outstanding count. Arm and cancel run inside one task on the only
+// worker, so no boundary falls between them even though the entry is
+// due at once.
+func TestClockCancelledAfterFuncNeverFires(t *testing.T) {
 	rt := workerClockRuntime(t, Config{Workers: 1, Levels: 1})
-	pr := NewPromise[int](rt, 0)
+	var fired atomic.Bool
 	if _, err := Await(Go(rt, nil, 0, "arm+cancel", func(c *Ctx) int {
-		cancel := pr.FailAfter(0)
+		cancel := rt.AfterFunc(0, func() { fired.Store(true) })
 		cancel()
 		c.Checkpoint()
 		return 0
@@ -199,8 +200,8 @@ func TestClockCancelledFailAfterNeverFires(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pr.Resolved() {
-		t.Fatal("a cancelled FailAfter fired")
+	if fired.Load() {
+		t.Fatal("a cancelled AfterFunc fired")
 	}
 	if n := clockLen(rt); n != 0 {
 		t.Fatalf("%d entries left after cancel, want 0", n)
@@ -208,9 +209,73 @@ func TestClockCancelledFailAfterNeverFires(t *testing.T) {
 	if h := rt.clock.head.Load(); h != never {
 		t.Fatalf("head = %d after cancel, want never", h)
 	}
-	pr.Complete(1)
 	if err := rt.WaitIdle(10 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An AfterFunc callback runs at the first task boundary after it falls
+// due, on the worker and outside any task; until then the entry counts
+// as outstanding, so WaitIdle waits for it.
+func TestAfterFuncFiresAtBoundary(t *testing.T) {
+	rt := workerClockRuntime(t, Config{Workers: 1, Levels: 1})
+	var fired atomic.Bool
+	arm := Go(rt, nil, 0, "arm", func(c *Ctx) Future[bool] {
+		rt.AfterFunc(0, func() { fired.Store(true) })
+		if n := rt.Outstanding(); n != 2 {
+			t.Errorf("outstanding = %d with the arming task running and its entry armed, want 2", n)
+		}
+		for start := time.Now(); time.Since(start) < time.Millisecond; {
+			// Hold the only worker past the due time.
+		}
+		if fired.Load() {
+			t.Error("a due AfterFunc fired before its worker reached a boundary")
+		}
+		return Go(rt, c, 0, "next", func(*Ctx) bool { return fired.Load() })
+	})
+	next, err := Await(arm, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := Await(next, 10*time.Second); err != nil || !done {
+		t.Fatalf("the next task saw the callback run = %v (err %v), want true", done, err)
+	}
+	if err := rt.WaitIdle(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.Outstanding(); n != 0 {
+		t.Errorf("outstanding = %d after the callback ran, want 0", n)
+	}
+}
+
+// A cancel after the callback has run, and a second cancel, do
+// nothing: the callback ran once and the outstanding count was retired
+// once. A cancel that empties the clock also disarms its fallback
+// timer, so a runtime with nothing armed holds no timer.
+func TestAfterFuncCancelAfterFiringIsHarmless(t *testing.T) {
+	rt := testRuntime(t, Config{Workers: 1, Levels: 1})
+	var fired atomic.Int64
+	cancel := rt.AfterFunc(time.Millisecond, func() { fired.Add(1) })
+	if err := rt.WaitIdle(10 * time.Second); err != nil {
+		t.Fatalf("the entry never fired: %v", err)
+	}
+	cancel()
+	cancel()
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("callback ran %d times, want 1", n)
+	}
+	if n := rt.Outstanding(); n != 0 {
+		t.Errorf("outstanding = %d after a late cancel, want 0", n)
+	}
+	if n := clockLen(rt); n != 0 {
+		t.Errorf("%d entries left, want 0", n)
+	}
+	rt.AfterFunc(time.Hour, func() { t.Error("a cancelled hour-long entry fired") })()
+	rt.clock.mu.Lock()
+	at := rt.clock.fallbackAt
+	rt.clock.mu.Unlock()
+	if at != never {
+		t.Errorf("fallback timer armed for %d with nothing armed, want never", at)
 	}
 }
 
@@ -246,20 +311,21 @@ func TestClockPanickingIOFailsOnlyItsFuture(t *testing.T) {
 	}
 }
 
-// An IO or deadline armed before Shutdown still resolves an external
-// Await: with no workers left, the fallback timer fires it.
+// An IO or AfterFunc armed before Shutdown still fires: with no
+// workers left, the fallback timer fires it.
 func TestClockIOArmedBeforeShutdownResolves(t *testing.T) {
 	rt := New(Config{Workers: 2, Levels: 1})
 	io := IO(rt, 0, 2*time.Millisecond, func() int { return 5 })
-	pr := NewPromise[int](rt, 0)
-	pr.FailAfter(2 * time.Millisecond)
+	fired := make(chan struct{})
+	rt.AfterFunc(2*time.Millisecond, func() { close(fired) })
 	rt.Shutdown()
 	if v, err := Await(io, 10*time.Second); err != nil || v != 5 {
 		t.Fatalf("IO after Shutdown = (%d, %v), want (5, nil)", v, err)
 	}
-	var de *DeadlineError
-	if _, err := Await(pr.Future(), 10*time.Second); !errors.As(err, &de) {
-		t.Fatalf("deadline after Shutdown resolved with %v, want a DeadlineError", err)
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an AfterFunc armed before Shutdown never fired")
 	}
 }
 

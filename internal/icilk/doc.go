@@ -64,20 +64,21 @@
 //
 // # External IO
 //
-// Two primitives connect the runtime to the world outside it. IO builds
-// a future that the runtime's clock completes after a simulated latency
-// (simulated devices, internal/simio): the workers fire due clock
-// entries at their task boundaries and at Checkpoint, and one fallback
-// Go timer covers a runtime whose workers are all parked. FailAfter's
-// deadlines are entries of the same clock. NewPromise
-// hands out an unresolved future plus the right to complete it from any
-// goroutine — the hook that real device drivers use: internal/serve's
-// reader and fallback-writer goroutines complete request and write
-// promises on socket events, so tasks touching them park and free their
-// workers for exactly as long as the network takes. Both paths reuse
-// the task completion machinery — requeue the waiters and, if a worker
-// is parked, wake it in the same call; there is no deferred or batched
-// wake — so latency hiding is identical for simulated and real IO.
+// Two primitives connect the runtime to the world outside it.
+// Runtime.AfterFunc arms a callback on the runtime's clock: the workers
+// fire due entries at their task boundaries and at Checkpoint, and one
+// fallback Go timer covers a runtime whose workers are all parked. The
+// callback runs outside any task, like a device completion. IO is an
+// AfterFunc whose callback resolves a future with a simulated device's
+// result (internal/simio), and internal/serve arms one per deadlined
+// request to answer it if its handler is late. NewPromise hands out an
+// unresolved future plus the right to complete it from any goroutine —
+// the hook for a device whose completion time nobody knows in advance:
+// tasks touching it park and free their workers for exactly as long as
+// the device takes. Both paths reuse the task completion machinery —
+// requeue the waiters and, if a worker is parked, wake it in the same
+// call; there is no deferred or batched wake — so latency hiding is
+// identical for simulated and real IO.
 //
 // See ARCHITECTURE.md at the repository root for the end-to-end
 // scheduler design, including the task lifecycle diagram, the park/wake

@@ -68,21 +68,13 @@ func (f *future) fail(err error) { f.finish(nil, err) }
 // a still-pending inner future is migrated onto that inner future's
 // waiter list instead of being woken — the waiter stays parked, pays no
 // wake/re-park round trip, and resumes only when the chain bottoms out.
+//
+// A future is resolved once: a second finish panics.
 func (f *future) finish(v any, err error) {
-	if !f.tryFinish(v, err) {
-		panic("icilk: future completed twice")
-	}
-}
-
-// tryFinish is finish with first-writer-wins semantics: it resolves the
-// future only if it is still unresolved, reporting whether this call was
-// the one that resolved it — which is what makes a deadline timer safe
-// to race against a normal completion.
-func (f *future) tryFinish(v any, err error) bool {
 	f.mu.Lock()
 	if f.done.Load() {
 		f.mu.Unlock()
-		return false
+		panic("icilk: future completed twice")
 	}
 	f.val = v
 	f.err = err
@@ -116,7 +108,6 @@ func (f *future) tryFinish(v any, err error) bool {
 	if rt != nil {
 		rt.wake()
 	}
-	return true
 }
 
 // migrateTo moves a parked forwarding waiter onto the carrier's inner

@@ -69,14 +69,16 @@ func TestPoolChurnStress(t *testing.T) {
 
 // TestFutureAllocCeilings pins the heap allocations of the future
 // paths: a Spawn+Touch costs the task and the future, a promise round
-// (NewPromiseIn, Complete, Touch) costs the future, and touching a done
-// future costs nothing.
+// (NewPromiseIn, Complete, Touch) costs the future, an IO fired at a
+// Checkpoint costs the future, its clock entry and the entry's
+// callback, and touching a done future costs nothing.
 func TestFutureAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	rt := testRuntime(t, Config{Workers: 2, Levels: 1})
 	done := Completed(0, 1)
+	one := func() int { return 1 }
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -90,6 +92,11 @@ func TestFutureAllocCeilings(t *testing.T) {
 			pr := NewPromiseIn[int](c, 0)
 			pr.Complete(1)
 			pr.Future().Touch(c)
+		}},
+		{"IO fired at a Checkpoint+touch", 3, func(c *Ctx) {
+			f := IO(rt, 0, 0, one)
+			c.Checkpoint()
+			f.Touch(c)
 		}},
 		{"touch of a done future", 0, func(c *Ctx) { done.Touch(c) }},
 	} {

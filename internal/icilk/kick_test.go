@@ -1,7 +1,6 @@
 package icilk
 
 import (
-	"errors"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -188,10 +187,11 @@ func TestIdleIOCompletionWakesAtOnce(t *testing.T) {
 	}
 }
 
-// TestIdleFailAfterWakesAtOnce is the same contract for deadline
-// expiry: the timer's TryFail requeues the parked toucher and wakes a
-// sleeping worker in the same call, with nothing left owing.
-func TestIdleFailAfterWakesAtOnce(t *testing.T) {
+// TestIdleAfterFuncWakesAtOnce is the same contract for a clock
+// callback fired from the fallback timer: with the toucher parked and
+// every worker asleep, the callback's Complete requeues the toucher and
+// wakes a sleeping worker in the same call, with nothing left owing.
+func TestIdleAfterFuncWakesAtOnce(t *testing.T) {
 	rt := New(Config{Workers: 2, Levels: 1})
 	defer rt.Shutdown()
 
@@ -200,12 +200,12 @@ func TestIdleFailAfterWakesAtOnce(t *testing.T) {
 	fut := Go(rt, nil, 0, "toucher", func(c *Ctx) int { return pr.Future().Touch(c) })
 	awaitAsleep(t, rt, parks0+1)
 	wakes0 := rt.Stats().Wakes
-	pr.FailAfter(2 * time.Millisecond)
-	if _, err := Await(fut, 10*time.Second); !errors.As(err, new(*DeadlineError)) {
-		t.Fatalf("toucher ended with %v, want a DeadlineError", err)
+	rt.AfterFunc(2*time.Millisecond, func() { pr.Complete(7) })
+	if v, err := Await(fut, 10*time.Second); err != nil || v != 7 {
+		t.Fatalf("toucher = (%d, %v), want (7, nil)", v, err)
 	}
 	if got := rt.Stats().Wakes - wakes0; got != 1 {
-		t.Fatalf("deadline expiry on an idle runtime issued %d wake broadcasts, want 1", got)
+		t.Fatalf("a callback on an idle runtime issued %d wake broadcasts, want 1", got)
 	}
 	if err := rt.WaitIdle(5 * time.Second); err != nil {
 		t.Fatal(err)

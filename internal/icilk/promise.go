@@ -2,16 +2,14 @@ package icilk
 
 import "time"
 
-// Promise is an externally completed future — the hook that device
-// drivers use to inject real-world completions into the runtime. The
-// clock-based IO helper and internal/serve's socket layer are both built
-// on it: a reader or writer goroutine observes an external event (a
-// parsed request, a finished write) and calls Complete, and the worker
-// that fires a due clock entry resolves an IO's promise the same way.
-// Both reuse the task completion path — waiters are requeued at their
-// own levels and, if a worker is parked, it is woken before Complete
-// returns; under load the wake is one atomic add. Nothing polls the
-// promise.
+// Promise is an externally completed future — the hook a device driver
+// uses to inject a real-world completion into the runtime: whatever
+// goroutine observes the event calls Complete. It reuses the task
+// completion path — waiters are requeued at their own levels and, if a
+// worker is parked, it is woken before Complete returns; under load the
+// wake is one atomic add. Nothing polls the promise. A completion that
+// is due at a known time needs no promise: IO and AfterFunc are entries
+// of the runtime's clock.
 //
 // A Promise counts as outstanding from creation until Complete or Fail,
 // so Runtime.WaitIdle waits for in-flight IO exactly as it waits for
@@ -56,13 +54,6 @@ func (p Promise[T]) Fail(err error) {
 	p.f.fail(err)
 }
 
-// Resolved reports whether Complete or Fail (or a Try* win) has been
-// called; once true it stays true. A failed future counts as resolved
-// (Done deliberately reports it as not done). It must not be used as a
-// he-who-completes guard by a racing completer (use TryComplete for
-// that); it is a point-in-time observation, not a claim.
-func (p Promise[T]) Resolved() bool { return p.f.done.Load() }
-
 // Completed returns an already-resolved future holding v — for IO layers
 // whose fast path (buffered data, cache hit) has the value on hand and
 // needs a Future only to keep one signature. It never parks a toucher
@@ -76,16 +67,26 @@ func Completed[T any](p Priority, v T) Future[T] {
 
 // IO returns a future that completes with mk() after d elapses, without
 // occupying a worker — the io_future of Section 4.1. The simulated I/O
-// substrate (internal/simio) builds on this; real-socket IO in
-// internal/serve uses NewPromise directly. The deadline is an entry of
-// the runtime's clock (clock.go): a worker fires it at its next task
-// boundary or Checkpoint once d has passed, or the clock's fallback
-// timer does when every worker is parked, and a parked toucher is
-// requeued like any other waiter. mk runs on whichever goroutine fires
-// the entry, so it must not block; a panic in mk fails this future and
-// nothing else.
+// substrate (internal/simio) builds on it. The completion is an
+// AfterFunc entry of the runtime's clock (clock.go): a worker fires it
+// at its next task boundary or Checkpoint once d has passed, or the
+// clock's fallback timer does when every worker is parked, and a parked
+// toucher is requeued like any other waiter. Until it fires the future
+// counts as outstanding, so WaitIdle waits for it. mk runs on whichever
+// goroutine fires the entry, so it must not block; a panic in mk fails
+// this future and nothing else.
 func IO[T any](rt *Runtime, p Priority, d time.Duration, mk func() T) Future[T] {
-	pr := NewPromise[T](rt, p)
-	rt.arm(&clockEntry{f: pr.f, val: func() any { return mk() }}, d)
-	return pr.Future()
+	f := &future{prio: p}
+	rt.arm(d, func() { f.finish(ioResult(mk)) })
+	return Future[T]{f: f}
+}
+
+// ioResult runs an IO's mk, turning a panic into the future's error.
+func ioResult[T any](mk func() T) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError("IO result", r)
+		}
+	}()
+	return mk(), nil
 }

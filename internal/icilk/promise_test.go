@@ -72,20 +72,13 @@ func TestPromiseFailPropagates(t *testing.T) {
 	}
 }
 
-// TestPromiseDoubleResolvePanics checks the single-assignment guard,
-// and that Resolved reports the first resolution.
+// TestPromiseDoubleResolvePanics checks the single-assignment guard.
 func TestPromiseDoubleResolvePanics(t *testing.T) {
 	rt := New(Config{Workers: 1, Levels: 1})
 	defer rt.Shutdown()
 
 	pr := NewPromise[int](rt, 0)
-	if pr.Resolved() {
-		t.Error("fresh promise reports Resolved")
-	}
 	pr.Complete(1)
-	if !pr.Resolved() {
-		t.Error("completed promise not Resolved")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Complete did not panic")

@@ -155,7 +155,7 @@ type Runtime struct {
 	stats     schedCounters
 	lockOrder lockOrderGraph
 
-	// clock holds the armed IO and FailAfter deadlines (clock.go).
+	// clock holds the armed AfterFunc and IO entries (clock.go).
 	clock clock
 	// boundaryPoll is the hook SetBoundaryPoll installed, nil for none.
 	boundaryPoll atomic.Pointer[func()]
@@ -465,7 +465,7 @@ func (rt *Runtime) requeue(t *task) {
 // injection queue (a holder that was boosted while parked re-enters at
 // the waiter's level) and the master is poked if no worker scans that
 // level. The caller owes a wake() once everything is pushed —
-// tryFinish pushes all of a future's waiters and wakes once.
+// finish pushes all of a future's waiters and wakes once.
 func (rt *Runtime) enqueue(t *task) {
 	t.claimed.Store(false)
 	lvl := rt.effLevel(t.effPrio())

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps/jserver"
@@ -34,30 +35,31 @@ func (s *Server) dispatch(cn *sconn, seq uint64, req *request) {
 	class, prio, run := s.route(req)
 	cs := s.classes[class]
 	if reason, ok := s.admitOrShed(class, cs); !ok {
-		s.shedResponse(cn, seq, class, prio, reason)
+		body := "shed: " + class + " over capacity\n"
+		if reason == "draining" {
+			body = "shutting down\n"
+		}
+		// Shed responses do not count as inflight — during drain they
+		// are the only admissions, and counting them would hold the
+		// drain open.
+		s.answer503(cn, seq, class, prio, reason, body, cs.shed, nil)
 		return
 	}
 	admitted := time.Now()
 	ddl := s.deadlineFor(class)
 	s.inflight.Add(1)
 	cs.inflight.Add(1)
+	dl := s.armDeadline(cn, seq, class, prio, cs, ddl)
 	icilk.GoSelf(s.rt, nil, prio, class, func(c *icilk.Ctx, self icilk.Future[int]) int {
 		// Whatever happens in the handler, the request must get a
 		// response in its place, or every later response on this
-		// keep-alive connection would wait forever. A panic becomes a
-		// 500; a deadline miss, the DeadlineError re-panicked by the
-		// timed-out touch, a 503.
-		status, text := 500, "internal error\n"
-		timedOut := false
+		// keep-alive connection would wait forever: a panic becomes a
+		// 500.
+		status, text, extra := 500, "internal error\n", ""
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					if de, ok := r.(*icilk.DeadlineError); ok {
-						timedOut = true
-						status, text = 503, fmt.Sprintf("deadline exceeded after %v\n", de.After)
-					} else {
-						status, text = 500, fmt.Sprintf("handler panic: %v\n", r)
-					}
+					status, text = 500, fmt.Sprintf("handler panic: %v\n", r)
 				}
 			}()
 			// Counted here, not in the reader, so the counter's ceiling
@@ -65,16 +67,22 @@ func (s *Server) dispatch(cn *sconn, seq uint64, req *request) {
 			// running worker's, so concurrent handlers never contend on it.
 			cs.admitted.Add(c, 1)
 			s.trackSession(c, cn, req)
-			if ddl > 0 {
-				status, text = s.execDeadlined(c, prio, class, ddl, admitted, run)
-			} else {
+			if dl == nil || time.Since(admitted) <= ddl {
 				status, text = run(c, self)
 			}
 		}()
-		extra := ""
-		if timedOut {
-			cs.timeouts.Add(c, 1)
-			extra = overloadHeaders("deadline")
+		if dl != nil {
+			if !dl.claimed.CompareAndSwap(false, true) {
+				return 0 // the deadline answered first
+			}
+			dl.cancel()
+			// The budget re-check is the backstop for work that reached
+			// no boundary after its entry fell due: a miss is a 503
+			// whichever deliverer finds it.
+			if time.Since(admitted) > ddl {
+				cs.timeouts.Add(c, 1)
+				status, text, extra = 503, deadlineBody(ddl), overloadHeaders("deadline")
+			}
 		}
 		s.deliver(cn, seq, reply{httpResponse(status, class, prio, extra, text), cs})
 		return 0
@@ -96,22 +104,18 @@ func (s *Server) admitOrShed(class string, cs *classStats) (reason string, ok bo
 	return "", true
 }
 
-// shedResponse answers a refused admission with a 503 without spawning
-// the handler: the responder is a trivial top-level task (shedding must
-// stay fast precisely when the refused class's queues are longest) that
-// counts the refusal and delivers the response in the refused request's
-// place, carrying the refused class and its true priority so the load
-// generator attributes the shed to the right class. Shed responses do
-// not count as inflight — during drain they are the only admissions,
-// and counting them would hold the drain open.
-func (s *Server) shedResponse(cn *sconn, seq uint64, class string, prio icilk.Priority, reason string) {
-	body := "shed: " + class + " over capacity\n"
-	if reason == "draining" {
-		body = "shutting down\n"
-	}
+// answer503 answers request seq with a 503 without its handler: a shed
+// admission, or a deadline that fell due before the handler finished.
+// The responder is a trivial top-level task (shedding must stay fast
+// precisely when the refused class's queues are longest) that counts
+// the answer on tally and delivers it in the request's place, carrying
+// the request's class and true priority so the load generator
+// attributes it to the right class. cs is the admitted class whose
+// inflight counts the response retires, nil for a shed.
+func (s *Server) answer503(cn *sconn, seq uint64, class string, prio icilk.Priority, reason, body string, tally *icilk.StripedCounter, cs *classStats) {
 	icilk.Go(s.rt, nil, classPrio("error"), "error", func(c *icilk.Ctx) int {
-		s.classes[class].shed.Add(c, 1)
-		s.deliver(cn, seq, reply{data: httpResponse(503, class, prio, overloadHeaders(reason), body)})
+		tally.Add(c, 1)
+		s.deliver(cn, seq, reply{httpResponse(503, class, prio, overloadHeaders(reason), body), cs})
 		return 0
 	})
 }
@@ -124,64 +128,37 @@ func (s *Server) deadlineFor(class string) time.Duration {
 	return s.cfg.DefaultDeadline
 }
 
-// hres is one handler outcome, carried through the deadline promise.
-type hres struct {
-	status int
-	text   string
+// deadline is one deadlined request's right to answer. Its clock entry
+// and its handler task race to claim it, and only the winner delivers,
+// so the request is answered exactly once.
+type deadline struct {
+	claimed atomic.Bool
+	cancel  func()
 }
 
-// execDeadlined runs run in an inner task racing a FailAfter timer on
-// an hres promise: whichever resolves first wins, and the loser's
-// resolution is a no-op (first-writer-wins TryComplete / tryFinish). On
-// expiry the touch below re-panics the *DeadlineError into dispatch's
-// recover, which answers 503; the inner task is NOT preempted — it runs
-// to completion and finds its TryComplete returning false. A request
-// that already overspent its budget in the admission queue panics the
-// same DeadlineError without spawning the inner task at all. The inner
-// task passes its own future to run as self, so an email print's slot
-// handle completes when the print work does, even after a 503.
-//
-// The deadline is the early answer, not the enforcement. It is a clock
-// entry of the runtime, fired at the first task boundary or Checkpoint
-// after it passes on any worker (or by the clock's fallback timer when
-// every worker is parked), so it is late by at most the task that
-// worker is running. A job whose kernel reaches no boundary before its
-// budget runs out — one long task with no Checkpoint on a box whose
-// other workers are just as busy — could still finish first and slip a
-// 200 in. The inner task therefore re-checks the budget at completion
-// time and fails the promise itself when the work finished late: that
-// re-check is the backstop for work that never reaches a boundary, and
-// a deadline miss is answered 503 whichever racer resolves first.
-func (s *Server) execDeadlined(c *icilk.Ctx, prio icilk.Priority, class string, ddl time.Duration, admitted time.Time, run handlerFn) (int, string) {
-	remaining := ddl - time.Since(admitted)
-	if remaining <= 0 {
-		panic(&icilk.DeadlineError{After: ddl, Prio: prio})
+// armDeadline arms request seq's deadline, ddl from admission, as a
+// runtime clock entry; nil when the class has none. The entry fires at
+// the first task boundary or Checkpoint after it falls due on any
+// worker (or on the clock's fallback timer when every worker is
+// parked), outside any task. If it claims the request before the
+// handler finishes, it answers 503 through answer503; the handler is
+// not preempted, runs to completion and discards its result. A handler
+// that finishes first cancels the entry and delivers its own answer.
+func (s *Server) armDeadline(cn *sconn, seq uint64, class string, prio icilk.Priority, cs *classStats, ddl time.Duration) *deadline {
+	if ddl <= 0 {
+		return nil
 	}
-	pr := icilk.NewPromiseIn[hres](c, prio)
-	cancel := pr.FailAfter(remaining)
-	icilk.GoSelf(s.rt, c, prio, class, func(c *icilk.Ctx, self icilk.Future[int]) int {
-		st, tx := 500, "internal error\n"
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					st, tx = 500, fmt.Sprintf("handler panic: %v\n", r)
-				}
-			}()
-			st, tx = run(c, self)
-		}()
-		if time.Since(admitted) > ddl {
-			// Finished, but past the budget: the miss stands even if the
-			// timer has not fired yet (first-writer-wins either way).
-			pr.TryFail(&icilk.DeadlineError{After: ddl, Prio: prio})
-			return 0
+	dl := &deadline{}
+	dl.cancel = s.rt.AfterFunc(ddl, func() {
+		if dl.claimed.CompareAndSwap(false, true) {
+			s.answer503(cn, seq, class, prio, "deadline", deadlineBody(ddl), cs.timeouts, cs)
 		}
-		if pr.TryComplete(hres{status: st, text: tx}) {
-			cancel()
-		}
-		return 0
 	})
-	r := pr.Future().Touch(c)
-	return r.status, r.text
+	return dl
+}
+
+func deadlineBody(ddl time.Duration) string {
+	return fmt.Sprintf("deadline exceeded after %v\n", ddl)
 }
 
 // route is the admission table: request → (class name, priority level,

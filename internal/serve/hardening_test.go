@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +235,91 @@ func TestDeadlineAnswers503(t *testing.T) {
 		!strings.Contains(string(stats.body), "jserver-sw") {
 		t.Fatalf("/stats does not report the deadline miss:\n%s", stats.body)
 	}
+}
+
+// TestDeadlineDeliversOnce races a deadlined request's two deliverers,
+// its clock entry and its handler, on every request of a long pipelined
+// run. The fib budget is two and a half times a fib's round trip,
+// measured first on a server without deadlines, and fibs arrive in
+// bursts, so the first of a burst finishes in budget (the handler wins
+// with a 200), later ones run past it (the entry, or the handler's
+// completion re-check, answers 503) and the last start over it. Every
+// response must decode, arrive in request order — pings between the
+// fibs show it — and be exactly one 200 or one 503/deadline; /stats
+// must count each 503 as one miss; and once the server settles no
+// request is inflight and nothing is outstanding, which covers the
+// clock: an armed entry counts as outstanding until it fires or is
+// cancelled.
+func TestDeadlineDeliversOnce(t *testing.T) {
+	jobs := jserver.Config{MatMulN: 32, FibN: 24, SortN: 20_000, SWN: 192}
+	calib := testServer(t, Config{Workers: 2, Jobs: jobs})
+	cl := dialTest(t, calib.Addr())
+	var runs []time.Duration
+	for i := 0; i < 21; i++ {
+		start := time.Now()
+		if r := cl.get(t, "/jserver?job=fib"); r.status != 200 {
+			t.Fatalf("calibration fib = %d %q", r.status, r.body)
+		}
+		runs = append(runs, time.Since(start))
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	budget := runs[len(runs)/2] * 5 / 2
+	t.Logf("fib median round trip %v, budget %v", runs[len(runs)/2], budget)
+
+	s := testServer(t, Config{
+		Workers:   2,
+		Jobs:      jobs,
+		Deadlines: map[string]time.Duration{"jserver-fib": budget},
+	})
+	cl = dialTest(t, s.Addr())
+	const bursts, perBurst = 40, 8
+	missBody := fmt.Sprintf("deadline exceeded after %v\n", budget)
+	ok, missed := 0, 0
+	for b := 0; b < bursts; b++ {
+		var req strings.Builder
+		for i := 0; i < perBurst; i++ {
+			req.WriteString("GET /jserver?job=fib HTTP/1.1\r\nHost: t\r\n\r\n")
+			req.WriteString("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
+		}
+		if _, err := io.WriteString(cl.conn, req.String()); err != nil {
+			t.Fatal(err)
+		}
+		cl.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		for i := 0; i < 2*perBurst; i++ {
+			r, err := readResponse(cl.br)
+			if err != nil {
+				t.Fatalf("burst %d response %d: %v", b, i, err)
+			}
+			switch {
+			case i%2 == 1:
+				if r.class != "ping" || r.status != 200 || string(r.body) != "pong\n" {
+					t.Fatalf("burst %d response %d = %d %q class %q, want the ping's 200", b, i, r.status, r.body, r.class)
+				}
+			case r.class != "jserver-fib":
+				t.Fatalf("burst %d response %d has class %q, want jserver-fib", b, i, r.class)
+			case r.status == 200 && r.overload == "" && strings.HasPrefix(string(r.body), "fib done in "):
+				ok++
+			case r.status == 503 && r.overload == "deadline" && string(r.body) == missBody:
+				missed++
+			default:
+				t.Fatalf("burst %d fib = %d overload=%q %q, want a 200 or a deadline 503", b, r.status, r.overload, r.body)
+			}
+		}
+	}
+	t.Logf("%d fibs answered 200, %d answered 503", ok, missed)
+	if ok == 0 || missed == 0 {
+		t.Errorf("%d fibs answered 200 and %d answered 503: the budget raced nothing", ok, missed)
+	}
+	settle(t, s)
+	stats := string(cl.get(t, "/stats").body)
+	var counted int
+	if _, after, found := strings.Cut(stats, "deadline misses per class:\n"); found {
+		fmt.Sscanf(strings.TrimSpace(after), "jserver-fib %d", &counted)
+	}
+	if counted != missed {
+		t.Errorf("/stats counts %d deadline misses, the client received %d 503s:\n%s", counted, missed, stats)
+	}
+	settle(t, s)
 }
 
 func TestShedWatermarkRefusesBatchKeepsInteractive(t *testing.T) {

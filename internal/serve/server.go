@@ -66,12 +66,15 @@ var classPriorities = map[string]icilk.Priority{
 // derivation fails fast at construction on an unknown class or an
 // out-of-range priority.
 var storeAccessors = map[string][]string{
-	// Every handler task counts its own admission, tracks its session
-	// and counts its own deadline miss, at its class's level; ping's
-	// PrioInteractive is the top level, so the ceiling covers them all.
+	// Every handler task counts its own admission and tracks its
+	// session at its class's level; ping's PrioInteractive is the top
+	// level, so the ceiling covers them all.
 	"serve.admitted": {"ping", "stats"},
 	"serve.sessions": {"ping", "stats"},
-	"serve.timeouts": {"ping", "stats"},
+	// A deadline miss is counted by the deadline's responder, at
+	// error's level, or by a handler that finishes past its budget, at
+	// its own class's level, which ping's covers.
+	"serve.timeouts": {"error", "ping", "stats"},
 	"serve.rcache":   {"proxy", "stats"}, // the /proxy handler
 	"serve.shed":     {"error", "stats"}, // the shed responder
 }
@@ -609,11 +612,15 @@ func (s *Server) dropConn(cn *sconn) {
 	})
 }
 
-// deliver hands over the encoded response to request seq; every
-// dispatched request is delivered exactly once, by its handler task or
-// its shed responder, which then returns. It never waits: the response
-// is sent now if it is the one the socket expects next, and otherwise
-// left in the reorder buffer for whoever sends its predecessor.
+// deliver hands over the encoded response to request seq, and its
+// caller then returns. It never waits: the response is sent now if it
+// is the one the socket expects next, and otherwise left in the reorder
+// buffer for whoever sends its predecessor.
+//
+// Invariant: each dispatched request is delivered exactly once — by its
+// shed responder, by its handler task, or, for a deadlined request, by
+// whichever of its handler and its deadline's responder claims it first
+// (see armDeadline); the loser delivers nothing.
 //
 // Invariant: each request retires exactly once — its inflight count,
 // its class's inflight count, and its place in seq − next — when its
@@ -816,6 +823,13 @@ func (s *Server) storeResponse(c *icilk.Ctx, key, body string) {
 // drains, and the fallback writers, whose sockets are closed, finish. A
 // clean drain means no in-flight request is ever cut off mid-response;
 // the timeout bounds how long a stuck client can hold the process.
+//
+// No deadline entry is armed once WaitIdle returns nil: an armed entry
+// counts as outstanding until it fires or its handler cancels it, and a
+// firing entry spawns its responder before it stops counting. After
+// rt.Shutdown a spawn panics, so a late firing there must be
+// impossible; a drain that times out therefore leaves the runtime
+// running, since a stuck handler's entry may still fire.
 func (s *Server) Shutdown() error {
 	if s.shutdown.Swap(true) {
 		return nil
@@ -836,13 +850,12 @@ func (s *Server) Shutdown() error {
 		s.dropConn(cn) // readers unblock with an error and exit
 	}
 	s.connWG.Wait()
-	err := s.rt.WaitIdle(30 * time.Second)
+	if err := s.rt.WaitIdle(30 * time.Second); err != nil {
+		return fmt.Errorf("serve: shutdown drain: %w", err)
+	}
 	s.writers.Wait()
 	s.rt.Shutdown()
 	s.rt.SetBoundaryPoll(nil)
 	s.kicks.close()
-	if err != nil {
-		return fmt.Errorf("serve: shutdown drain: %w", err)
-	}
 	return nil
 }

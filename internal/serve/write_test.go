@@ -202,39 +202,53 @@ func settle(t *testing.T, s *Server) {
 
 // TestPingFastPathCounts pins the request path's floor: the reader
 // spawns the handler, which runs inline on a worker, writes the socket
-// itself and returns — no park, no promotion and no goroutine for a
-// /ping.
+// itself and returns — one spawn, no park, no promotion and no
+// goroutine for a /ping. A deadline adds a clock entry the handler
+// cancels, and nothing else: the same counts hold with one.
 func TestPingFastPathCounts(t *testing.T) {
-	s := testServer(t, Config{Workers: 2})
-	cl := dialTest(t, s.Addr())
-	for i := 0; i < 10; i++ { // warm up the connection and the workers
-		cl.get(t, "/ping")
-	}
-	settle(t, s)
-	const n = 200
-	st0, gor0 := s.rt.Stats(), runtime.NumGoroutine()
-	direct0 := s.writesDirect.Load()
-	for i := 0; i < n; i++ {
-		if r := cl.get(t, "/ping"); r.status != 200 {
-			t.Fatalf("/ping %d = %d", i, r.status)
-		}
-	}
-	settle(t, s)
-	st1, gor1 := s.rt.Stats(), runtime.NumGoroutine()
-	if d := st1.Parks - st0.Parks; d != 0 {
-		t.Errorf("%d pings took %d parks, want none", n, d)
-	}
-	if d := st1.Promotions - st0.Promotions; d != 0 {
-		t.Errorf("%d pings promoted %d tasks to fibers, want none", n, d)
-	}
-	if d := st1.InlineRuns - st0.InlineRuns; d < n-n/10 {
-		t.Errorf("%d pings ran only %d handlers inline", n, d)
-	}
-	if gor1 != gor0 {
-		t.Errorf("goroutines %d -> %d across %d pings, want flat", gor0, gor1, n)
-	}
-	if d := s.writesDirect.Load() - direct0; d != n {
-		t.Errorf("%d pings took the direct write %d times (fallback %d)", n, d, s.writesFallback.Load())
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{Workers: 2}},
+		{"deadlined", Config{Workers: 2, DefaultDeadline: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testServer(t, tc.cfg)
+			cl := dialTest(t, s.Addr())
+			for i := 0; i < 10; i++ { // warm up the connection and the workers
+				cl.get(t, "/ping")
+			}
+			settle(t, s)
+			const n = 200
+			st0, gor0 := s.rt.Stats(), runtime.NumGoroutine()
+			direct0 := s.writesDirect.Load()
+			for i := 0; i < n; i++ {
+				if r := cl.get(t, "/ping"); r.status != 200 {
+					t.Fatalf("/ping %d = %d", i, r.status)
+				}
+			}
+			settle(t, s)
+			st1, gor1 := s.rt.Stats(), runtime.NumGoroutine()
+			if d := st1.Spawns - st0.Spawns; d != n {
+				t.Errorf("%d pings took %d spawns, want one each", n, d)
+			}
+			if d := st1.Parks - st0.Parks; d != 0 {
+				t.Errorf("%d pings took %d parks, want none", n, d)
+			}
+			if d := st1.Promotions - st0.Promotions; d != 0 {
+				t.Errorf("%d pings promoted %d tasks to fibers, want none", n, d)
+			}
+			if d := st1.InlineRuns - st0.InlineRuns; d < n-n/10 {
+				t.Errorf("%d pings ran only %d handlers inline", n, d)
+			}
+			if gor1 != gor0 {
+				t.Errorf("goroutines %d -> %d across %d pings, want flat", gor0, gor1, n)
+			}
+			if d := s.writesDirect.Load() - direct0; d != n {
+				t.Errorf("%d pings took the direct write %d times (fallback %d)", n, d, s.writesFallback.Load())
+			}
+		})
 	}
 }
 
@@ -278,51 +292,62 @@ func TestIdleServerPingFloor(t *testing.T) {
 
 // TestPingAllocCeilings pins the allocations one keep-alive /ping costs
 // the server: the reader's parse and dispatch, the handler task, its
-// session update and its direct write. The client reuses one request
-// buffer and one response buffer, so it allocates nothing per request
-// and the count is the server's. Debug is off: the lock-order recorder
-// allocates on its own. A new allocation on this path fails the test;
-// one taken off it should lower the ceiling.
+// session update and its direct write. A deadline adds its answer flag,
+// its clock entry, the entry's callback and its cancel. The client
+// reuses one request buffer and one response buffer, so it allocates
+// nothing per request and the count is the server's. Debug is off: the
+// lock-order recorder allocates on its own. A new allocation on this
+// path fails the test; one taken off it should lower the ceiling.
 func TestPingAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	s, err := Start(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := s.Shutdown(); err != nil {
-			t.Error(err)
-		}
-	})
-	conn, err := net.DialTimeout("tcp", s.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(time.Minute))
-	req := []byte("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
-	resp := httpResponse(200, "ping", classPrio("ping"), "", "pong\n")
-	buf := make([]byte, len(resp))
-	roundTrip := func() {
-		if _, err := conn.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ { // the session, the stripes, the fd's poll state
-		roundTrip()
-	}
-	if !bytes.Equal(buf, resp) {
-		t.Fatalf("/ping answered %q, want %q", buf, resp)
-	}
-	const ceiling = 24
-	got := testing.AllocsPerRun(500, roundTrip)
-	t.Logf("%.2f allocations per keep-alive /ping", got)
-	if got > ceiling {
-		t.Errorf("%.2f allocations per keep-alive /ping, ceiling %d", got, ceiling)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		ceiling float64
+	}{
+		{"plain", Config{Workers: 2}, 24},
+		{"deadlined", Config{Workers: 2, DefaultDeadline: time.Second}, 28},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Start(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if err := s.Shutdown(); err != nil {
+					t.Error(err)
+				}
+			})
+			conn, err := net.DialTimeout("tcp", s.Addr(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(time.Minute))
+			req := []byte("GET /ping HTTP/1.1\r\nHost: t\r\n\r\n")
+			resp := httpResponse(200, "ping", classPrio("ping"), "", "pong\n")
+			buf := make([]byte, len(resp))
+			roundTrip := func() {
+				if _, err := conn.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100; i++ { // the session, the stripes, the fd's poll state
+				roundTrip()
+			}
+			if !bytes.Equal(buf, resp) {
+				t.Fatalf("/ping answered %q, want %q", buf, resp)
+			}
+			got := testing.AllocsPerRun(500, roundTrip)
+			t.Logf("%.2f allocations per keep-alive /ping", got)
+			if got > tc.ceiling {
+				t.Errorf("%.2f allocations per keep-alive /ping, ceiling %.0f", got, tc.ceiling)
+			}
+		})
 	}
 }

@@ -10,9 +10,9 @@
 // entry in the runtime's clock: a worker completes the future at its
 // first task boundary or Checkpoint after the latency has passed, or the
 // clock's fallback Go timer does when every worker is parked. Real
-// sockets are served by internal/serve, which builds on icilk.NewPromise
-// instead — same completion path, different event source. The two
-// substrates coexist deliberately: simio keeps the evaluation workloads
+// sockets are served by internal/serve, whose readers spawn each
+// request's handler as the request arrives — a different event source
+// feeding the same scheduler. The two substrates coexist deliberately: simio keeps the evaluation workloads
 // reproducible and deterministic, internal/serve measures the same
 // runtime against genuine network traffic.
 //
