@@ -1,7 +1,6 @@
 // Package repro_test holds the top-level benchmark harness: one benchmark
 // per table and figure of the paper's evaluation (Table 1, Figure 13,
-// Figure 14), the scheduler-parameter ablations, and microbenchmarks of
-// the substrate. Run with:
+// Figure 14) and microbenchmarks of the substrate. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -111,29 +110,6 @@ func BenchmarkFig14JServer(b *testing.B) {
 		if len(rows) != 4 {
 			b.Fatal("wrong row count")
 		}
-	}
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationQuantum(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationQuantum(cfg)
-	}
-}
-
-func BenchmarkAblationGamma(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationGamma(cfg)
-	}
-}
-
-func BenchmarkAblationThreshold(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		experiments.AblationThreshold(cfg)
 	}
 }
 
@@ -275,9 +251,8 @@ func BenchmarkRuntimeIOFuture(b *testing.B) {
 // both workers of a two-worker runtime drain a level-0 backlog of 100 µs
 // tasks while level-1 tasks arrive from outside 2 ms apart, and the
 // reported metrics are the delay from the Go call to the task's first
-// instruction. The spacing matters: at 1 ms (the regression benchmark's
-// icilk.preempt_us probe) the master leaves a worker parked at level 1
-// between arrivals and the probe never finds both workers busy below it.
+// instruction. The arrivals are spaced far beyond a level-1 task's run
+// time, so each one finds both workers busy below it.
 func BenchmarkHighPrioStartDelay(b *testing.B) {
 	const (
 		backlog = 32

@@ -5,7 +5,6 @@
 //	icilk-bench -experiment fig13      # Figure 13: responsiveness ratios
 //	icilk-bench -experiment fig14      # Figure 14: compute-time ratios
 //	icilk-bench -experiment jserver    # Figure 14, jserver panel
-//	icilk-bench -experiment ablations  # quantum / γ / threshold sweeps
 //	icilk-bench -experiment sched      # scheduler suspend/resume counters
 //	icilk-bench -experiment state      # Ref/Mutex priority-inheritance contention
 //	icilk-bench -experiment lock       # lock fast paths vs raw baselines
@@ -64,8 +63,6 @@ var experimentList = []experimentInfo{
 		func(cfg experiments.EvalConfig, _ int) any { return fig14(cfg) }},
 	{"jserver", "Figure 14, jserver panel: compute-time ratios per job type", "-workers -duration -seed",
 		func(cfg experiments.EvalConfig, _ int) any { return fig14JServer(cfg) }},
-	{"ablations", "quantum / gamma / utilization-threshold sweeps (email)", "-workers -duration -seed",
-		func(cfg experiments.EvalConfig, _ int) any { return ablations(cfg) }},
 	{"sched", "scheduler event counters (inline runs, promotions, parks...)", "-workers -duration -seed",
 		func(cfg experiments.EvalConfig, _ int) any { return sched(cfg) }},
 	{"state", "Ref/Mutex contention: high-priority p99 with inheritance on vs off", "-duration -seed",
@@ -270,39 +267,22 @@ func printFig14(rows []experiments.Fig14Row) {
 func sched(cfg experiments.EvalConfig) any {
 	fmt.Println("=== Scheduler event counters (event-driven core observables) ===")
 	pts := experiments.SchedCounters(cfg)
-	fmt.Printf("%-8s %-9s %9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
+	fmt.Printf("%-8s %-9s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
 		"app", "mode", "spawns", "inline", "promote", "parks", "resumes", "helps", "steals", "wakes",
-		"uptakes", "preyields")
+		"preyields")
 	for _, pt := range pts {
 		mode := "icilk"
 		if !pt.Prioritize {
 			mode = "baseline"
 		}
 		s := pt.Stats
-		fmt.Printf("%-8s %-9s %9d %9d %9d %9d %9d %9d %9d %9d %9d %9d\n",
+		fmt.Printf("%-8s %-9s %9d %9d %9d %9d %9d %9d %9d %9d %9d\n",
 			pt.App, mode, s.Spawns, s.InlineRuns, s.Promotions, s.Parks,
-			s.Resumes, s.Helps, s.Steals, s.Wakes, s.UpwardTakes, s.PreemptYields)
+			s.Resumes, s.Helps, s.Steals, s.Wakes, s.PreemptYields)
 		fmt.Printf("         event-loop response: %s\n", pt.Response)
 	}
 	fmt.Println()
 	return pts
-}
-
-func ablations(cfg experiments.EvalConfig) any {
-	fmt.Println("=== Ablations: event-loop response vs scheduler parameters (email app) ===")
-	var all []experiments.AblationPoint
-	for _, pts := range [][]experiments.AblationPoint{
-		experiments.AblationQuantum(cfg),
-		experiments.AblationGamma(cfg),
-		experiments.AblationThreshold(cfg),
-	} {
-		all = append(all, pts...)
-		for _, pt := range pts {
-			fmt.Printf("  %-10s = %-8s -> %s\n", pt.Param, pt.Value, pt.Response)
-		}
-	}
-	fmt.Println()
-	return all
 }
 
 // stateRatio is the headline number of the state experiment: the

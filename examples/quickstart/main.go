@@ -42,7 +42,7 @@ func main() {
 				sum += j % 7
 			}
 			progress.Store(int64(i + 1))
-			c.Checkpoint() // preemption point for the master scheduler
+			c.Checkpoint() // preemption point: yields to ready higher-priority work
 		}
 		return sum
 	})

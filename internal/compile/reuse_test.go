@@ -161,9 +161,9 @@ func TestReuseLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	// Each idle runtime keeps its workers and master; a retiring fiber
-	// may still be on its way out.
-	limit := start + len(cfgs)*(3+1) + 4
+	// Each idle runtime keeps its workers; a retiring fiber may still be
+	// on its way out.
+	limit := start + len(cfgs)*3 + 4
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > limit {
 		if time.Now().After(deadline) {

@@ -2,9 +2,8 @@
 // evaluation (Section 5): Table 1 (static overhead of the priority type
 // system), Figure 13 (responsiveness ratios for proxy and email), and
 // Figure 14 (per-level compute-time ratios for proxy, email, and
-// jserver), plus ablations of the scheduler parameters (quantum, γ,
-// utilization threshold). The same entry points back cmd/icilk-bench and
-// the root-level benchmarks.
+// jserver). The same entry points back cmd/icilk-bench and the
+// root-level benchmarks.
 package experiments
 
 import (
@@ -407,65 +406,6 @@ func SchedCounters(cfg EvalConfig) []SchedPoint {
 				App: app, Prioritize: prioritize, Stats: sc, Response: res,
 			})
 		}
-	}
-	return out
-}
-
-// AblationPoint is one configuration of a scheduler-parameter sweep with
-// the high-priority (event loop) mean response time it produced.
-type AblationPoint struct {
-	Param    string
-	Value    string
-	Response stats.Summary
-}
-
-// AblationQuantum sweeps the master's scheduling quantum on the email app.
-func AblationQuantum(cfg EvalConfig) []AblationPoint {
-	cfg = cfg.withDefaults()
-	var out []AblationPoint
-	for _, q := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond, 8 * time.Millisecond} {
-		rt := icilk.New(icilk.Config{
-			Workers: cfg.Workers, Levels: email.Levels, Prioritize: true, Quantum: q,
-		})
-		res := email.Run(rt, email.Config{Clients: 60, Duration: cfg.Duration, Seed: cfg.Seed})
-		rt.Shutdown()
-		out = append(out, AblationPoint{
-			Param: "quantum", Value: q.String(), Response: res.ResponseSummary(),
-		})
-	}
-	return out
-}
-
-// AblationGamma sweeps the desire growth parameter γ.
-func AblationGamma(cfg EvalConfig) []AblationPoint {
-	cfg = cfg.withDefaults()
-	var out []AblationPoint
-	for _, g := range []int{2, 4, 8} {
-		rt := icilk.New(icilk.Config{
-			Workers: cfg.Workers, Levels: email.Levels, Prioritize: true, Gamma: g,
-		})
-		res := email.Run(rt, email.Config{Clients: 60, Duration: cfg.Duration, Seed: cfg.Seed})
-		rt.Shutdown()
-		out = append(out, AblationPoint{
-			Param: "gamma", Value: fmt.Sprint(g), Response: res.ResponseSummary(),
-		})
-	}
-	return out
-}
-
-// AblationThreshold sweeps the utilization threshold.
-func AblationThreshold(cfg EvalConfig) []AblationPoint {
-	cfg = cfg.withDefaults()
-	var out []AblationPoint
-	for _, th := range []float64{0.5, 0.9, 0.99} {
-		rt := icilk.New(icilk.Config{
-			Workers: cfg.Workers, Levels: email.Levels, Prioritize: true, UtilThreshold: th,
-		})
-		res := email.Run(rt, email.Config{Clients: 60, Duration: cfg.Duration, Seed: cfg.Seed})
-		rt.Shutdown()
-		out = append(out, AblationPoint{
-			Param: "threshold", Value: fmt.Sprint(th), Response: res.ResponseSummary(),
-		})
 	}
 	return out
 }

@@ -134,23 +134,6 @@ func TestFig14JServerProducesRows(t *testing.T) {
 	}
 }
 
-func TestAblations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
-	cfg := quickCfg()
-	cfg.Duration = 100 * time.Millisecond
-	if pts := AblationQuantum(cfg); len(pts) != 4 {
-		t.Errorf("quantum points = %d", len(pts))
-	}
-	if pts := AblationGamma(cfg); len(pts) != 3 {
-		t.Errorf("gamma points = %d", len(pts))
-	}
-	if pts := AblationThreshold(cfg); len(pts) != 3 {
-		t.Errorf("threshold points = %d", len(pts))
-	}
-}
-
 // TestStateContention smoke-checks the shared-state experiment: both
 // modes produce probes, and the inheritance machinery demonstrably fires
 // in (and only in) the inherit=true run.

@@ -120,11 +120,10 @@ func TestClockDueEntryFiresAtTaskBoundary(t *testing.T) {
 }
 
 // A due entry fires at a Checkpoint inside a long level-0 task, and the
-// level-1 waiter it completes runs before that task resumes. The
-// quantum is an hour, so the master never reassigns the worker and the
-// only reason Checkpoint can yield is the woken waiter.
+// level-1 waiter it completes runs before that task resumes: the only
+// reason Checkpoint can yield is the woken waiter.
 func TestClockCheckpointFiresDueEntry(t *testing.T) {
-	rt := workerClockRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true, Quantum: time.Hour})
+	rt := workerClockRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true})
 	var mu sync.Mutex
 	var order []string
 	note := func(s string) {

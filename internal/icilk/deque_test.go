@@ -327,23 +327,9 @@ func TestEffLevel(t *testing.T) {
 	}
 }
 
-func TestAllocationView(t *testing.T) {
-	rt := New(Config{Workers: 3, Levels: 2, Prioritize: true})
-	defer rt.Shutdown()
-	alloc := rt.Allocation()
-	if len(alloc) != 3 {
-		t.Errorf("allocation size = %d", len(alloc))
-	}
-	for _, l := range alloc {
-		if l < 0 || l >= 2 {
-			t.Errorf("allocation level %d out of range", l)
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Workers != 4 || c.Levels != 2 || c.Gamma != 2 {
+	if c.Workers != 4 || c.Levels != 2 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 	if !c.inherit {
@@ -380,12 +366,13 @@ func TestGoSelfProvidesOwnFuture(t *testing.T) {
 }
 
 func TestHelpUpward(t *testing.T) {
-	// One worker pinned (by assignment) to the low level must still pick
-	// up high-priority work when its own level is dry.
+	// A lone worker that last ran level-0 work must pick up
+	// high-priority work.
 	rt := New(Config{Workers: 1, Levels: 2, Prioritize: true})
 	defer rt.Shutdown()
-	// Force the worker onto level 0.
-	rt.assignment[0].Store(0)
+	if v, err := Await(Go(rt, nil, 0, "low", func(*Ctx) int { return 0 }), 5e9); err != nil || v != 0 {
+		t.Fatalf("low: v=%d err=%v", v, err)
+	}
 	fut := Go(rt, nil, 1, "high", func(*Ctx) int { return 1 })
 	if v, err := Await(fut, 5e9); err != nil || v != 1 {
 		t.Errorf("help-upward failed: v=%d err=%v", v, err)

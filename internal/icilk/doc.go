@@ -13,18 +13,17 @@
 // between tasks is whether the clock's earliest deadline has passed
 // (one atomic load when nothing is armed).
 //
-// Scheduling is two-level (Section 4.3): each priority level has its own
-// work-stealing scheduler (per-worker lock-free Chase-Lev deques plus a
-// lock-free injection queue), and a master scheduler reassigns workers to
-// levels every quantum using A-STEAL-style desire feedback: a level whose
-// utilization beat the threshold and whose desire was satisfied
-// multiplies its desire by γ; an underutilized level divides it by γ.
-// Cores are granted in priority order. A worker's assignment is a floor:
-// at every task boundary, and at Checkpoint inside a long task, it takes
-// the highest level with ready work at or above that floor, so a
-// higher-priority task never waits out a quantum behind lower-priority
-// work. With Prioritize=false the runtime degenerates into the Cilk-F
-// baseline: one priority-oblivious work-stealing pool.
+// Scheduling is prompt and greedy (Section 4.3): each priority level has
+// its own work-stealing scheduler (per-worker lock-free Chase-Lev deques
+// plus a lock-free injection queue), and at every task boundary, and at
+// Checkpoint inside a long task, a worker takes the highest level with
+// ready work. A higher-priority task never waits behind lower-priority
+// work — the prompt schedules Theorem 2.3's bound is stated for — and no
+// worker idles while any level has work. I-Cilk adds a master that
+// reassigns workers to levels every quantum by A-STEAL desire feedback;
+// this runtime has none (README's paper table records the measured
+// comparison). With Prioritize=false the runtime degenerates into the
+// Cilk-F baseline: one priority-oblivious work-stealing pool.
 //
 // # Shared state
 //

@@ -162,7 +162,7 @@ func TestYieldAndCheckpoint(t *testing.T) {
 		c.Yield() // let b run on the single worker
 		v := other.Touch(c)
 		order = append(order, 3)
-		c.Checkpoint() // no reassignment: must be a no-op
+		c.Checkpoint() // nothing above level 0: must be a no-op
 		return v
 	})
 	if _, err := Await(fut, 5*time.Second); err != nil {
@@ -228,11 +228,10 @@ func TestTryTouchAndDone(t *testing.T) {
 }
 
 func TestMasterAdaptsToHighPriorityBurst(t *testing.T) {
-	// Saturate the low level, then burst the high level: within a few
-	// quanta the master should hand most workers to the high level.
+	// Saturate the low level, then burst the high level: every worker
+	// takes the burst at its next task boundary, ahead of the low level.
 	rt := testRuntime(t, Config{
 		Workers: 4, Levels: 2, Prioritize: true,
-		Quantum: 200 * time.Microsecond,
 	})
 	stopLow := make(chan struct{})
 	for i := 0; i < 8; i++ {

@@ -7,115 +7,83 @@ import (
 	"time"
 )
 
-// TestMasterKickServesLowLevelPromptly pins the event-driven master
-// reallocation: work submitted at a level below every worker's mandate
-// is invisible to all scans (each stops at its worker's floor), so
-// without the kick it would wait out the master's quantum. With an
-// absurdly long quantum the only way this test finishes quickly is the
-// kick path.
-func TestMasterKickServesLowLevelPromptly(t *testing.T) {
-	rt := New(Config{
-		Workers:    2,
-		Levels:     3,
-		Prioritize: true,
-		Quantum:    2 * time.Second,
-	})
-	defer rt.Shutdown()
-
-	start := time.Now()
-	fut := Go(rt, nil, 0, "lo", func(c *Ctx) int { return 7 })
-	v, err := Await(fut, 10*time.Second)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("Await: %v", err)
-	}
-	if v != 7 {
-		t.Fatalf("got %d, want 7", v)
-	}
-	if elapsed >= rt.cfg.Quantum {
-		t.Fatalf("low-level task waited out the %v quantum (%v); master kick not taken", rt.cfg.Quantum, elapsed)
-	}
-	if kicks := rt.Stats().MasterKicks; kicks < 1 {
-		t.Fatalf("MasterKicks = %d, want >= 1", kicks)
-	}
-}
-
-// TestIdleDrainedMasterSleeps pins the drained master: once nothing is
-// outstanding and a reallocation has put every floor back at the top
-// level, the master stops ticking; work submitted below the top after
-// that still runs, because its submission kicks the master awake.
-func TestIdleDrainedMasterSleeps(t *testing.T) {
+// TestIdleWorkerServesLowLevelAtOnce pins the work-conserving
+// property of the prioritized scheduler: no core is held back for a
+// higher level. One worker runs a top-level task that waits for a
+// level-0 task; with the other worker parked, the level-0 task must
+// start on it at once, while the top level is still busy.
+func TestIdleWorkerServesLowLevelAtOnce(t *testing.T) {
 	rt := New(Config{Workers: 2, Levels: 3, Prioritize: true})
 	defer rt.Shutdown()
-	top := int32(rt.cfg.Levels - 1)
-	run := func(p Priority) {
-		t.Helper()
-		fut := Go(rt, nil, p, "work", func(*Ctx) int { return int(p) })
-		if v, err := Await(fut, 10*time.Second); err != nil || v != int(p) {
-			t.Fatalf("level %d: v=%d err=%v", p, v, err)
-		}
-		if err := rt.WaitIdle(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	awaitDrained := func() {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for rt.minAssign.Load() != top {
-			if time.Now().After(deadline) {
-				t.Fatalf("floors never returned to the top level: minAssign = %d", rt.minAssign.Load())
+
+	const trials = 21
+	lat := make([]time.Duration, 0, trials)
+	for i := 0; i < trials; i++ {
+		var loStarted atomic.Bool
+		running := make(chan struct{})
+		top := Go(rt, nil, 2, "top", func(*Ctx) int {
+			close(running)
+			for deadline := time.Now().Add(10 * time.Second); !loStarted.Load(); {
+				if time.Now().After(deadline) {
+					t.Error("the level-0 task never started beside the busy top level")
+					return 0
+				}
 			}
-			time.Sleep(time.Millisecond)
+			return 0
+		})
+		<-running
+		deadline := time.Now().Add(10 * time.Second)
+		for rt.idle.Load() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatal("the spare worker never parked")
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
+		start := time.Now()
+		lo := Go(rt, nil, 0, "lo", func(*Ctx) time.Duration {
+			loStarted.Store(true)
+			return time.Since(start)
+		})
+		d, err := Await(lo, 10*time.Second)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if _, err := Await(top, 10*time.Second); err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		lat = append(lat, d)
 	}
-	for _, p := range []Priority{0, 1} {
-		ticks := rt.stats.masterTicks.Load()
-		run(p) // lowers a floor, so the master ticks until it raises it
-		awaitDrained()
-		if rt.stats.masterTicks.Load() == ticks {
-			t.Fatalf("level %d: the master never ticked while a floor sat below the top", p)
-		}
-		ticks = rt.stats.masterTicks.Load()
-		time.Sleep(200 * time.Millisecond)
-		if got := rt.stats.masterTicks.Load() - ticks; got != 0 {
-			t.Fatalf("drained master ticked %d times in 200ms, want 0", got)
-		}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if med := lat[len(lat)/2]; med > 500*time.Microsecond {
+		t.Fatalf("median start delay of level-0 work on an idle worker = %v (all: %v), want < 500µs", med, lat)
 	}
 }
 
 // TestTouchClaimsInjectQueuedProducer pins claim-based touch helping: a
 // producer spawned across levels lands in an inject queue, not the
-// toucher's deque bottom, so the old bottom-of-own-deque help misses it
-// and the toucher parks until a scan finds the producer. The claim path
-// runs it inline. One worker and a long quantum make the old behavior a
-// guaranteed multi-second stall; Helps >= 1 is the direct observable.
+// toucher's deque bottom, so a bottom-of-own-deque help would miss it
+// and the toucher would park until a scan found the producer. The claim
+// path runs it inline; Helps >= 1 is the direct observable.
 func TestTouchClaimsInjectQueuedProducer(t *testing.T) {
 	rt := New(Config{
 		Workers:    1,
 		Levels:     2,
 		Prioritize: true,
-		Quantum:    2 * time.Second,
 	})
 	defer rt.Shutdown()
 
-	start := time.Now()
 	fut := Go(rt, nil, 0, "main", func(c *Ctx) int {
-		// The worker serving us was mandated to level 0 (the kick path),
-		// so this level-1 spawn misses the submit fast path and lands in
-		// level 1's inject queue — exactly the shape helping used to miss.
+		// A level-1 spawn from a level-0 task misses the submit fast path
+		// and lands in level 1's inject queue.
 		child := Go(rt, c, 1, "child", func(*Ctx) int { return 42 })
 		return child.Touch(c)
 	})
 	v, err := Await(fut, 10*time.Second)
-	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("Await: %v", err)
 	}
 	if v != 42 {
 		t.Fatalf("got %d, want 42", v)
-	}
-	if elapsed >= rt.cfg.Quantum {
-		t.Fatalf("touch stalled for the %v quantum (%v); claim-based helping not taken", rt.cfg.Quantum, elapsed)
 	}
 	if helps := rt.Stats().Helps; helps < 1 {
 		t.Fatalf("Helps = %d, want >= 1", helps)

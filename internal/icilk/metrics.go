@@ -33,12 +33,7 @@ type schedCounters struct {
 	transBoosts   counter
 	ceilings      counter
 	forwards      counter
-	masterKicks   counter
-	upwardTakes   counter
 	preemptYields counter
-	// masterTicks counts quantum ticks the master served; tests read it
-	// to check that a drained runtime's master sleeps.
-	masterTicks counter
 }
 
 // SchedStats is a snapshot of the scheduler's event counters since the
@@ -103,18 +98,8 @@ type SchedStats struct {
 	// control and re-parking — one count per hop, whether taken
 	// synchronously by the toucher or at completion time by finish.
 	ForwardedTouches int64
-	// MasterKicks counts event-driven master reallocations: work was
-	// submitted at a level below every worker's mandate (invisible to
-	// all scans, which stop at the worker's floor) and the submitter
-	// poked the master instead of letting the work wait out the quantum.
-	MasterKicks int64
-	// UpwardTakes counts tasks a worker ran from a level above its
-	// assignment: ready higher-priority work served at a task boundary
-	// rather than at the master's next reassignment.
-	UpwardTakes int64
 	// PreemptYields counts Checkpoint yields caused by ready work at a
-	// level above the running task, as opposed to a reassignment of its
-	// worker.
+	// level above the running task.
 	PreemptYields int64
 }
 
@@ -137,8 +122,6 @@ func (rt *Runtime) Stats() SchedStats {
 		TransitiveBoosts:  rt.stats.transBoosts.Load(),
 		CeilingViolations: rt.stats.ceilings.Load(),
 		ForwardedTouches:  rt.stats.forwards.Load(),
-		MasterKicks:       rt.stats.masterKicks.Load(),
-		UpwardTakes:       rt.stats.upwardTakes.Load(),
 		PreemptYields:     rt.stats.preemptYields.Load(),
 	}
 }
@@ -161,8 +144,8 @@ func (s SchedStats) Sub(before SchedStats) SchedStats {
 // test, TestSchedLineMatchesRuntime) reads them.
 func (s SchedStats) String() string {
 	return fmt.Sprintf(
-		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=0 poolmisses=0 forwards=%d masterkicks=%d upwardtakes=%d preemptyields=%d",
+		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=0 poolmisses=0 forwards=%d preemptyields=%d",
 		s.Spawns, s.InlineRuns, s.Promotions, s.Parks, s.Resumes, s.Helps, s.Steals, s.Wakes,
 		s.MutexParks, s.RWReadParks, s.RWWriteParks, s.RWRevokes, s.Inherits, s.TransitiveBoosts, s.CeilingViolations,
-		s.ForwardedTouches, s.MasterKicks, s.UpwardTakes, s.PreemptYields)
+		s.ForwardedTouches, s.PreemptYields)
 }

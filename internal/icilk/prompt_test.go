@@ -8,13 +8,10 @@ import (
 )
 
 // The tests in this file pin the prompt worker loop: a worker serves the
-// highest ready level at every task boundary, and Checkpoint yields to a
-// higher level's injection queue. Each runs with Quantum: time.Hour, so
-// the master acts on kicks only (level-0 work landing under a level-1
-// mandate) and nothing but the task-boundary path can serve a level-1
-// arrival while level 0 has work. Where the order matters, the level-0
-// work queued behind the running tasks waits for the level-1 task: served
-// floor-first, it would hold every worker and the wait would time out.
+// highest ready level at every task boundary, and Checkpoint yields to
+// ready work at a higher level. Where the order matters, the level-0
+// work queued behind the running tasks waits for the level-1 task:
+// served first, it would hold every worker and the wait would time out.
 
 const promptWait = 5 * time.Second
 
@@ -81,7 +78,7 @@ func occupy(t *testing.T, rt *Runtime, release *atomic.Bool) []Future[int] {
 // worker to finish its task takes the arrival, not the next backlog
 // task.
 func TestHigherLevelServedAtTaskBoundary(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true, Quantum: time.Hour})
+	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
 	var release, hiStarted atomic.Bool
 	futs := occupy(t, rt, &release)
 	for range 4 * rt.Workers() {
@@ -96,9 +93,6 @@ func TestHigherLevelServedAtTaskBoundary(t *testing.T) {
 	}))
 	release.Store(true)
 	awaitAll(t, futs...)
-	if s := rt.Stats(); s.UpwardTakes < 1 {
-		t.Errorf("UpwardTakes = %d, want >= 1", s.UpwardTakes)
-	}
 }
 
 // TestHigherLevelServedBoostedHolder is the same for a requeue rather
@@ -107,7 +101,7 @@ func TestHigherLevelServedAtTaskBoundary(t *testing.T) {
 // resumed at the next task boundary, ahead of the level-0 backlog; so is
 // the waiter it hands the lock to.
 func TestHigherLevelServedBoostedHolder(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true, Quantum: time.Hour})
+	rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true})
 	m := NewMutex(rt, 1, "handoff")
 	gate := NewPromise[int](rt, 0)
 	holder := Go(rt, nil, 0, "holder", func(c *Ctx) int {
@@ -145,7 +139,7 @@ func TestHigherLevelServedBoostedHolder(t *testing.T) {
 // that never returns to the scheduler except through Checkpoint. A
 // level-1 arrival overtakes it, at the price of exactly one yield.
 func TestCheckpointYieldsToHigherLevel(t *testing.T) {
-	rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true, Quantum: time.Hour})
+	rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true})
 	var hiDone atomic.Bool
 	var calls atomic.Int64
 	looping := make(chan struct{})
@@ -165,6 +159,39 @@ func TestCheckpointYieldsToHigherLevel(t *testing.T) {
 	}
 }
 
+// TestCheckpointYieldsToForkedChild: a same-level spawn stays on the
+// spawning worker's deque, not in an injection queue, and Checkpoint
+// must still see it. A level-1 parent on one worker forks a level-1
+// child and keeps its worker busy until the child has run, so only the
+// other worker, inside a level-0 Checkpoint loop, can run it — by
+// yielding and stealing it.
+func TestCheckpointYieldsToForkedChild(t *testing.T) {
+	rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
+	var looping, childRan atomic.Bool
+	var calls atomic.Int64
+	parent := Go(rt, nil, 1, "parent", func(c *Ctx) int {
+		waitFlag(t, &looping, "the level-0 Checkpoint loop to start")
+		if y := rt.Stats().PreemptYields; y != 0 {
+			t.Errorf("PreemptYields = %d before the fork, want 0", y)
+		}
+		Go(rt, c, 1, "child", func(*Ctx) int {
+			childRan.Store(true)
+			return 0
+		})
+		waitFlag(t, &childRan, "the forked child to run on the other worker")
+		return 0
+	})
+	lo := Go(rt, nil, 0, "lo", func(c *Ctx) int {
+		looping.Store(true)
+		checkpointUntil(t, c, &childRan, &calls)
+		return 0
+	})
+	awaitAll(t, parent, lo)
+	if s := rt.Stats(); s.PreemptYields < 1 || s.Steals < 1 {
+		t.Errorf("PreemptYields = %d, Steals = %d, want both >= 1", s.PreemptYields, s.Steals)
+	}
+}
+
 // TestCheckpointYieldsBoundedPerArrival guards against yield storms.
 // Two workers each run a level-0 Checkpoint loop when one level-1 task
 // arrives: both may see it queued and yield, but the worker that takes
@@ -174,7 +201,7 @@ func TestCheckpointYieldsToHigherLevel(t *testing.T) {
 // yield to its peers.
 func TestCheckpointYieldsBoundedPerArrival(t *testing.T) {
 	t.Run("oneArrival", func(t *testing.T) {
-		rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true, Quantum: time.Hour})
+		rt := testRuntime(t, Config{Workers: 2, Levels: 2, Prioritize: true})
 		var calls atomic.Int64
 		var hiDone atomic.Bool
 		looping := make(chan struct{}, rt.Workers())
@@ -207,7 +234,7 @@ func TestCheckpointYieldsBoundedPerArrival(t *testing.T) {
 	})
 
 	t.Run("topLevel", func(t *testing.T) {
-		rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true, Quantum: time.Hour})
+		rt := testRuntime(t, Config{Workers: 1, Levels: 2, Prioritize: true})
 		var queued, peerRan atomic.Bool
 		running := make(chan struct{})
 		top := Go(rt, nil, 1, "top", func(c *Ctx) int {

@@ -15,19 +15,12 @@ type Config struct {
 	// Levels is the number of priority levels (default 2). Priorities
 	// range over 0..Levels-1, larger = more urgent.
 	Levels int
-	// Quantum is the master scheduler's re-evaluation interval
-	// (default 500µs, the paper's setting). That is the timer's setting,
-	// not the tick rate: a sub-millisecond Go timer is served from
-	// epoll_wait's 1 ms granularity, and the default measures 750–870
-	// ticks/s, an effective quantum of ≈1.2 ms. Workers do not wait for
-	// it to serve a higher level (see findTask and Checkpoint).
-	Quantum time.Duration
-	// Gamma is the multiplicative desire growth parameter (default 2).
-	Gamma int
-	// UtilThreshold is the utilization threshold (default 0.9).
-	UtilThreshold float64
-	// Prioritize enables the two-level prioritized scheduler. False gives
-	// the Cilk-F baseline: all levels share one work-stealing pool.
+	// Prioritize enables the prioritized scheduler: one work-stealing
+	// pool per level, and every worker takes the highest ready level at
+	// each task boundary and yields to it at Checkpoint — no master and
+	// no per-worker level floor (README's paper table records this
+	// deviation from I-Cilk). False gives the Cilk-F baseline: all
+	// levels share one work-stealing pool.
 	Prioritize bool
 	// DisableInheritance turns off priority inheritance on Mutex and
 	// RWMutex — a holder blocked ahead of a higher-priority waiter is
@@ -63,15 +56,6 @@ func (c Config) withDefaults() Config {
 	if c.Levels <= 0 {
 		c.Levels = 2
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 500 * time.Microsecond
-	}
-	if c.Gamma < 2 {
-		c.Gamma = 2
-	}
-	if c.UtilThreshold <= 0 {
-		c.UtilThreshold = 0.9
-	}
 	c.inherit = !c.DisableInheritance
 	return c
 }
@@ -80,8 +64,6 @@ func (c Config) withDefaults() Config {
 type level struct {
 	deques []*clDeque   // indexed by worker ID
 	inject *injectQueue // external and cross-level submissions (FIFO)
-	desire int          // master-only
-	alloc  int          // master-only: cores granted last quantum
 }
 
 func (l *level) pending() bool {
@@ -107,36 +89,17 @@ type worker struct {
 	// rng is the xorshift64 state behind the steal-victim offset; only
 	// the goroutine holding the worker's slot touches it.
 	rng uint64
-
-	// idleNs accumulates completed park durations; parkedSince holds
-	// the start of an in-progress park (0 when running). Together they
-	// give the master a monotone cumulative-idle clock read without any
-	// cooperation from the worker — the only time the worker touches
-	// time.Now is at park boundaries, never per task.
-	idleNs      atomic.Int64
-	parkedSince atomic.Int64
 }
 
 // Runtime is an I-Cilk-style scheduler instance.
 type Runtime struct {
-	cfg        Config
-	levels     []*level
-	workers    []*worker
-	assignment []atomic.Int32
+	cfg     Config
+	levels  []*level
+	workers []*worker
 
 	outstanding atomic.Int64
 	stopped     atomic.Bool
 	wg          sync.WaitGroup
-	masterStop  chan struct{}
-
-	// Event-driven master wakeup. minAssign is the lowest level any
-	// worker is currently mandated to serve; work submitted below it is
-	// invisible to every scan (a scan stops at the worker's floor) and
-	// would wait out the rest of the quantum, so the submitter pokes the
-	// master through masterKick (buffered, non-blocking — concurrent
-	// pokes coalesce) and the master reruns its allocation immediately.
-	minAssign  atomic.Int32
-	masterKick chan struct{}
 
 	// Worker parking. Producers bump wakeSeq after publishing work and
 	// broadcast if anyone is parked; a worker parks only if wakeSeq is
@@ -164,12 +127,7 @@ type Runtime struct {
 // New starts a runtime with the given configuration.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
-	rt := &Runtime{
-		cfg:        cfg,
-		assignment: make([]atomic.Int32, cfg.Workers),
-		masterStop: make(chan struct{}),
-		masterKick: make(chan struct{}, 1),
-	}
+	rt := &Runtime{cfg: cfg}
 	rt.parkCond = sync.NewCond(&rt.parkMu)
 	rt.clock.epoch = time.Now()
 	rt.clock.head.Store(never)
@@ -178,17 +136,13 @@ func New(cfg Config) *Runtime {
 	// by the levels in use: all of them when prioritizing, level 0 alone
 	// in the baseline.
 	for range rt.effLevel(Priority(cfg.Levels-1)) + 1 {
-		lv := &level{desire: 1, inject: newInjectQueue()}
+		lv := &level{inject: newInjectQueue()}
 		for w := 0; w < cfg.Workers; w++ {
 			lv.deques = append(lv.deques, newCLDeque())
 		}
 		rt.levels = append(rt.levels, lv)
 	}
-	// Initial assignment: everyone serves the highest level.
-	init := int32(len(rt.levels) - 1)
-	rt.minAssign.Store(init)
 	for w := 0; w < cfg.Workers; w++ {
-		rt.assignment[w].Store(init)
 		wk := &worker{rt: rt, id: w, rng: uint64(w+1) * 0x9e3779b97f4a7c15}
 		rt.workers = append(rt.workers, wk)
 	}
@@ -196,20 +150,15 @@ func New(cfg Config) *Runtime {
 		rt.wg.Add(1)
 		go w.run()
 	}
-	if cfg.Prioritize {
-		rt.wg.Add(1)
-		go rt.master()
-	}
 	return rt
 }
 
-// Shutdown stops the workers and master. Outstanding tasks are abandoned
-// once their current step finishes; call WaitIdle first to drain.
+// Shutdown stops the workers. Outstanding tasks are abandoned once their
+// current step finishes; call WaitIdle first to drain.
 func (rt *Runtime) Shutdown() {
 	if rt.stopped.Swap(true) {
 		return
 	}
-	close(rt.masterStop)
 	rt.parkMu.Lock()
 	rt.parkCond.Broadcast()
 	rt.parkMu.Unlock()
@@ -322,15 +271,13 @@ func (rt *Runtime) wake() {
 	rt.parkMu.Unlock()
 }
 
-// submit routes a runnable task to a queue and wakes a worker. When
-// called from task context (g non-nil) and the current worker serves the
-// task's level, the task lands on that worker's own deque — the locality
-// fast path that also enables touch-time helping. The master can move
-// the worker between the assignment check and the push; submit re-checks
-// after pushing and, on a mismatch, pulls the task back off the bottom
-// (still owned: steals only take the top) and routes it through the
-// level's injection queue, so a task can never strand on a deque no
-// worker at its level scans.
+// submit routes a runnable task to a queue and wakes a worker. c is
+// the running task's context — the parent of a spawn, or the yielding
+// task itself — or nil outside any task. A task spawned by, or yielding
+// from, a task at its own level lands on the current worker's deque: the
+// locality fast path that also enables touch-time helping. Anything else
+// goes to its level's injection queue. Every worker scans every level,
+// so no placement can strand a task.
 //
 // Placement uses effPrio, so a holder boosted by priority inheritance
 // re-enters circulation at its waiter's level. Resetting claimed opens
@@ -344,22 +291,14 @@ func (rt *Runtime) wake() {
 // future's owner pointer — no queue pop required — the reset itself is
 // the publication point: the instant claimed goes false, another task
 // may win the claim and resume this one, overwriting its gctx's worker
-// fields. Every read of g therefore happens before the store, mirroring
+// fields. Every read of c therefore happens before the store, mirroring
 // park's capture-before-visible rule.
-func (rt *Runtime) submit(t *task, g *gctx) {
+func (rt *Runtime) submit(t *task, c *Ctx) {
 	lvl := rt.effLevel(t.effPrio())
-	if g != nil {
-		if w := g.w; w != nil && int(rt.assignment[w.id].Load()) == lvl {
-			d := rt.levels[lvl].deques[w.id]
+	if c != nil {
+		if w := c.g.w; w != nil && rt.effLevel(c.t.effPrio()) == lvl {
 			t.claimed.Store(false)
-			d.pushBottom(t)
-			if int(rt.assignment[w.id].Load()) != lvl {
-				if popped := d.popBottom(); popped != nil {
-					// popped can only be t: we own the bottom and pushed
-					// last.
-					rt.levels[lvl].inject.push(popped)
-				}
-			}
+			rt.levels[lvl].deques[w.id].pushBottom(t)
 			rt.wake()
 			return
 		}
@@ -367,23 +306,6 @@ func (rt *Runtime) submit(t *task, g *gctx) {
 	t.claimed.Store(false)
 	rt.levels[lvl].inject.push(t)
 	rt.wake()
-	rt.kickMaster(lvl)
-}
-
-// kickMaster pokes the master when work lands at a level below every
-// worker's mandate — the one placement no scan reaches (every scan stops
-// at its worker's floor), which previously waited out the remainder of
-// the quantum. The send is non-blocking: concurrent kicks coalesce into the
-// buffered token, and the baseline configuration (no master) just
-// leaves the token unread.
-func (rt *Runtime) kickMaster(lvl int) {
-	if int32(lvl) >= rt.minAssign.Load() {
-		return
-	}
-	select {
-	case rt.masterKick <- struct{}{}:
-	default:
-	}
 }
 
 // spawn is the shared fcreate path behind Go and GoSelf: it wraps fn in
@@ -392,10 +314,6 @@ func (rt *Runtime) kickMaster(lvl int) {
 func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ctx) any) {
 	if rt.stopped.Load() {
 		panic("icilk: spawn on a stopped runtime")
-	}
-	var g *gctx
-	if c != nil {
-		g = c.g
 	}
 	t := &task{rt: rt, prio: p, fut: f, name: name, fn: fn}
 	f.owner = t
@@ -416,7 +334,7 @@ func (rt *Runtime) spawn(c *Ctx, p Priority, name string, f *future, fn func(*Ct
 	}
 	rt.outstanding.Add(1)
 	rt.stats.spawns.Add(1)
-	rt.submit(t, g)
+	rt.submit(t, c)
 }
 
 // Go spawns fn as a new task at priority p — fcreate. The task is a bare
@@ -463,14 +381,11 @@ func (rt *Runtime) requeue(t *task) {
 
 // enqueue is requeue's push half: the task lands in its level's
 // injection queue (a holder that was boosted while parked re-enters at
-// the waiter's level) and the master is poked if no worker scans that
-// level. The caller owes a wake() once everything is pushed —
-// finish pushes all of a future's waiters and wakes once.
+// the waiter's level). The caller owes a wake() once everything is
+// pushed — finish pushes all of a future's waiters and wakes once.
 func (rt *Runtime) enqueue(t *task) {
 	t.claimed.Store(false)
-	lvl := rt.effLevel(t.effPrio())
-	rt.levels[lvl].inject.push(t)
-	rt.kickMaster(lvl)
+	rt.levels[rt.effLevel(t.effPrio())].inject.push(t)
 }
 
 // run is a worker runner's scheduling loop. The goroutine executes tasks
@@ -482,12 +397,11 @@ func (w *worker) run() {
 	rt := w.rt
 	g := &gctx{w: w}
 	for {
-		t, lvl := w.next()
+		t := w.next()
 		if t == nil {
 			rt.wg.Done()
 			return
 		}
-		g.grantLvl = lvl
 		rt.runTask(g, t)
 		if g.handedOff {
 			// A task parked mid-run and this goroutine became a fiber;
@@ -504,16 +418,15 @@ func (w *worker) run() {
 }
 
 // next finds the worker's next task, parking the goroutine when the
-// runtime is empty. It returns (nil, 0) only at shutdown.
-func (w *worker) next() (*task, int32) {
+// runtime is empty. It returns nil only at shutdown.
+func (w *worker) next() *task {
 	rt := w.rt
 	for {
 		if rt.stopped.Load() {
-			return nil, 0
+			return nil
 		}
-		lvl := rt.assignment[w.id].Load()
-		if t := w.findTask(int(lvl)); t != nil {
-			return t, lvl
+		if t := w.findTask(); t != nil {
+			return t
 		}
 		// Nothing to run: fire what the clock has due (and run the poll
 		// hook) before parking, since a parked worker polls nothing.
@@ -522,10 +435,9 @@ func (w *worker) next() (*task, int32) {
 		// wakeSeq read below will bump the sequence and cancel the park.
 		rt.idle.Add(1)
 		seq := rt.wakeSeq.Load()
-		lvl = rt.assignment[w.id].Load()
-		if t := w.findTask(int(lvl)); t != nil {
+		if t := w.findTask(); t != nil {
 			rt.idle.Add(-1)
-			return t, lvl
+			return t
 		}
 		w.park(seq)
 		rt.idle.Add(-1)
@@ -533,44 +445,30 @@ func (w *worker) next() (*task, int32) {
 }
 
 // park blocks until new work is published (wakeSeq moves past seq) or
-// the runtime stops, accounting the idle interval for the master's
-// utilization feedback.
+// the runtime stops.
 func (w *worker) park(seq uint64) {
 	rt := w.rt
-	start := time.Now()
-	w.parkedSince.Store(start.UnixNano())
 	rt.parkMu.Lock()
 	for rt.wakeSeq.Load() == seq && !rt.stopped.Load() {
 		rt.parkCond.Wait()
 	}
 	rt.parkMu.Unlock()
-	// Clear parkedSince before folding the interval into idleNs: the
-	// master then momentarily under-counts this park (clamped at zero)
-	// rather than double-counting it.
-	w.parkedSince.Store(0)
-	w.idleNs.Add(time.Since(start).Nanoseconds())
 }
 
-// findTask returns the most urgent ready task this worker may run: one
-// scan from the top level down to floor, the worker's assignment. The
-// assignment is a floor, not a first choice — a worker never runs a task
-// while one at a higher level is ready (the prompt schedules of Theorem
-// 2.3), so a level-1 arrival, a lock hand-off or an IO completion is
-// served at the next task boundary instead of the master's next tick.
-// Work above the floor can never be a priority violation; work below it
-// is deliberately not taken — that would be baseline behavior — and an
-// idle worker waits for the master to lower its floor. A level with
-// nothing queued costs only its size loads.
-func (w *worker) findTask(floor int) *task {
+// findTask returns the most urgent ready task: one scan from the top
+// level down to level 0. A worker never runs a task while one at a
+// higher level is ready (the prompt schedules of Theorem 2.3), so a
+// level-1 arrival, a lock hand-off or an IO completion is served at the
+// next task boundary, and an idle worker takes work at any level (the
+// schedule is greedy). A level with nothing queued costs only its size
+// loads.
+func (w *worker) findTask() *task {
 	rt := w.rt
-	for lvl := len(rt.levels) - 1; lvl >= floor; lvl-- {
+	for lvl := len(rt.levels) - 1; lvl >= 0; lvl-- {
 		if !rt.levels[lvl].pending() {
 			continue
 		}
 		if t := w.findAtLevel(lvl); t != nil {
-			if lvl > floor {
-				rt.stats.upwardTakes.Add(1)
-			}
 			return t
 		}
 	}
@@ -631,193 +529,4 @@ func (w *worker) nextRand() uint64 {
 	x ^= x << 17
 	w.rng = x
 	return x
-}
-
-// master is the top-level scheduler: every quantum it measures per-level
-// utilization, updates desires, and reassigns workers to levels in
-// priority order. Utilization is derived from each worker's cumulative
-// park time (busy = not parked), so the workers never take timestamps on
-// the task path.
-func (rt *Runtime) master() {
-	defer rt.wg.Done()
-	p := rt.cfg.Workers
-	top := int32(len(rt.levels) - 1)
-	lastIdle := make([]int64, p)
-	busy := make([]int64, rt.cfg.Levels)
-	idle := make([]int64, rt.cfg.Levels)
-	lastNow := time.Now()
-	tick := time.NewTimer(rt.cfg.Quantum)
-	defer tick.Stop()
-	for {
-		// Every wake-up, tick or kick, restarts the quantum — unless the
-		// runtime is drained with every floor at the top, where a tick
-		// has nothing to decide. Work at the top level is visible to
-		// every scan, and every submission below it kicks (submit and
-		// enqueue call kickMaster; lock hand-offs and completions go
-		// through enqueue; an inheritance duplicate lands at a running
-		// waiter's level, which that waiter's worker scans). So the
-		// master sleeps on the kick alone, and a drained runtime costs
-		// no CPU. The first tick after a sleep folds the whole sleep into
-		// one fully idle interval.
-		var tickC <-chan time.Time
-		if rt.outstanding.Load() != 0 || rt.minAssign.Load() != top {
-			tick.Reset(rt.cfg.Quantum)
-			tickC = tick.C
-		} else {
-			tick.Stop()
-		}
-		select {
-		case <-rt.masterStop:
-			return
-		case <-tickC:
-			rt.stats.masterTicks.Add(1)
-		case <-rt.masterKick:
-			// Event-driven path: work arrived below every worker's
-			// mandate. The interval since the last tick is too short for
-			// the utilization feedback to mean anything, so skip the
-			// desire update and rerun allocation with current desires —
-			// pending() sees the new work and the commit hands it cores
-			// now instead of at the next tick.
-			rt.stats.masterKicks.Add(1)
-			rt.reallocate(p)
-			continue
-		}
-		now := time.Now()
-		elapsed := now.Sub(lastNow).Nanoseconds()
-		lastNow = now
-		if elapsed <= 0 {
-			continue
-		}
-		// Attribute each worker's busy/idle time to its assigned level.
-		clear(busy)
-		clear(idle)
-		for _, w := range rt.workers {
-			// Cumulative idle clock: completed parks plus the
-			// in-progress one. The two loads are not atomic together, so
-			// a park completing in between can make the clock dip or
-			// jump for one quantum; the clamps below bound the error to
-			// that quantum and the totals re-converge on the next read.
-			cum := w.idleNs.Load()
-			if ps := w.parkedSince.Load(); ps != 0 {
-				if d := now.UnixNano() - ps; d > 0 {
-					cum += d
-				}
-			}
-			idleDelta := cum - lastIdle[w.id]
-			lastIdle[w.id] = cum
-			if idleDelta < 0 {
-				idleDelta = 0
-			}
-			if idleDelta > elapsed {
-				idleDelta = elapsed
-			}
-			lvl := int(rt.assignment[w.id].Load())
-			idle[lvl] += idleDelta
-			busy[lvl] += elapsed - idleDelta
-		}
-		// Desire feedback per level.
-		for i, L := range rt.levels {
-			total := busy[i] + idle[i]
-			util := 0.0
-			if total > 0 {
-				util = float64(busy[i]) / float64(total)
-			}
-			satisfied := L.alloc >= L.desire
-			switch {
-			case util >= rt.cfg.UtilThreshold && satisfied:
-				L.desire = min(L.desire*rt.cfg.Gamma, p)
-			case util >= rt.cfg.UtilThreshold:
-				// Keep the desire: it was not satisfied, so utilization
-				// says nothing about what more cores would do.
-			default:
-				L.desire = max(L.desire/rt.cfg.Gamma, 1)
-			}
-		}
-		rt.reallocate(p)
-	}
-}
-
-// reallocate is the master's allocation + commit step, shared by the
-// quantum tick and the event-driven kick: hand out cores in priority
-// order against the current desires and pending work, then commit the
-// worker→level assignment.
-func (rt *Runtime) reallocate(p int) {
-	// Allocate cores in priority order (highest level first). A level
-	// with nothing queued requests no cores — otherwise, with fewer
-	// workers than levels, the desire floor of 1 would let the top
-	// levels hold every core while idle and starve the rest.
-	remaining := p
-	for i := rt.cfg.Levels - 1; i >= 0; i-- {
-		L := rt.levels[i]
-		want := L.desire
-		if !L.pending() {
-			want = 0
-		}
-		L.alloc = min(want, remaining)
-		remaining -= L.alloc
-	}
-	// Leftover cores go to the highest level with pending work, so
-	// the machine stays work-conserving.
-	if remaining > 0 {
-		granted := false
-		for i := rt.cfg.Levels - 1; i >= 0; i-- {
-			if rt.levels[i].pending() {
-				rt.levels[i].alloc += remaining
-				granted = true
-				break
-			}
-		}
-		if !granted {
-			rt.levels[rt.cfg.Levels-1].alloc += remaining
-		}
-	}
-	// Publish the new scan floor before committing: a submitter racing
-	// with the commit either sees the old (higher) floor and kicks
-	// spuriously, or sees the new one while the commit that serves it is
-	// already in flight — never a missed kick with stranded work.
-	minLvl := int32(0)
-	idx := 0
-	for i := rt.cfg.Levels - 1; i >= 0; i-- {
-		if rt.levels[i].alloc > 0 && idx < p {
-			minLvl = int32(i)
-			idx += rt.levels[i].alloc
-		}
-	}
-	if idx < p {
-		minLvl = 0
-	}
-	rt.minAssign.Store(minLvl)
-	// Commit the assignment: contiguous blocks, highest level first.
-	// A changed assignment is itself a scheduling event: parked
-	// workers may now be mandated to serve a level with work.
-	changed := false
-	idx = 0
-	commit := func(i int32) {
-		if rt.assignment[idx].Swap(i) != i {
-			changed = true
-		}
-		idx++
-	}
-	for i := rt.cfg.Levels - 1; i >= 0; i-- {
-		for n := 0; n < rt.levels[i].alloc && idx < p; n++ {
-			commit(int32(i))
-		}
-	}
-	for ; idx < p; idx++ {
-		if rt.assignment[idx].Swap(0) != 0 {
-			changed = true
-		}
-	}
-	if changed {
-		rt.wake()
-	}
-}
-
-// Allocation returns the current worker→level assignment (diagnostics).
-func (rt *Runtime) Allocation() []int {
-	out := make([]int, len(rt.assignment))
-	for i := range rt.assignment {
-		out[i] = int(rt.assignment[i].Load())
-	}
-	return out
 }

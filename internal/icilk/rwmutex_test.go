@@ -266,7 +266,7 @@ func TestNewRWMutexRejectsInvertedCeilings(t *testing.T) {
 // chain to unwind.
 func TestRWMutexWriteInheritance(t *testing.T) {
 	rt := testRuntime(t, Config{
-		Workers: 1, Levels: 2, Prioritize: true, Quantum: 200 * time.Microsecond,
+		Workers: 1, Levels: 2, Prioritize: true,
 	})
 	m := NewRWMutex(rt, 1, 0, "inherit")
 	gate := NewPromise[int](rt, 0)

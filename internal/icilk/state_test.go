@@ -188,15 +188,8 @@ func TestMutexTryLock(t *testing.T) {
 // spinners (the running one yields straight back onto the worker's own
 // deque, so the injection queue starves) and the high task never runs;
 // with inheritance the holder was boosted to the waiter's level, so its
-// requeue lands at level 1, the master hands the worker up, and the
+// requeue lands at level 1, the worker's next scan takes it, and the
 // chain unwinds.
-//
-// Two spinners, not one: while one runs the other is queued, so level 0
-// always has pending work. With a single spinner nothing is queued
-// while it runs, a master tick then parks the spare worker at the top
-// level, and a yield that observes that assignment goes to the
-// injection queue — behind the holder, if the gate has just completed,
-// and the inversion unwinds on its own.
 func inheritanceScenario(t *testing.T, rt *Runtime) (high Future[int], gate Promise[int], stopSpin *atomic.Bool) {
 	t.Helper()
 	m := NewMutex(rt, 1, "inherit")
@@ -249,7 +242,7 @@ func inheritanceScenario(t *testing.T, rt *Runtime) (high Future[int], gate Prom
 // event.
 func TestPriorityInheritanceAccelerates(t *testing.T) {
 	rt := testRuntime(t, Config{
-		Workers: 1, Levels: 2, Prioritize: true, Quantum: 200 * time.Microsecond,
+		Workers: 1, Levels: 2, Prioritize: true,
 	})
 	high, _, stopSpin := inheritanceScenario(t, rt)
 	v, err := Await(high, 10*time.Second)
@@ -273,7 +266,7 @@ func TestPriorityInheritanceAccelerates(t *testing.T) {
 // task stays blocked — the inversion the boost exists to remove.
 func TestNoInheritanceStarves(t *testing.T) {
 	rt := testRuntime(t, Config{
-		Workers: 1, Levels: 2, Prioritize: true, Quantum: 200 * time.Microsecond,
+		Workers: 1, Levels: 2, Prioritize: true,
 		DisableInheritance: true,
 	})
 	high, _, stopSpin := inheritanceScenario(t, rt)

@@ -8,14 +8,13 @@ import (
 )
 
 // TestStressChurn churns Go/Touch/IO/Done/Yield/WaitIdle across all
-// levels with master reassignment enabled. Run with -race it doubles as
+// levels of the prioritized scheduler. Run with -race it doubles as
 // the memory-safety gauntlet for the lock-free deques, the parking
 // protocol, and the promote/resume handshake.
 func TestStressChurn(t *testing.T) {
 	t.Run("chaselev", func(t *testing.T) {
 		rt := New(Config{
 			Workers: 4, Levels: 3, Prioritize: true,
-			Quantum: 100 * time.Microsecond,
 		})
 		defer rt.Shutdown()
 

@@ -7,8 +7,8 @@ import (
 
 // Priority is a runtime priority level. Larger values are more urgent.
 // Unlike λ4i's partially ordered priorities, the runtime's levels are
-// totally ordered — matching I-Cilk, whose two-level scheduler assigns
-// cores to levels "in the order of priority" (Section 4.3).
+// totally ordered — matching I-Cilk, whose scheduler serves levels "in
+// the order of priority" (Section 4.3).
 type Priority int
 
 // task is one spawned computation. A task starts life as a bare closure:
@@ -193,9 +193,6 @@ type gctx struct {
 	// written by the granting worker before the resume send (or before
 	// inline dispatch), so the channel/call provides the ordering.
 	w *worker
-	// grantLvl is w's level assignment at the moment of the grant;
-	// Checkpoint compares it against the live assignment.
-	grantLvl int32
 
 	// resume and yield exist once the goroutine has parked at least
 	// once. A worker grants the slot by sending on resume and takes it
@@ -300,40 +297,33 @@ func (c *Ctx) Yield() {
 	// Requeue before parking: a worker may pop t and attempt the resume
 	// send immediately, which simply blocks until park reaches the
 	// receive.
-	t.rt.submit(t, g)
+	t.rt.submit(t, c)
 	g.park(t.rt, w)
 }
 
 // Checkpoint is the preemption point of a long-running task. It first
 // fires the runtime clock's due IO and deadline entries (one atomic load
 // when nothing is armed) and runs the SetBoundaryPoll hook. Then it
-// yields if the master has reassigned this worker since it granted the
-// task's goroutine the slot (the quantum-boundary preemption of the
-// two-level scheduler), or if a level above the task's effective
-// priority has work in its injection queue — an arrival, an unblocked
-// waiter (including one a fired IO just woke) or a boosted lock holder,
-// which the worker's next scan takes before coming back to this task.
-// Only the levels above the task are read, one queue size each (none at
-// the top level or in the baseline), so it is cheap enough for inner
-// loops; and the first worker to yield for an entry pops it, so one
-// arrival costs at most one yield per worker.
+// yields if a level above the task's effective priority has ready work
+// — an arrival, an unblocked waiter (including one a fired IO just
+// woke), a boosted lock holder, or a task forked onto any worker's
+// deque — which the worker's next scan takes before coming back to this
+// task. Only the levels above the task are read, one size load per
+// queue (none at the top level or in the baseline), so it is cheap
+// enough for inner loops; and the first worker to yield for an entry
+// pops it, so one arrival costs at most one yield per worker.
 func (c *Ctx) Checkpoint() {
-	g, rt := c.g, c.t.rt
+	rt := c.t.rt
 	// Fire due clock entries first, so a higher-level waiter one of them
 	// wakes is in its injection queue when the scan below looks; the
 	// same holds for a request the poll hook lets its reader dispatch.
 	rt.boundary()
-	w := g.w
-	if w == nil {
-		return
-	}
-	if rt.assignment[w.id].Load() != g.grantLvl {
-		c.Yield()
+	if c.g.w == nil {
 		return
 	}
 	own := rt.effLevel(c.t.effPrio())
 	for lvl := len(rt.levels) - 1; lvl > own; lvl-- {
-		if rt.levels[lvl].inject.size() > 0 {
+		if rt.levels[lvl].pending() {
 			rt.stats.preemptYields.Add(1)
 			c.Yield()
 			return
@@ -408,14 +398,10 @@ func panicError(what string, r any) error {
 // runTask executes t using the slot currently held by g's goroutine:
 // inline for a bare closure, by resume/yield handshake for a promoted
 // task's fiber. Callers are the worker run loop and the touch-time
-// helping path. g.grantLvl is deliberately left alone: it changes only
-// when a slot is acquired (the run loop sets it per dispatch, park's
-// granter sets it per resume), so helping mid-task cannot clobber the
-// outer task's Checkpoint baseline. A fiber granted the slot inherits
-// the grantor's baseline — it is the same slot under the same mandate.
+// helping path.
 func (rt *Runtime) runTask(g *gctx, t *task) {
 	if fb := t.g; fb != nil {
-		fb.w, fb.grantLvl = g.w, g.grantLvl
+		fb.w = g.w
 		rt.stats.resumes.Add(1)
 		fb.resume <- struct{}{}
 		<-fb.yield

@@ -324,6 +324,5 @@ func (s *Server) statsBody(c *icilk.Ctx) string {
 		fmt.Fprintf(&b, "injected faults: %v\n", fl.Stats())
 	}
 	fmt.Fprintf(&b, "scheduler: %v\n", s.rt.Stats())
-	fmt.Fprintf(&b, "worker allocation (level per worker): %v\n", s.rt.Allocation())
 	return b.String()
 }
