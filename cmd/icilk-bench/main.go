@@ -9,8 +9,8 @@
 //	icilk-bench -experiment state      # Ref/Mutex priority-inheritance contention
 //	icilk-bench -experiment lock       # lock fast paths vs raw baselines
 //	icilk-bench -experiment l4i        # λ4i corpus: simulator vs compiled
-//	icilk-bench -experiment io         # future tax, forwarding touch
-//	icilk-bench -experiment overload   # goodput/p99 under shedding and deadlines
+//	icilk-bench -experiment io         # future tax, completion absorption
+//	icilk-bench -experiment overload   # goodput/p99 under shedding
 //	icilk-bench -experiment all
 //
 // -h prints the same catalogue with the flags each experiment reads.
@@ -71,9 +71,9 @@ var experimentList = []experimentInfo{
 		func(cfg experiments.EvalConfig, _ int) any { return lock(cfg) }},
 	{"l4i", "λ4i corpus: simulator vs compiled-onto-icilk wall time per program", "-workers -iters -l4i-dir",
 		func(cfg experiments.EvalConfig, iters int) any { return l4i(cfg, iters) }},
-	{"io", "per-request future tax: spawn/touch allocs, forwarding touch, completion absorption", "-workers",
+	{"io", "per-request future tax: spawn/touch allocs, completion absorption", "-workers",
 		func(cfg experiments.EvalConfig, _ int) any { return ioExp(cfg) }},
-	{"overload", "overload robustness: per-class goodput/p99 at 0.5x and 3x capacity with shedding and deadlines", "-workers -duration -seed",
+	{"overload", "overload robustness: per-class goodput/p99 at 0.5x and 3x capacity with shedding", "-workers -duration -seed",
 		func(cfg experiments.EvalConfig, _ int) any { return overload(cfg) }},
 	{"all", "every experiment above, in order", "", nil},
 }
@@ -389,7 +389,7 @@ func l4i(cfg experiments.EvalConfig, iters int) any {
 }
 
 func ioExp(cfg experiments.EvalConfig) any {
-	fmt.Println("=== Per-request future tax: spawn/promise costs, forwarding touch, completion absorption ===")
+	fmt.Println("=== Per-request future tax: spawn/promise costs, completion absorption ===")
 	res := experiments.IOBench(cfg)
 	f := res.FastPath
 	fmt.Printf("%-28s %10s %14s\n", "fast path (single worker)", "ns/op", "allocs/op")
@@ -399,11 +399,6 @@ func ioExp(cfg experiments.EvalConfig) any {
 		"promise complete+touch", f.PromiseTouchNs, f.PromiseTouchAllocs)
 	fmt.Printf("%-28s %10.1f %11.0f allocs/op  (done fast path)\n",
 		"touch of done future", f.DoneTouchNs, f.DoneTouchAllocs)
-	fw := res.Forward
-	fmt.Printf("forwarding chain (%d hops): forward %.0f ns/chain (%d parks/round), "+
-		"re-park %.0f ns/chain (%d parks/round), %d forwards, speedup %.2fx\n",
-		fw.Hops, fw.ForwardChainNs, fw.ParksForward,
-		fw.ReparkChainNs, fw.ParksRepark, fw.ForwardedTouches, fw.Speedup())
 	fmt.Printf("completion absorption (one parked toucher per promise): %.0f completions/s, %d wakes\n",
 		res.Completion.OpsPerSec, res.Completion.Wakes)
 	fmt.Println()
@@ -411,7 +406,7 @@ func ioExp(cfg experiments.EvalConfig) any {
 }
 
 func overload(cfg experiments.EvalConfig) any {
-	fmt.Println("=== Overload robustness: shedding + deadlines across the capacity sweep ===")
+	fmt.Println("=== Overload robustness: shedding across the capacity sweep ===")
 	res, err := experiments.OverloadBench(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "icilk-bench: overload: %v\n", err)

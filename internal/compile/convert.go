@@ -161,17 +161,7 @@ func (c *converter) cmd(sc *cscope, m ast.Cmd) iCmd {
 		slot := sc.bind(nsVar, m.X)
 		body := c.cmd(sc, m.M)
 		sc.unbind()
-		// Fused-forwarding peephole: the continuation is syntactically
-		// `ftouch x` for the bound x, so if the bound command turns out
-		// to be an ftouch too, one forwarding-aware touch (hop budget 1)
-		// replaces the park-wake-park of the naive pair.
-		fuse := false
-		if ft, ok := body.(cFtouch); ok {
-			if v, ok := ft.e.(iVar); ok && v.slot == slot {
-				fuse = true
-			}
-		}
-		return cBind{slot: slot, e: e, m: body, fuse: fuse}
+		return cBind{slot: slot, e: e, m: body}
 
 	case ast.Fcreate:
 		pr := c.prioRef(m.P)

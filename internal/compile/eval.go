@@ -36,16 +36,11 @@ type (
 		id   int64
 	}
 	// vTid is a first-class thread handle: the run's thread number
-	// (reify prints t<id>) and the task's handle. Embedding icilk.Handle
-	// makes every tid value a forwarding carrier: when a thread's final
-	// value is a vTid, the scheduler can migrate a parked toucher down
-	// the chain (completion-time forwarding) instead of waking it to
-	// re-park. A plain Touch still returns the vTid itself — D-Touch
-	// returns the thread's value as-is — so the λ4i semantics are
-	// unchanged; only the parking pattern improves.
+	// (reify prints t<id>) and the task's handle. Touching it returns
+	// the thread's value as-is (D-Touch), a vTid included.
 	vTid struct {
 		id int64
-		icilk.Handle
+		h  icilk.Handle
 	}
 )
 
@@ -155,13 +150,6 @@ func (t *texec) command(co *code, fr []value, penv []icilk.Priority) value {
 
 		case cBind: // D-Bind: run the encapsulated command, write the slot.
 			bco, nf, bpenv := t.bound(mm.e, fr, penv)
-			if mm.fuse {
-				if ft, ok := bco.cbody.(cFtouch); ok {
-					v := t.fusedTouch(ft, nf, bpenv)
-					t.stk.pop(nf)
-					return v
-				}
-			}
 			fr[mm.slot] = t.command(bco, nf, bpenv)
 			t.stk.pop(nf)
 			m = mm.m
@@ -175,8 +163,7 @@ func (t *texec) command(co *code, fr []value, penv []icilk.Priority) value {
 			if !ok {
 				stuck("ftouch of non-thread value %s", tv)
 			}
-			h := tid.Handle
-			return h.Touch(t.c)
+			return tid.h.Touch(t.c)
 
 		case cDcl: // D-Dcl → icilk.Ref with the baked ceiling
 			v := t.eval(mm.e, fr, penv)
@@ -244,7 +231,7 @@ func (t *texec) fcreate(mm cFcreate, fr []value, penv []icilk.Priority) value {
 		t2.c = c
 		return t2.run(co, nf, penv)
 	})
-	return vTid{id: id, Handle: h}
+	return vTid{id: id, h: h}
 }
 
 // cas is D-CAS1/D-CAS2 as one Ref.Update: 1 if the cell held old and now
@@ -263,29 +250,6 @@ func (t *texec) cas(r vRef, old, nw value) value {
 		return vNat{n: 1}
 	}
 	return vNat{n: 0}
-}
-
-// fusedTouch is `bind x = ftouch e in ftouch x` as one forwarding-aware
-// touch with hop budget 1: the outer touch rides the inner one's park
-// (one park, not two) while staying semantics-exact — exactly two
-// touches deep, so a third tid in the chain is returned unresolved,
-// just as the unfused pair would. fr is the bound command's frame.
-func (t *texec) fusedTouch(ft cFtouch, fr []value, penv []icilk.Priority) value {
-	tv := t.eval(ft.e, fr, penv)
-	tid, ok := tv.(vTid)
-	if !ok {
-		stuck("ftouch of non-thread value %s", tv)
-	}
-	h := tid.Handle
-	v := h.TouchThroughN(t.c, 1)
-	// Whether the hop happened is the stuckness question: the head value
-	// is now resolved, so re-reading it is the done fast path (one
-	// atomic load). A non-tid head value means the outer ftouch would
-	// have been stuck on it.
-	if _, headIsTid := h.Touch(t.c).(vTid); !headIsTid {
-		stuck("ftouch of non-thread value %s", v)
-	}
-	return v
 }
 
 // eval evaluates a converted expression in its frame, big-step, with

@@ -274,11 +274,6 @@ type (
 		slot int
 		e    iExpr
 		m    iCmd
-		// fuse marks the `bind x = ftouch e in ftouch x` peephole,
-		// detected on the continuation at conversion time; the bound
-		// command's shape is still checked dynamically, exactly like the
-		// substitution evaluator did.
-		fuse bool
 	}
 	cFcreate struct {
 		p    prioRef

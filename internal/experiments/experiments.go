@@ -192,8 +192,8 @@ func Fig13(cfg EvalConfig) []Fig13Row {
 	var rows []Fig13Row
 	for _, app := range []string{"proxy", "email"} {
 		for _, conns := range cfg.Connections {
-			ic := runAppResponses(app, cfg, conns, true)
-			bl := runAppResponses(app, cfg, conns, false)
+			ic := runApp(app, cfg, conns, true).responses
+			bl := runApp(app, cfg, conns, false).responses
 			rows = append(rows, Fig13Row{
 				App:         app,
 				Connections: conns,
@@ -207,25 +207,32 @@ func Fig13(cfg EvalConfig) []Fig13Row {
 	return rows
 }
 
-// runApp runs one app once on a fresh runtime, returning the event-loop
-// response summary and the scheduler event counters the run produced.
-func runApp(app string, cfg EvalConfig, conns int, prioritize bool) (stats.Summary, icilk.SchedStats) {
+// appRun is what one proxy or email run yields: the event-loop response
+// summary, the per-component compute-time samples (keyed by the names
+// in appComponents) and the scheduler event counters the run produced.
+type appRun struct {
+	responses  stats.Summary
+	components map[string]*stats.Recorder
+	sched      icilk.SchedStats
+}
+
+// runApp runs one app once on a fresh runtime. Fig. 13, Fig. 14 and the
+// sched counters all read their numbers from it.
+func runApp(app string, cfg EvalConfig, conns int, prioritize bool) appRun {
 	var levels int
-	var drive func(rt *icilk.Runtime) stats.Summary
+	var drive func(rt *icilk.Runtime) appRun
 	switch app {
 	case "proxy":
 		levels = proxy.Levels
-		drive = func(rt *icilk.Runtime) stats.Summary {
-			return proxy.Run(rt, proxy.Config{
-				Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed,
-			}).ResponseSummary()
+		drive = func(rt *icilk.Runtime) appRun {
+			r := proxy.Run(rt, proxy.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed})
+			return appRun{responses: r.ResponseSummary(), components: r.Components}
 		}
 	case "email":
 		levels = email.Levels
-		drive = func(rt *icilk.Runtime) stats.Summary {
-			return email.Run(rt, email.Config{
-				Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed,
-			}).ResponseSummary()
+		drive = func(rt *icilk.Runtime) appRun {
+			r := email.Run(rt, email.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed})
+			return appRun{responses: r.ResponseSummary(), components: r.Components}
 		}
 	default:
 		panic("experiments: unknown app " + app)
@@ -234,14 +241,9 @@ func runApp(app string, cfg EvalConfig, conns int, prioritize bool) (stats.Summa
 		Workers: cfg.Workers, Levels: levels, Prioritize: prioritize,
 	})
 	defer rt.Shutdown()
-	res := drive(rt)
-	return res, rt.Stats()
-}
-
-// runAppResponses runs one app once and summarizes event-loop responses.
-func runAppResponses(app string, cfg EvalConfig, conns int, prioritize bool) stats.Summary {
-	res, _ := runApp(app, cfg, conns, prioritize)
-	return res
+	out := drive(rt)
+	out.sched = rt.Stats()
+	return out
 }
 
 // Fig14Row is one bar group of Figure 14: per-component compute-time
@@ -290,8 +292,8 @@ func Fig14ProxyEmail(cfg EvalConfig) []Fig14Row {
 	var rows []Fig14Row
 	for _, app := range []string{"proxy", "email"} {
 		for _, conns := range cfg.Connections {
-			ic := runAppComponents(app, cfg, conns, true)
-			bl := runAppComponents(app, cfg, conns, false)
+			ic := runApp(app, cfg, conns, true).components
+			bl := runApp(app, cfg, conns, false).components
 			row := Fig14Row{App: app, Load: fmt.Sprintf("%d conns", conns)}
 			for _, comp := range appComponents[app] {
 				icS := ic[comp.Name].Summary()
@@ -309,26 +311,6 @@ func Fig14ProxyEmail(cfg EvalConfig) []Fig14Row {
 		}
 	}
 	return rows
-}
-
-// runAppComponents runs one app once and returns its per-component
-// compute-time samples, keyed by the names in appComponents.
-func runAppComponents(app string, cfg EvalConfig, conns int, prioritize bool) map[string]*stats.Recorder {
-	switch app {
-	case "proxy":
-		rt := icilk.New(icilk.Config{
-			Workers: cfg.Workers, Levels: proxy.Levels, Prioritize: prioritize,
-		})
-		defer rt.Shutdown()
-		return proxy.Run(rt, proxy.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed}).Components
-	case "email":
-		rt := icilk.New(icilk.Config{
-			Workers: cfg.Workers, Levels: email.Levels, Prioritize: prioritize,
-		})
-		defer rt.Shutdown()
-		return email.Run(rt, email.Config{Clients: conns, Duration: cfg.Duration, Seed: cfg.Seed}).Components
-	}
-	panic("experiments: unknown app " + app)
 }
 
 // JServerLoads approximates the paper's 64%, 77%, 95% and >95% server
@@ -401,9 +383,9 @@ func SchedCounters(cfg EvalConfig) []SchedPoint {
 	var out []SchedPoint
 	for _, app := range []string{"proxy", "email"} {
 		for _, prioritize := range []bool{true, false} {
-			res, sc := runApp(app, cfg, conns, prioritize)
+			r := runApp(app, cfg, conns, prioritize)
 			out = append(out, SchedPoint{
-				App: app, Prioritize: prioritize, Stats: sc, Response: res,
+				App: app, Prioritize: prioritize, Stats: r.sched, Response: r.responses,
 			})
 		}
 	}

@@ -10,12 +10,8 @@ import (
 // future is the untyped core of a Future: a completion cell with waiters.
 // Completion is push-based: finish requeues every parked waiter at its
 // own level and wakes parked workers, and closes the external-waiter
-// channel if one exists. Nothing ever polls a future.
-//
-// Values reach parked waiters through the waiter's goroutine context
-// (gctx.fwdVal/fwdErr), not by re-reading the cell after resume: finish
-// may have migrated a forwarding waiter down a carrier chain, so the
-// cell the waiter parked on need not be the one that resolved it.
+// channel if one exists. Nothing ever polls a future. A resumed waiter
+// reads val/err from the cell it parked on.
 type future struct {
 	mu   sync.Mutex
 	prio Priority
@@ -41,20 +37,6 @@ type future struct {
 	doneCh chan struct{}
 }
 
-// maxForwardHops bounds a forwarding walk: TouchThroughN clamps its
-// budget to it, so a cycle of handles ends the walk at a carrier instead
-// of spinning.
-const maxForwardHops = 64
-
-// futureCarrier is the forwarding hook: a completion value that carries
-// a future handle of its own. Any value with an embedded Handle
-// implements it (the method promotes across packages), which is how
-// the compiled λ4i backend marks thread-id values as forwardable
-// without the runtime knowing anything about the AST.
-type futureCarrier interface {
-	carriedFuture() *future
-}
-
 // complete stores the value and wakes every waiter.
 func (f *future) complete(v any) { f.finish(v, nil) }
 
@@ -62,13 +44,6 @@ func (f *future) complete(v any) { f.finish(v, nil) }
 func (f *future) fail(err error) { f.finish(nil, err) }
 
 // finish resolves the future and requeues every parked waiter.
-//
-// Forwarding happens here for parked waiters: a waiter that parked via
-// TouchThroughN (fwdBudget > 0) whose value turns out to be a carrier of
-// a still-pending inner future is migrated onto that inner future's
-// waiter list instead of being woken — the waiter stays parked, pays no
-// wake/re-park round trip, and resumes only when the chain bottoms out.
-//
 // A future is resolved once: a second finish panics.
 func (f *future) finish(v any, err error) {
 	f.mu.Lock()
@@ -92,15 +67,6 @@ func (f *future) finish(v any, err error) {
 	}
 	var rt *Runtime
 	for _, t := range waiters {
-		g := t.g
-		if err == nil && g.fwdBudget > 0 {
-			if fc, ok := v.(futureCarrier); ok && t.migrateTo(fc.carriedFuture()) {
-				// Forwarded: the waiter now parks on the inner future;
-				// no requeue, no wake.
-				continue
-			}
-		}
-		g.fwdVal, g.fwdErr = v, err
 		rt = t.rt // read before the push: t is resumable the moment it lands
 		rt.enqueue(t)
 	}
@@ -110,56 +76,7 @@ func (f *future) finish(v any, err error) {
 	}
 }
 
-// migrateTo moves a parked forwarding waiter onto the carrier's inner
-// future, consuming one hop of its budget. False means the inner future
-// is already done and the caller requeues the waiter itself (the
-// resumed toucher walks the rest synchronously).
-func (t *task) migrateTo(inner *future) bool {
-	inner.mu.Lock()
-	if inner.done.Load() {
-		inner.mu.Unlock()
-		return false
-	}
-	t.g.fwdBudget--
-	inner.waiters = append(inner.waiters, t)
-	inner.mu.Unlock()
-	t.rt.stats.forwards.Add(1)
-	return true
-}
-
-// touch implements ftouch for the running task: one future, no
-// forwarding (a plain Touch of a Future[Handle] must return the handle,
-// not see through it).
-func (f *future) touch(c *Ctx) any {
-	budget := 0
-	return f.touchOne(c, &budget)
-}
-
-// touchChain is the forwarding touch: resolve f, and while the value is
-// itself a future carrier and budget remains, hop to the inner future —
-// synchronously when it is already done, by parked-waiter migration
-// (see finish) when it is not. A value that is still a carrier when the
-// budget runs out is returned as-is (the compiled backend's bounded
-// fusion wants exactly-N touches, not all-the-way resolution).
-func (f *future) touchChain(c *Ctx, budget int) any {
-	rt := c.t.rt
-	cur := f
-	for {
-		v := cur.touchOne(c, &budget)
-		fc, ok := v.(futureCarrier)
-		if !ok {
-			return v
-		}
-		if budget <= 0 {
-			return v
-		}
-		budget--
-		rt.stats.forwards.Add(1)
-		cur = fc.carriedFuture()
-	}
-}
-
-// touchOne resolves one future for the running task. Resolution order:
+// touch resolves one future for the running task. Resolution order:
 //
 //  1. Fast path: the future is already done — one atomic load, then
 //     read the value. No mutex, no wake machinery.
@@ -172,11 +89,11 @@ func (f *future) touchChain(c *Ctx, budget int) any {
 //     introduce no deadlock the program didn't already have.
 //  3. Park: register as a waiter and suspend the goroutine, releasing
 //     the worker slot (the latency-hiding behavior of Section 4.1);
-//     completion requeues the task and a worker resumes it. *budget is
-//     the forwarding budget the waiter parks with; finish may consume
-//     hops from it by migrating the parked task down a carrier chain,
-//     and the remainder is written back here after the resume.
-func (f *future) touchOne(c *Ctx, budget *int) any {
+//     completion requeues the task and a worker resumes it.
+//
+// A touch of a future whose value is itself a Handle returns that
+// Handle: ftouch of a thread yields the thread's value as-is (D-Touch).
+func (f *future) touch(c *Ctx) any {
 	t := c.t
 	rt := t.rt
 	if t.prio > f.prio {
@@ -252,22 +169,15 @@ func (f *future) touchOne(c *Ctx, budget *int) any {
 		}
 		return v
 	}
-	g.fwdBudget = int32(*budget)
 	f.waiters = append(f.waiters, t)
 	f.mu.Unlock()
 	g.park(rt, w)
-	// finish delivered the value through the task (and may have walked
-	// part of a forwarding chain, consuming budget) before requeueing
-	// us; the requeue/resume chain publishes the writes. The cell
-	// itself is not re-read here: after a migration it is not the one
-	// that resolved.
-	*budget = int(g.fwdBudget)
-	v, err := g.fwdVal, g.fwdErr
-	g.fwdVal, g.fwdErr, g.fwdBudget = nil, nil, 0
-	if err != nil {
-		panic(err)
+	// finish wrote val/err before requeueing us, and the requeue/resume
+	// handshake publishes those writes.
+	if f.err != nil {
+		panic(f.err)
 	}
-	return v
+	return f.val
 }
 
 // poll reports successful completion without blocking. A failed future
@@ -301,45 +211,17 @@ func (f Future[T]) Done() bool { return f.f.poll() }
 func (f Future[T]) Untyped() *Handle { return &Handle{f: f.f} }
 
 // Handle is an untyped future handle: first-class, storable in shared
-// state, and touchable — the thread handles of λ4i. A completion value
-// that embeds a Handle is a forwarding carrier: TouchThroughN resolves
-// through it, and finish migrates parked forwarding waiters along it.
+// state, and touchable — the thread handles of λ4i.
 type Handle struct {
 	f *future
 }
-
-// carriedFuture makes Handle (and every type embedding one) a
-// forwarding carrier.
-func (h Handle) carriedFuture() *future { return h.f }
 
 // Priority returns the handle's priority.
 func (h *Handle) Priority() Priority { return h.f.prio }
 
 // Touch waits for the underlying future and returns its untyped value.
-// A plain Touch never forwards: touching a future whose value is itself
-// a handle returns the handle.
+// Touching a future whose value is itself a handle returns the handle.
 func (h *Handle) Touch(c *Ctx) any { return h.f.touch(c) }
-
-// TouchThroughN waits for the underlying future and, while the value is
-// itself a future carrier (a Handle or any value embedding one) and hops
-// remain, resolves through the chain: hops to already-done inner futures
-// cost a pointer chase each, and a chain that completes progressively
-// while the toucher is parked migrates the parked task link by link
-// instead of waking it to re-park (SchedStats.ForwardedTouches counts
-// hops). At most n hops are taken, n clamped to maxForwardHops, and a
-// value that is still a carrier when the budget runs out — the end of a
-// chain longer than n, or a cycle of handles — is returned as-is. The
-// compiled λ4i backend uses n=1 to fuse `bind x = ftouch e in ftouch x`
-// into one park.
-func (h *Handle) TouchThroughN(c *Ctx, n int) any {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxForwardHops {
-		n = maxForwardHops
-	}
-	return h.f.touchChain(c, n)
-}
 
 // Done reports whether the underlying future completed successfully.
 func (h *Handle) Done() bool { return h.f.poll() }

@@ -144,87 +144,6 @@ func TestWaitIdleOnIdleRuntimeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestForwardCycleErrors builds a genuine cycle of thread handles — two
-// promises each completed with a handle to the other — and checks that
-// a forwarding touch on it terminates: TouchThroughN takes its budget of
-// hops and returns the still-carrier value as-is instead of chasing the
-// cycle forever, and an oversized budget is clamped to maxForwardHops.
-func TestForwardCycleErrors(t *testing.T) {
-	rt := New(Config{Workers: 2, Levels: 1})
-	defer rt.Shutdown()
-
-	pa := NewPromise[any](rt, 0)
-	pb := NewPromise[any](rt, 0)
-	pa.Complete(any(*pb.Future().Untyped()))
-	pb.Complete(any(*pa.Future().Untyped()))
-
-	for _, n := range []int{3, 1 << 30} {
-		fwd0 := rt.Stats().ForwardedTouches
-		bounded := Go(rt, nil, 0, "bounded", func(c *Ctx) int {
-			v := pa.Future().Untyped().TouchThroughN(c, n)
-			if _, ok := v.(Handle); !ok {
-				t.Errorf("TouchThroughN(%d) on a cycle returned %T, want a Handle carrier", n, v)
-			}
-			return 0
-		})
-		if _, err := Await(bounded, 10*time.Second); err != nil {
-			t.Fatalf("bounded touch on cycle: %v", err)
-		}
-		if got, want := rt.Stats().ForwardedTouches-fwd0, int64(min(n, maxForwardHops)); got != want {
-			t.Errorf("TouchThroughN(%d) on a cycle took %d hops, want %d", n, got, want)
-		}
-	}
-}
-
-// TestForwardingMigratesParkedToucher drives completion-side forwarding
-// across a whole chain: K promises, each completed with a handle to the
-// next and the last with an int, completed from outside the runtime one
-// by one after the toucher has parked on the head. With a budget of K-1
-// hops every completion migrates the parked toucher onto the next
-// promise, so it parks once and wakes once with the value; with K-2 the
-// budget runs out one promise short and the toucher wakes holding the
-// last carrier.
-func TestForwardingMigratesParkedToucher(t *testing.T) {
-	const K = 8
-	for _, budget := range []int{K - 1, K - 2} {
-		rt := New(Config{Workers: 2, Levels: 1})
-		defer rt.Shutdown()
-		prs := make([]Promise[any], K)
-		for i := range prs {
-			prs[i] = NewPromise[any](rt, 0)
-		}
-		head := prs[0].Future().Untyped()
-		s0 := rt.Stats()
-		res := Go(rt, nil, 0, "chain-toucher", func(c *Ctx) any { return head.TouchThroughN(c, budget) })
-		waitStat(t, "parks", func() int64 { return rt.Stats().Parks }, s0.Parks+1)
-		for i := 0; i < K-1; i++ {
-			prs[i].Complete(any(*prs[i+1].Future().Untyped()))
-			// While budget remains, the migration happens inside
-			// Complete: the hop is counted before it returns, and the
-			// toucher is never resumed in between.
-			if s := rt.Stats(); i < budget && (s.ForwardedTouches-s0.ForwardedTouches != int64(i+1) || s.Resumes != s0.Resumes) {
-				t.Fatalf("budget %d, promise %d completed: %d hops and %d resumes, want %d and 0",
-					budget, i, s.ForwardedTouches-s0.ForwardedTouches, s.Resumes-s0.Resumes, i+1)
-			}
-		}
-		prs[K-1].Complete(any(42))
-		v, err := Await(res, 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := v.(Handle); budget == K-1 && v != 42 || budget == K-2 && !ok {
-			t.Errorf("budget %d: got %v (%T)", budget, v, v)
-		}
-		s := rt.Stats()
-		if d := s.Parks - s0.Parks; d != 1 {
-			t.Errorf("budget %d: %d parks, want 1", budget, d)
-		}
-		if d := s.ForwardedTouches - s0.ForwardedTouches; d != int64(budget) {
-			t.Errorf("budget %d: %d forwarded touches, want %d", budget, d, budget)
-		}
-	}
-}
-
 // TestDoneTouchNoPark pins the completed-future fast path: touching an
 // already-done future — a Completed constant, a pre-resolved promise,
 // or a spawned child forced through touch-time helping — never suspends

@@ -32,7 +32,6 @@ type schedCounters struct {
 	inherits      counter
 	transBoosts   counter
 	ceilings      counter
-	forwards      counter
 	preemptYields counter
 }
 
@@ -92,12 +91,6 @@ type SchedStats struct {
 	// ceiling — the dynamic analogue of the state-typing rule (paper
 	// Fig. 12) that Touch's inversion check is for futures.
 	CeilingViolations int64
-	// ForwardedTouches counts forwarding hops: a touched future whose
-	// value was itself a future handle, resolved by walking to the inner
-	// future (or migrating a parked waiter onto it) instead of returning
-	// control and re-parking — one count per hop, whether taken
-	// synchronously by the toucher or at completion time by finish.
-	ForwardedTouches int64
 	// PreemptYields counts Checkpoint yields caused by ready work at a
 	// level above the running task.
 	PreemptYields int64
@@ -121,7 +114,6 @@ func (rt *Runtime) Stats() SchedStats {
 		Inherits:          rt.stats.inherits.Load(),
 		TransitiveBoosts:  rt.stats.transBoosts.Load(),
 		CeilingViolations: rt.stats.ceilings.Load(),
-		ForwardedTouches:  rt.stats.forwards.Load(),
 		PreemptYields:     rt.stats.preemptYields.Load(),
 	}
 }
@@ -144,8 +136,8 @@ func (s SchedStats) Sub(before SchedStats) SchedStats {
 // test, TestSchedLineMatchesRuntime) reads them.
 func (s SchedStats) String() string {
 	return fmt.Sprintf(
-		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=0 poolmisses=0 forwards=%d preemptyields=%d",
+		"spawns=%d inline=%d promotions=%d parks=%d resumes=%d helps=%d steals=%d wakes=%d mutexparks=%d rwrparks=%d rwwparks=%d rwrevokes=%d inherits=%d transboosts=%d ceilings=%d poolhits=0 poolmisses=0 preemptyields=%d",
 		s.Spawns, s.InlineRuns, s.Promotions, s.Parks, s.Resumes, s.Helps, s.Steals, s.Wakes,
 		s.MutexParks, s.RWReadParks, s.RWWriteParks, s.RWRevokes, s.Inherits, s.TransitiveBoosts, s.CeilingViolations,
-		s.ForwardedTouches, s.PreemptYields)
+		s.PreemptYields)
 }

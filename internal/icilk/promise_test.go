@@ -22,8 +22,16 @@ func TestPromiseCompletesTouchers(t *testing.T) {
 			return v
 		})
 	}
+	// A plain Touch of a future whose value is a Handle returns that
+	// Handle, not the value behind it.
+	inner := *Completed(1, 42).Untyped()
+	hp := NewPromise[Handle](rt, 1)
+	hf := Go(rt, nil, 1, "handle-toucher", func(c *Ctx) any {
+		return hp.Future().Untyped().Touch(c)
+	})
 	time.Sleep(10 * time.Millisecond) // let the touchers park
 	pr.Complete(7)
+	hp.Complete(inner)
 	for i := 0; i < 3; i++ {
 		select {
 		case v := <-results:
@@ -33,6 +41,9 @@ func TestPromiseCompletesTouchers(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("toucher never resumed after Complete")
 		}
+	}
+	if hv, err := Await(hf, 5*time.Second); err != nil || hv != any(inner) {
+		t.Fatalf("Touch of a future holding a Handle = %v (%T), %v; want the Handle", hv, hv, err)
 	}
 	if err := rt.WaitIdle(5 * time.Second); err != nil {
 		t.Fatalf("WaitIdle: %v", err)

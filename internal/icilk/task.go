@@ -204,24 +204,6 @@ type gctx struct {
 	// to a replacement and must retire (after releasing the slot) when
 	// its outermost task frame unwinds.
 	handedOff bool
-
-	// fwdVal/fwdErr deliver a touched future's outcome to the task
-	// parked on this goroutine: finish writes them before the requeue,
-	// and the resumed toucher reads them instead of re-reading the
-	// future cell (which, after a migration, is not the one that
-	// resolved). fwdBudget is the forwarding budget the waiter parked
-	// with: zero for a plain Touch, positive for TouchThroughN, where
-	// finish may consume hops by migrating the parked task along a
-	// carrier chain. They live here, not on the task, because only a
-	// parked waiter receives a delivery, a parked task always has its
-	// goroutine's gctx (prepare runs before the task is registered),
-	// and a goroutine has at most one parked waiter — its innermost
-	// task. All three are written by the waiter before it becomes
-	// visible on a waiter list, or by finish before the requeue; the
-	// park/requeue handshake publishes them.
-	fwdBudget int32
-	fwdVal    any
-	fwdErr    error
 }
 
 // prepare makes t resumable: it materializes the handshake channels and
